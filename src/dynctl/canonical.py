@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .maps import RationalMapQ, cofactors, evaluate, map_height
+from .maps import RationalMapQ, evaluate, map_height
 from .points import ProjPointQ, enumerate_points, log_of_int
 
 # Reaching radius <= tol costs d^n ~ c/tol iterations, whose coordinates hold
@@ -36,9 +36,12 @@ def transition_constants(m: RationalMapQ) -> TransitionConstants:
     coefficient, |R| * H(P)^D <= 2d * M * H(P)^(D-d) * max(|F|,|G|)(a,b),
     and the gcd divided out in evaluation divides R, so
     H(phi(P)) >= H(P)^d / (2d * M).
+
+    The certificate is the one cached on the map, so sweeps over basepoints
+    solve it once per map.
     """
     d = m.degree
-    cert = cofactors(m)
+    cert = m.certificate
     c_up = map_height(m).log + math.log(d + 1)
     c_low = math.log(2 * d) + log_of_int(cert.max_coefficient())
     return TransitionConstants(c_up=c_up, c_low=c_low)

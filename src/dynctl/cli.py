@@ -279,7 +279,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     sub = parser.add_subparsers(dest="subcommand", required=True)
     subparsers: list[argparse.ArgumentParser] = []
 
-    def common(p, with_policy=True):
+    def common(p, with_policy=True, with_budget=True):
         subparsers.append(p)
         p.add_argument("--config", help="key=value file supplying flag defaults")
         p.add_argument("--format", choices=("csv", "json"), default="json")
@@ -288,8 +288,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
         p.add_argument("--workers", type=int, default=default_workers())
         if with_policy:
             p.add_argument("--ncap", type=int, default=16)
-            p.add_argument("--height-budget-bits", type=int, default=10**6,
-                           dest="height_budget_bits")
+            if with_budget:
+                p.add_argument("--height-budget-bits", type=int, default=10**6,
+                               dest="height_budget_bits")
 
     p = sub.add_parser("orbit", help="scan one orbit and count S-integral points")
     p.add_argument("--map", required=True)
@@ -341,14 +342,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParse
     common(p)
     p.set_defaults(fn=cmd_avg3)
 
-    p = sub.add_parser("ffavg", help="function-field average over non-constant f")
+    p = sub.add_parser(
+        "ffavg", help="function-field average over non-constant f",
+        description="Function-field average over non-constant f. Orbit heights over "
+                    "F_p(t) are degrees, bounded by a fixed budget of "
+                    f"{funcfield_mod.DEFAULT_FF_HEIGHT_BUDGET}, so there is no "
+                    "--height-budget-bits. The sweep runs serially for now: "
+                    "--workers is accepted but not yet used.")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--beta-coeffs", required=True, dest="beta_coeffs",
                    help="coefficients of beta as a polynomial in f, ascending")
     p.add_argument("--s", default="", help="comma-separated monic irreducible polynomials in t")
     p.add_argument("--b", required=True)
-    common(p)
+    common(p, with_budget=False)
     p.set_defaults(fn=cmd_ffavg)
 
     p = sub.add_parser("verify", help="run every registered identity check")
@@ -390,21 +397,30 @@ def _load_config_defaults(argv: list[str],
         p.set_defaults(**defaults)
 
 
+# Lowest accepted value per numeric flag, checked after parsing so that
+# values supplied by --config are held to the same rule.
+_FLAG_MINIMUMS = (("ncap", "--ncap", 0),
+                  ("height_budget_bits", "--height-budget-bits", 1),
+                  ("workers", "--workers", 1))
+
+
+def _validate_numeric_flags(args) -> None:
+    for attr, flag, low in _FLAG_MINIMUMS:
+        value = getattr(args, attr, None)
+        if value is not None and value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
     try:
         _load_config_defaults(argv, [parser] + subparsers)
-    except OSError as exc:
-        sys.stderr.write(error_json(exc))
-        return 1
-    args = parser.parse_args(argv)
-    try:
+        args = parser.parse_args(argv)
+        _validate_numeric_flags(args)
         return args.fn(args)
-    except DynctlError as exc:
-        sys.stderr.write(error_json(exc))
-        return 1
-    except ValueError as exc:
+    except Exception as exc:
+        # Every failure, expected or not, ends as one JSON object on stderr.
         sys.stderr.write(error_json(exc))
         return 1
 

@@ -71,11 +71,14 @@ class RationalMapQ:
     The stored pair is content-reduced and sign-canonicalized (the first
     nonzero coefficient, scanning numerator then denominator from the leading
     coefficient down, is positive). Constructed via make_map or compose.
+    The resultant and the cofactor certificate are cached on the map (the
+    certificate is solved on first use), and both travel with it when pickled.
     """
 
     numerator: BinaryForm
     denominator: BinaryForm
     _res: int | None = field(default=None, repr=False, compare=False)
+    _cert: "CofactorCertificate | None" = field(default=None, repr=False, compare=False)
 
     @property
     def degree(self) -> int:
@@ -87,6 +90,13 @@ class RationalMapQ:
             r = resultant_from_coeffs(self.numerator.coeffs, self.denominator.coeffs, self.degree)
             object.__setattr__(self, "_res", r)
         return self._res
+
+    @property
+    def certificate(self) -> "CofactorCertificate":
+        """The verified cofactor certificate, solved by cofactors() on first use."""
+        if self._cert is None:
+            object.__setattr__(self, "_cert", cofactors(self))
+        return self._cert
 
     def all_coeffs(self) -> tuple[int, ...]:
         return self.numerator.coeffs + self.denominator.coeffs
@@ -159,6 +169,7 @@ def cofactors(m: RationalMapQ) -> CofactorCertificate:
 
     The right-hand exponent forced by homogeneity is D = 2d-1 (degree d-1
     cofactors against degree d forms); the realized exponent is stored.
+    Always solves afresh; RationalMapQ.certificate caches one result per map.
     """
     d = m.degree
     big = 2 * d

@@ -137,8 +137,13 @@ class DensityReport:
     trap_violations: int
     trap_hits: tuple[int, ...] | None = None
 
-    def loglog_slope(self) -> float:
-        """Least-squares slope of log(ratio) against log(B)."""
+    def loglog_slope(self) -> float | None:
+        """Least-squares slope of log(ratio) against log(B).
+
+        None when undefined: fewer than two bounds, or a zero ratio.
+        """
+        if len(self.b_values) < 2 or 0 in self.ratios:
+            return None
         xs = [math.log(b) for b in self.b_values]
         ys = [math.log(r) for r in self.ratios]
         n = len(xs)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from dynctl.canonical import (canonical_height, hhat_min_empirical, is_preperiodic,
                               transition_constants, transition_constants_check)
+from dynctl.families import pell_map
 from dynctl.maps import evaluate, make_map, map_height, random_map
 from dynctl.points import INFINITY, ProjPointQ, enumerate_points, log_of_int, normalize
 
@@ -153,3 +155,23 @@ def test_certified_intervals_are_nested(m):
         sharp = canonical_height(m, p, 1e-4)
         assert sharp.radius < coarse.radius
         assert abs(coarse.value - sharp.value) <= coarse.radius + sharp.radius
+
+
+def test_certificate_solved_once_per_map(monkeypatch):
+    import dynctl.maps as maps_mod
+
+    solves = []
+    real_solve = maps_mod.solve_exact
+
+    def counting_solve(*args):
+        solves.append(args)
+        return real_solve(*args)
+
+    monkeypatch.setattr(maps_mod, "solve_exact", counting_solve)
+    m = pell_map(2)
+    points = list(itertools.islice(enumerate_points(10), 50))
+    assert len(points) == 50
+    for p in points:
+        is_preperiodic(m, p)
+    canonical_height(m, ProjPointQ(3, 2), 1e-4)
+    assert len(solves) == 2  # one Sylvester solve per cofactor identity

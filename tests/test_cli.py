@@ -84,6 +84,78 @@ def test_error_json_on_degenerate_map(capsys):
     assert json.loads(err)["error"] == "DegenerateMapError"
 
 
+def test_nmax_deterministic_across_workers(capsys):
+    args = ["nmax", "--map", "pell(2)", "--s", "", "--b", "20", "--height-budget-bits", "10000"]
+    _, out1, _ = run_cli(args + ["--workers", "1"], capsys)
+    _, out2, _ = run_cli(args + ["--workers", "2"], capsys)
+    assert out1 and out1 == out2
+
+
+def test_density_single_bound_slope_null(capsys):
+    code, out, err = run_cli(
+        ["density", "--map", "(x-1)/(x^3+1)", "--s", "", "--b", "10"], capsys
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["hits"] == [3]
+    assert payload["loglog_slope"] is None
+
+
+def test_density_slope_null_when_a_ratio_is_zero():
+    from dynctl.orbits import DensityReport
+
+    report = DensityReport((10, 20), (0, 2), (128, 512), (0.0, 2 / 512), False, 0)
+    assert report.loglog_slope() is None
+
+
+def test_unexpected_exception_becomes_error_json(monkeypatch, capsys):
+    import dynctl.cli as cli_mod
+
+    def crash(args):
+        return 1 // 0
+
+    monkeypatch.setattr(cli_mod, "cmd_density", crash)
+    code, out, err = run_cli(["density", "--map", "x^2", "--s", "", "--b", "10"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "ZeroDivisionError"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--ncap", "-1"),
+    ("--height-budget-bits", "0"),
+    ("--workers", "0"),
+])
+def test_numeric_flag_below_minimum_rejected(flag, value, capsys):
+    code, out, err = run_cli(
+        ["nmax", "--map", "pell(2)", "--s", "", "--b", "3", flag, value], capsys
+    )
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert flag in payload["message"]
+
+
+def test_numeric_flag_from_config_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ncap=-1\n")
+    code, out, err = run_cli(
+        ["nmax", "--config", str(cfg), "--map", "pell(2)", "--s", "", "--b", "3"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "--ncap" in json.loads(err)["message"]
+
+
+def test_ffavg_has_no_height_budget_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["ffavg", "--p", "2", "--d", "2", "--beta-coeffs", "0,0,0,0,1", "--s", "",
+              "--b", "1", "--height-budget-bits", "5"])
+    assert "--height-budget-bits" in capsys.readouterr().err
+
+
 def test_avg_deterministic_across_workers(capsys):
     args = ["avg", "--map", "pell(2)", "--beta", "t", "--s", "", "--b", "5,10",
             "--height-budget-bits", "10000", "--format", "csv"]

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -85,6 +86,37 @@ def test_cofactor_gcd_divides_resultant_bruteforce():
 def test_cofactor_random_sweep():
     report = cofactor_certificates_check(seed=3, n_maps=10, n_pairs=20)
     assert report.ok
+
+
+def test_certificate_cached_matches_fresh_solve():
+    m = make_map([-1, 1, 0, 0], [1, 0, 0, 1])
+    cert = m.certificate
+    assert m.certificate is cert
+    assert cert == cofactors(m)
+    assert cert.verify(m)
+
+
+def test_certificate_cache_keeps_equality_and_hash():
+    m = make_map([0, 0, 0, 0, 1], [4, 0, -4, 0, 1])
+    m.certificate
+    fresh = make_map([0, 0, 0, 0, 1], [4, 0, -4, 0, 1])
+    assert m == fresh
+    assert hash(m) == hash(fresh)
+
+
+def test_certificate_survives_pickle(monkeypatch):
+    import dynctl.maps as maps_mod
+
+    m = make_map([-1, 1, 0, 0], [1, 0, 0, 1])
+    cert = m.certificate
+    back = pickle.loads(pickle.dumps(m))
+
+    def no_solve(*args):
+        raise AssertionError("the unpickled map solved its certificate again")
+
+    monkeypatch.setattr(maps_mod, "solve_exact", no_solve)
+    assert back == m
+    assert back.certificate == cert
 
 
 def test_evaluate_examples():
