@@ -270,131 +270,140 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, list[argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
+class UsageError(DynctlError):
+    """Command-line input rejected before any work: a flag or config key."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as UsageError, so main emits them as JSON."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    parser = _Parser(
         prog="dynctl",
         description="Exact-arithmetic experiments on S-integral points in orbits of rational self-maps of P^1.",
     )
     parser.add_argument("--config", help="key=value file supplying flag defaults")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    subparsers: list[argparse.ArgumentParser] = []
+    subparsers: dict[str, argparse.ArgumentParser] = {}
 
-    def common(p, with_policy=True, with_budget=True):
-        subparsers.append(p)
-        p.add_argument("--config", help="key=value file supplying flag defaults")
-        p.add_argument("--format", choices=("csv", "json"), default="json")
+    # Each subcommand registers only the flags it reads.
+    def add(name, fn, formats=("csv", "json"), ncap=False, budget=False, workers=False,
+            **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        subparsers[name] = p
+        p.set_defaults(fn=fn)
+        # SUPPRESS keeps a --config given before the subcommand.
+        p.add_argument("--config", default=argparse.SUPPRESS,
+                       help="key=value file supplying flag defaults")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default="", help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=default_workers())
-        if with_policy:
+        if ncap:
             p.add_argument("--ncap", type=int, default=16)
-            if with_budget:
-                p.add_argument("--height-budget-bits", type=int, default=10**6,
-                               dest="height_budget_bits")
+        if budget:
+            p.add_argument("--height-budget-bits", type=int, default=10**6,
+                           dest="height_budget_bits")
+        if workers:
+            p.add_argument("--workers", type=int, default=default_workers())
+        return p
 
-    p = sub.add_parser("orbit", help="scan one orbit and count S-integral points")
+    p = add("orbit", cmd_orbit, ncap=True, budget=True,
+            help="scan one orbit and count S-integral points")
     p.add_argument("--map", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--s", default="")
-    common(p)
-    p.set_defaults(fn=cmd_orbit)
 
-    p = sub.add_parser("canheight", help="certified canonical height of a point")
+    p = add("canheight", cmd_canheight, formats=("json",),
+            help="certified canonical height of a point")
     p.add_argument("--map", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    common(p, with_policy=False)
-    p.set_defaults(fn=cmd_canheight)
 
-    p = sub.add_parser("preper", help="certified preperiodicity decision")
+    p = add("preper", cmd_preper, formats=("json",),
+            help="certified preperiodicity decision")
     p.add_argument("--map", required=True)
     p.add_argument("--point", required=True)
-    common(p, with_policy=False)
-    p.set_defaults(fn=cmd_preper)
 
-    p = sub.add_parser("nmax", help="empirical largest iterate producing an S-integral point")
+    p = add("nmax", cmd_nmax, formats=("json",), ncap=True, budget=True, workers=True,
+            help="empirical largest iterate producing an S-integral point")
     p.add_argument("--map", required=True)
     p.add_argument("--s", default="")
     p.add_argument("--b", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=cmd_nmax)
 
-    p = sub.add_parser("density", help="density of S-integral preimages by height")
+    p = add("density", cmd_density, workers=True,
+            help="density of S-integral preimages by height")
     p.add_argument("--map", required=True)
     p.add_argument("--s", default="")
     p.add_argument("--b", required=True, help="comma-separated height bounds")
-    common(p, with_policy=False)
-    p.set_defaults(fn=cmd_density)
 
-    p = sub.add_parser("avg", help="average integral orbit count over a parameter sweep")
+    p = add("avg", cmd_avg, ncap=True, budget=True, workers=True,
+            help="average integral orbit count over a parameter sweep")
     p.add_argument("--map", required=True)
     p.add_argument("--beta", required=True, help="basepoint family, a rational function of t")
     p.add_argument("--s", default="")
     p.add_argument("--b", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_avg)
 
-    p = sub.add_parser("avg3", help="boxed average for the three-parameter family")
+    p = add("avg3", cmd_avg3, ncap=True, budget=True, workers=True,
+            help="boxed average for the three-parameter family")
     p.add_argument("--n1", type=int, default=6)
     p.add_argument("--n2", type=int, default=6)
     p.add_argument("--n3", type=int, default=6)
     p.add_argument("--b", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_avg3)
 
-    p = sub.add_parser(
-        "ffavg", help="function-field average over non-constant f",
-        description="Function-field average over non-constant f. Orbit heights over "
-                    "F_p(t) are degrees, bounded by a fixed budget of "
-                    f"{funcfield_mod.DEFAULT_FF_HEIGHT_BUDGET}, so there is no "
-                    "--height-budget-bits. The sweep runs serially for now: "
-                    "--workers is accepted but not yet used.")
+    p = add("ffavg", cmd_ffavg, ncap=True,
+            help="function-field average over non-constant f",
+            description="Function-field average over non-constant f. Orbit heights over "
+                        "F_p(t) are degrees, bounded by a fixed budget of "
+                        f"{funcfield_mod.DEFAULT_FF_HEIGHT_BUDGET}, so there is no "
+                        "--height-budget-bits. The sweep runs serially.")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--beta-coeffs", required=True, dest="beta_coeffs",
                    help="coefficients of beta as a polynomial in f, ascending")
     p.add_argument("--s", default="", help="comma-separated monic irreducible polynomials in t")
     p.add_argument("--b", required=True)
-    common(p, with_budget=False)
-    p.set_defaults(fn=cmd_ffavg)
 
-    p = sub.add_parser("verify", help="run every registered identity check")
-    common(p, with_policy=False)
-    p.set_defaults(fn=cmd_verify)
+    p = add("verify", cmd_verify, help="run every registered identity check")
+    p.add_argument("--seed", type=int, default=0)
 
     return parser, subparsers
 
 
-_INT_KEYS = ("seed", "workers", "ncap", "height_budget_bits", "n1", "n2", "n3", "p", "d")
+def _flag_actions(p: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    return {a.dest: a for a in p._actions if a.dest not in ("help", "config")}
 
 
-def _load_config_defaults(argv: list[str],
-                          parsers: list[argparse.ArgumentParser]) -> None:
-    """Apply key=value file entries as defaults; explicit flags still win.
+def _apply_config(path: str, chosen: argparse.ArgumentParser,
+                  parsers: dict[str, argparse.ArgumentParser]) -> None:
+    """Make key=value file entries defaults of the chosen subcommand's flags.
 
-    Subparsers parse into a fresh namespace, so the defaults go onto every
-    parser, not just the top-level one.
+    Values stay strings, so argparse converts them with the flag's type when
+    it parses again, and explicit flags still win. A key that belongs to
+    another subcommand is ignored; a key that no subcommand has is an error.
     """
-    if "--config" not in argv:
-        return
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return
     defaults = {}
-    with open(argv[idx + 1], encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#") or "=" not in line:
                 continue
             key, _, value = line.partition("=")
             defaults[key.strip().replace("-", "_")] = value.strip()
-    for key in _INT_KEYS:
-        if key in defaults:
-            defaults[key] = int(defaults[key])
-    if "tol" in defaults:
-        defaults["tol"] = float(defaults["tol"])
-    for p in parsers:
-        p.set_defaults(**defaults)
+    known = {dest for p in parsers.values() for dest in _flag_actions(p)}
+    for key in defaults:
+        if key not in known:
+            raise UsageError(f"unknown --config key {key!r}")
+    own = _flag_actions(chosen)
+    defaults = {k: v for k, v in defaults.items() if k in own}
+    for key, value in defaults.items():
+        choices = own[key].choices
+        if choices is not None and value not in choices:
+            raise UsageError(f"--config key {key!r}: {value!r} is not one of "
+                             f"{', '.join(choices)}")
+    chosen.set_defaults(**defaults)
 
 
 # Lowest accepted value per numeric flag, checked after parsing so that
@@ -415,14 +424,18 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
     try:
-        _load_config_defaults(argv, [parser] + subparsers)
         args = parser.parse_args(argv)
+        if args.config:
+            # Parse again with the config entries as defaults of this subcommand.
+            _apply_config(args.config, subparsers[args.subcommand], subparsers)
+            args = parser.parse_args(argv)
         _validate_numeric_flags(args)
         return args.fn(args)
     except Exception as exc:
-        # Every failure, expected or not, ends as one JSON object on stderr.
+        # Every failure, expected or not, ends as one JSON object on stderr;
+        # usage errors keep argparse's exit status 2.
         sys.stderr.write(error_json(exc))
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,8 +20,8 @@ from .polynomials import resultant_from_coeffs
 from .reports import CheckResult, VerificationReport
 
 MAX_PRIME = 97
-_PACK_BITS = 64
-_PACK_MASK = (1 << _PACK_BITS) - 1
+# Kronecker slot types, narrowest first: (array typecode, slot width in bytes).
+_SLOTS = tuple((code, array(code).itemsize) for code in "BHIQ")
 
 
 class FFPoly:
@@ -33,6 +35,16 @@ class FFPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+
+    @classmethod
+    def _reduced(cls, p: int, cs: list[int]) -> "FFPoly":
+        """Wrap coefficients already in [0, p); only trailing zeros are trimmed."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        out = cls.__new__(cls)
+        out.p = p
+        out.coeffs = tuple(cs)
+        return out
 
     @classmethod
     def const(cls, p: int, c: int) -> "FFPoly":
@@ -83,19 +95,23 @@ class FFPoly:
         if isinstance(other, int):
             return FFPoly(self.p, [c * other for c in self.coeffs])
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return FFPoly(self.p, ())
-        # Kronecker packing: coefficients fit far below 2^64, so one big-int
-        # multiply does the convolution.
-        a = sum(c << (_PACK_BITS * i) for i, c in enumerate(self.coeffs))
-        b = sum(c << (_PACK_BITS * i) for i, c in enumerate(other.coeffs))
-        prod = a * b
-        out = []
-        n = len(self.coeffs) + len(other.coeffs) - 1
-        for _ in range(n):
-            out.append((prod & _PACK_MASK) % self.p)
-            prod >>= _PACK_BITS
-        return FFPoly(self.p, out)
+        p, a, b = self.p, self.coeffs, other.coeffs
+        if not a or not b:
+            return FFPoly._reduced(p, [])
+        # Kronecker substitution into the narrowest slot that holds every
+        # convolution sum, so packing, the one big-int multiply and unpacking
+        # all run in C; each slot is then reduced mod p once.
+        bound = (p - 1) ** 2 * min(len(a), len(b))
+        for code, width in _SLOTS:
+            if bound < 1 << (8 * width):
+                break
+        else:
+            raise OverflowError("F_p[t] product too long for 8-byte Kronecker slots")
+        x = int.from_bytes(array(code, a).tobytes(), sys.byteorder)
+        y = int.from_bytes(array(code, b).tobytes(), sys.byteorder)
+        n = len(a) + len(b) - 1
+        slots = memoryview((x * y).to_bytes(n * width, sys.byteorder)).cast(code)
+        return FFPoly._reduced(p, [c % p for c in slots])
 
     __rmul__ = __mul__
 
@@ -120,15 +136,19 @@ class FFPoly:
         dv = other.coeffs
         dd = len(dv) - 1
         inv_lead = pow(dv[-1], p - 2, p)
+        # Only the divisor's nonzero lower terms touch the remainder, stored
+        # negated so the update is an addition. Remainder slots are reduced
+        # when read; the constructor reduces the final remainder.
+        lower = [(j, p - d) for j, d in enumerate(dv[:dd]) if d]
         quo = [0] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i] % p
+        for base in range(len(quo) - 1, -1, -1):
+            c = rem[base + dd] % p
             if c:
                 q = c * inv_lead % p
-                quo[i - dd] = q
-                for j, d in enumerate(dv):
-                    rem[i - dd + j] = (rem[i - dd + j] - q * d) % p
-        return FFPoly(p, quo), FFPoly(p, rem[:dd])
+                quo[base] = q
+                for j, nd in lower:
+                    rem[base + j] += q * nd
+        return FFPoly._reduced(p, quo), FFPoly(p, rem[:dd])
 
     def __mod__(self, other: "FFPoly") -> "FFPoly":
         return divmod(self, other)[1]

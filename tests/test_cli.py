@@ -149,11 +149,94 @@ def test_numeric_flag_from_config_rejected(tmp_path, capsys):
     assert "--ncap" in json.loads(err)["message"]
 
 
+FFAVG_B1 = ["ffavg", "--p", "2", "--d", "2", "--beta-coeffs", "0,0,0,0,1", "--s", "", "--b", "1"]
+
+
+def assert_usage_error(code, out, err, *fragments):
+    assert code == 2
+    assert out == ""
+    assert "usage:" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "UsageError"
+    for fragment in fragments:
+        assert fragment in payload["message"]
+
+
 def test_ffavg_has_no_height_budget_flag(capsys):
-    with pytest.raises(SystemExit):
-        main(["ffavg", "--p", "2", "--d", "2", "--beta-coeffs", "0,0,0,0,1", "--s", "",
-              "--b", "1", "--height-budget-bits", "5"])
-    assert "--height-budget-bits" in capsys.readouterr().err
+    code, out, err = run_cli(FFAVG_B1 + ["--height-budget-bits", "5"], capsys)
+    assert_usage_error(code, out, err, "--height-budget-bits")
+
+
+@pytest.mark.parametrize("args, fragment", [
+    (["orbit", "--map", "x^2", "--point", "2", "--bogus", "1"], "--bogus"),
+    (["orbit", "--point", "2"], "--map"),
+    (["orbit", "--map", "x^2", "--point", "2", "--ncap", "x"], "--ncap"),
+    ([], "subcommand"),
+])
+def test_argparse_rejections_become_one_json_error(args, fragment, capsys):
+    assert_usage_error(*run_cli(args, capsys), fragment)
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dynctl orbit")
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["orbit", "--map", "x^2", "--point", "2", "--workers", "2"], "--workers"),
+    (["canheight", "--map", "x^2", "--point", "2", "--workers", "2"], "--workers"),
+    (["preper", "--map", "x^2", "--point", "2", "--workers", "2"], "--workers"),
+    (FFAVG_B1 + ["--workers", "2"], "--workers"),
+    (["verify", "--workers", "2"], "--workers"),
+    (["orbit", "--map", "x^2", "--point", "2", "--seed", "1"], "--seed"),
+    (["nmax", "--map", "x^2", "--b", "2", "--seed", "1"], "--seed"),
+    (["canheight", "--map", "x^2", "--point", "2", "--format", "csv"], "--format"),
+    (["preper", "--map", "x^2", "--point", "2", "--format", "csv"], "--format"),
+    (["nmax", "--map", "x^2", "--b", "2", "--format", "csv"], "--format"),
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(args, flag, capsys):
+    assert_usage_error(*run_cli(args, capsys), flag)
+
+
+def test_config_key_of_another_subcommand_is_ignored(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("height_budget_bits=0\nworkers=0\ntol=junk\n")
+    code, out, err = run_cli(FFAVG_B1 + ["--config", str(cfg), "--format", "csv"], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines()[2] == "1,6,2,0.3333333333333333"
+
+
+def test_config_key_no_subcommand_has_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ncpa=3\n")
+    code, out, err = run_cli(
+        ["nmax", "--config", str(cfg), "--map", "pell(2)", "--s", "", "--b", "3"], capsys
+    )
+    assert_usage_error(code, out, err, "ncpa")
+
+
+def test_config_value_checked_like_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=csv\n")
+    code, out, err = run_cli(["preper", "--config", str(cfg), "--map", "x^2", "--point", "2"],
+                             capsys)
+    assert_usage_error(code, out, err, "format")
+    cfg.write_text("ncap=x\n")
+    code, out, err = run_cli(["orbit", "--config", str(cfg), "--map", "x^2", "--point", "2"],
+                             capsys)
+    assert_usage_error(code, out, err, "--ncap")
+
+
+def test_config_before_the_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ncap=2\n")
+    code, out, _ = run_cli(
+        ["--config", str(cfg), "orbit", "--map", "x^4/(x^2-2)^2", "--point", "3/2"], capsys
+    )
+    assert code == 0
+    assert len(json.loads(out)["points"]) == 3
 
 
 def test_avg_deterministic_across_workers(capsys):

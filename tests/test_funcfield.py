@@ -43,6 +43,83 @@ def test_ffpoly_divmod_roundtrip():
         assert r.degree() < b.degree()
 
 
+@pytest.mark.parametrize("p, lengths", [
+    (2, (255, 256)),   # 1-byte slots hold sums up to 255
+    (3, (63, 64)),     # 4 * 63 < 2^8 <= 4 * 64
+    (17, (1, 255, 256)),  # 16^2 = 2^8 already needs 2 bytes; 256 * 256 needs 4
+    (97, (7, 8)),      # 96^2 * 7 < 2^16 <= 96^2 * 8
+])
+def test_ffpoly_mul_largest_sums_at_slot_boundaries(p, lengths):
+    for n in lengths:
+        for m in (n, n + 3):
+            a = [p - 1] * n
+            b = [p - 1] * m
+            assert FFPoly(p, a) * FFPoly(p, b) == FFPoly(p, _naive_mul(p, a, b))
+
+
+@pytest.mark.parametrize("p, n", [(2, 65535), (2, 65536), (3, 16383), (3, 16384)])
+def test_ffpoly_mul_largest_sums_at_wide_slot_boundaries(p, n):
+    # All-(p-1) factors: coefficient k counts the pairs i + j = k, times (p-1)^2.
+    got = FFPoly(p, [p - 1] * n) * FFPoly(p, [p - 1] * n)
+    want = [(p - 1) ** 2 * (min(k, 2 * n - 2 - k) + 1) for k in range(2 * n - 1)]
+    assert got == FFPoly(p, want)
+
+
+def test_ffpoly_mul_refuses_sums_wider_than_its_slots(monkeypatch):
+    import dynctl.funcfield as ff
+
+    monkeypatch.setattr(ff, "_SLOTS", ff._SLOTS[:1])
+    with pytest.raises(OverflowError):
+        FFPoly(97, [96, 96]) * FFPoly(97, [96])
+
+
+@pytest.mark.parametrize("p", (2, 3, 97))
+def test_ffpoly_divmod_long_dividends(p):
+    rng = random.Random(p)
+    t = FFPoly.t_var(p)
+    divisors = [
+        FFPoly(p, [1] + [0] * 5 + [1]),                      # sparse: 1 + t^6
+        FFPoly(p, [rng.randrange(1, p) for _ in range(40)]),  # dense
+        t * FFPoly(p, [rng.randrange(p) for _ in range(8)] + [1]),  # zero constant term
+        FFPoly(p, [rng.randrange(1, p)]),                    # nonzero constant
+    ]
+    for b in divisors:
+        for n in (600, 777):
+            a = FFPoly(p, [rng.randrange(p) for _ in range(n - 1)] + [rng.randrange(1, p)])
+            q, r = divmod(a, b)
+            assert q * b + r == a
+            assert r.degree() < b.degree()
+            assert (a * b).exact_div(b) == a
+
+
+def _to_sympy(f, x):
+    import sympy
+
+    return sympy.Poly(list(reversed(f.coeffs)) or [0], x, modulus=f.p)
+
+
+def _from_sympy(p, poly):
+    # sympy keeps residues in the symmetric range; map them into [0, p).
+    return FFPoly(p, [int(c) % p for c in reversed(poly.all_coeffs())])
+
+
+@given(st.sampled_from((2, 3, 5, 17, 97)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_ffpoly_kernels_match_sympy(p, data):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    coeffs = st.lists(st.integers(0, p - 1), max_size=40)
+    a = FFPoly(p, data.draw(coeffs))
+    b = FFPoly(p, data.draw(coeffs))
+    sa, sb = _to_sympy(a, x), _to_sympy(b, x)
+    assert a * b == _from_sympy(p, sa * sb)
+    if not b.is_zero():
+        sq, sr = sa.div(sb)
+        assert divmod(a, b) == (_from_sympy(p, sq), _from_sympy(p, sr))
+    if not (a.is_zero() and b.is_zero()):
+        assert a.gcd(b) == _from_sympy(p, sa.gcd(sb))
+
+
 ff_polys = st.builds(
     lambda p, coeffs: FFPoly(p, coeffs),
     st.sampled_from((2, 3, 5)),
