@@ -69,7 +69,7 @@ def canonical_height(m: RationalMapQ, p: ProjPointQ, tol: float,
     iteration stops at the first n where that bound is <= tol.
     """
     _require_degree_two(m)
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN
         raise ValueError("tol must be positive")
     d = m.degree
     tc = transition_constants(m)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+from dataclasses import asdict
 
 from . import canonical as canonical_mod
 from . import families as families_mod
@@ -25,7 +26,7 @@ from .orbits import (OrbitPolicy, count_s_integral, density_of_integral_preimage
 from .parallel import default_workers
 from .parsing import parse_map, resolve_map_text
 from .points import SIntSpec, format_point, parse_point
-from .reports import emit_csv, emit_json, error_json
+from .reports import emit_csv, emit_json, emit_report_csv, error_json
 
 # Every module's identity checks, by name; `verify` runs exactly this set and
 # the registry-completeness test keeps it in sync with the modules.
@@ -142,27 +143,22 @@ def cmd_nmax(args) -> int:
     return 0
 
 
+def _emit_report(args, kind: str, context: dict, report, **derived) -> None:
+    """A sweep report as CSV rows per height bound, or as JSON: the run's
+    context, then the report's fields in declaration order, then derived values."""
+    if args.format == "csv":
+        _write(args, emit_report_csv(kind, report))
+    else:
+        _write(args, emit_json({**context, **asdict(report), **derived}))
+
+
 def cmd_density(args) -> int:
     m = _map_from_args(args)
     s = _parse_s(args.s)
     report = density_of_integral_preimages(m, s, _parse_b_values(args.b),
                                            workers=args.workers)
-    if args.format == "csv":
-        rows = list(zip(report.b_values, report.hits, report.totals, report.ratios))
-        _write(args, emit_csv("density", rows))
-    else:
-        _write(args, emit_json({
-            "map": args.map,
-            "s": [p for p in s],
-            "b_values": list(report.b_values),
-            "hits": list(report.hits),
-            "totals": list(report.totals),
-            "ratios": list(report.ratios),
-            "trap_checked": report.trap_checked,
-            "trap_violations": report.trap_violations,
-            "trap_hits": list(report.trap_hits) if report.trap_hits else None,
-            "loglog_slope": report.loglog_slope(),
-        }))
+    _emit_report(args, "density", {"map": args.map, "s": list(s)}, report,
+                 loglog_slope=report.loglog_slope())
     return 0
 
 
@@ -177,47 +173,14 @@ def cmd_avg(args) -> int:
     s = _parse_s(args.s)
     report = avg_experiment(target, beta, s, _parse_b_values(args.b),
                             policy=_policy(args), workers=args.workers)
-    if args.format == "csv":
-        rows = [(b, report.population[i], report.totals[i], report.averages[i],
-                 report.truncated_fractions[i]) for i, b in enumerate(report.b_values)]
-        _write(args, emit_csv("avg", rows))
-    else:
-        _write(args, emit_json({
-            "map": args.map,
-            "beta": args.beta,
-            "s": [p for p in s],
-            "b_values": list(report.b_values),
-            "population": list(report.population),
-            "excluded": list(report.excluded),
-            "totals": list(report.totals),
-            "averages": list(report.averages),
-            "truncated_fractions": list(report.truncated_fractions),
-        }))
+    _emit_report(args, "avg", {"map": args.map, "beta": args.beta, "s": list(s)}, report)
     return 0
 
 
 def cmd_avg3(args) -> int:
     report = three_param_avg(args.n1, args.n2, args.n3, _parse_b_values(args.b),
                              policy=_policy(args), workers=args.workers)
-    if args.format == "csv":
-        rows = [(b, report.population[i], report.totals[i], report.averages[i],
-                 report.open_cell_max(i)) for i, b in enumerate(report.b_values)]
-        _write(args, emit_csv("avg3", rows))
-    else:
-        _write(args, emit_json({
-            "exponents": list(report.exponents),
-            "b_values": list(report.b_values),
-            "population": list(report.population),
-            "totals": list(report.totals),
-            "averages": list(report.averages),
-            "truncated_fractions": list(report.truncated_fractions),
-            "cells": [
-                {name: {"population": tally.population, "total": tally.total,
-                        "max_count": tally.max_count}
-                 for name, tally in cell.items()}
-                for cell in report.cells
-            ],
-        }))
+    _emit_report(args, "avg3", {}, report)
     return 0
 
 
@@ -229,44 +192,24 @@ def cmd_ffavg(args) -> int:
     beta = [int(c) for c in args.beta_coeffs.split(",")]
     report = ff_orbit_avg(args.p, args.d, beta, s_polys, _parse_b_values(args.b),
                           n_cap=args.ncap)
-    if args.format == "csv":
-        rows = [(b, report.population[i], report.totals[i], report.averages[i])
-                for i, b in enumerate(report.b_values)]
-        _write(args, emit_csv("ffavg", rows))
-    else:
-        _write(args, emit_json({
-            "p": args.p,
-            "d": args.d,
-            "beta_coeffs": beta,
-            "b_values": list(report.b_values),
-            "population": list(report.population),
-            "totals": list(report.totals),
-            "averages": list(report.averages),
-            "truncated_fractions": list(report.truncated_fractions),
-        }))
+    _emit_report(args, "ffavg", {"p": args.p, "d": args.d, "beta_coeffs": beta}, report)
     return 0
 
 
 def cmd_verify(args) -> int:
     checks = registered_checks()
-    lines = []
-    all_ok = True
-    payload = []
+    results = []
     for name in VERIFY_REGISTRY:
         fn = checks[name]
         kwargs = {}
         if "seed" in inspect.signature(fn).parameters:
             kwargs["seed"] = args.seed
-        report = fn(**kwargs)
-        all_ok = all_ok and report.ok
-        lines.extend(report.lines())
-        payload.extend(
-            {"name": c.name, "ok": c.ok, "detail": c.detail} for c in report.checks
-        )
-    if args.format == "json":
-        _write(args, emit_json({"ok": all_ok, "checks": payload}))
+        results.extend(fn(**kwargs).checks)
+    all_ok = all(c.ok for c in results)
+    if args.format == "csv":
+        _write(args, emit_csv("verify", [(c.name, int(c.ok), c.detail) for c in results]))
     else:
-        _write(args, "\n".join(lines) + "\n")
+        _write(args, emit_json({"ok": all_ok, "checks": [asdict(c) for c in results]}))
     return 0 if all_ok else 1
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -19,9 +20,9 @@ from .errors import DegenerateFamilyError, DegenerateMapError, DegreeDropError
 from .maps import RationalMapQ, evaluate, make_map, second_iterate_is_polynomial
 from .orbits import OrbitPolicy, count_s_integral, scan_orbit
 from .parallel import map_chunks
-from .points import (EMPTY_S, ProjPointQ, SIntSpec, enumerate_points, is_s_integral,
-                     normalize)
-from .polynomials import IntPoly, form_compose, resultant_from_coeffs
+from .points import (EMPTY_S, ProjPointQ, SIntSpec, check_b_values, enumerate_points,
+                     is_s_integral, normalize, tally_by_height)
+from .polynomials import IntPoly, form_compose, form_eval, resultant_from_coeffs
 from .reports import CheckResult, VerificationReport
 
 T_VAR = ("t",)
@@ -117,10 +118,6 @@ PRESET_EXPRESSIONS = {
 
 def _tpoly(terms: dict[int, int]) -> IntPoly:
     return IntPoly(T_VAR, {(e,): c for e, c in terms.items()})
-
-
-def _rst(terms: dict[tuple[int, int, int], int]) -> IntPoly:
-    return IntPoly(RST_VARS, dict(terms))
 
 
 def phi_t_family() -> FamilySpec:
@@ -365,8 +362,8 @@ class BasepointSpec:
     def eval_at_param(self, p: ProjPointQ, var: str) -> ProjPointQ | None:
         """Homogeneous evaluation at a parameter point of P^1; None if (0, 0)."""
         e = max(self.num.degree_in(var), self.den.degree_in(var), 0)
-        n_val = sum(self.num.coefficient((i,)) * p.a**i * p.b ** (e - i) for i in range(e + 1))
-        d_val = sum(self.den.coefficient((i,)) * p.a**i * p.b ** (e - i) for i in range(e + 1))
+        n_val = form_eval([self.num.coefficient((i,)) for i in range(e + 1)], p.a, p.b)
+        d_val = form_eval([self.den.coefficient((i,)) for i in range(e + 1)], p.a, p.b)
         if n_val == 0 and d_val == 0:
             return None
         return normalize(n_val, d_val)
@@ -403,9 +400,7 @@ def avg_experiment(map_or_family: RationalMapQ | FamilySpec, beta: BasepointSpec
     line are the parameter's own height (for a fixed beta this rescales B and
     leaves the zero/bounded verdicts untouched).
     """
-    bs = tuple(int(b) for b in b_values)
-    if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])) or bs[0] < 1:
-        raise ValueError("b_values must be strictly increasing and >= 1")
+    bs = check_b_values(b_values)
     if beta.degree < 1:
         raise ValueError("beta must be non-constant")
     constant = isinstance(map_or_family, RationalMapQ)
@@ -435,24 +430,11 @@ def avg_experiment(map_or_family: RationalMapQ | FamilySpec, beta: BasepointSpec
     worker = functools.partial(_orbit_count_for_param, s=s, policy=policy)
     results = map_chunks(worker, tasks, workers)
 
-    population = [0] * len(bs)
-    excluded = [0] * len(bs)
-    totals = [0] * len(bs)
-    truncated = [0] * len(bs)
-    for h, count, trunc in results:
-        for i, b in enumerate(bs):
-            if h <= b:
-                population[i] += 1
-                totals[i] += count
-                truncated[i] += 1 if trunc else 0
-    for h in excluded_h:
-        for i, b in enumerate(bs):
-            if h <= b:
-                excluded[i] += 1
-    averages = tuple(totals[i] / population[i] for i in range(len(bs)))
-    truncated_fractions = tuple(truncated[i] / population[i] for i in range(len(bs)))
-    return AvgReport(bs, tuple(population), tuple(excluded), tuple(totals), averages,
-                     truncated_fractions)
+    population, totals, truncated = tally_by_height(bs, results, (operator.add, operator.add))
+    excluded = tally_by_height(bs, [(h,) for h in excluded_h], ())[0]
+    averages = tuple(t / n for t, n in zip(totals, population))
+    truncated_fractions = tuple(t / n for t, n in zip(truncated, population))
+    return AvgReport(bs, population, excluded, totals, averages, truncated_fractions)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +453,8 @@ class CellTally:
 class ThreeParamReport:
     """Boxed average over |r|,|s|,|t| <= B with the slice breakdown of the proof."""
 
-    b_values: tuple[int, ...]
     exponents: tuple[int, int, int]
+    b_values: tuple[int, ...]
     population: tuple[int, ...]
     totals: tuple[int, ...]
     averages: tuple[float, ...]
@@ -481,6 +463,10 @@ class ThreeParamReport:
 
     def open_cell_max(self, index: int) -> int:
         return self.cells[index]["open"].max_count
+
+    @property
+    def open_cell_maxima(self) -> tuple[int, ...]:
+        return tuple(cell["open"].max_count for cell in self.cells)
 
 
 def _three_param_cell(r: int, s: int, t: int) -> str:
@@ -495,14 +481,18 @@ def _three_param_cell(r: int, s: int, t: int) -> str:
 
 def _three_param_orbit_count(triple: tuple[int, int, int], exponents: tuple[int, int, int],
                              family: FamilySpec, s_spec: SIntSpec,
-                             policy: OrbitPolicy) -> tuple[str, int, bool]:
-    """Count integral points in one parameter's orbit; returns (cell, count, truncated)."""
+                             policy: OrbitPolicy) -> tuple[int, int, bool, str]:
+    """Count integral points in one parameter's orbit.
+
+    Returns (height, count, truncated, cell), the height being max(|r|, |s|, |t|).
+    """
     r, s, t = triple
+    h = max(abs(r), abs(s), abs(t))
     cell = _three_param_cell(r, s, t)
     if cell == "t_zero":
         # beta = 0 and the numerator's constant coefficient is t = 0, so the
         # orbit is exactly {0} for every r, s (including degenerate maps).
-        return cell, 1, False
+        return h, 1, False, cell
     if cell == "s_zero":
         m = make_map([t, 0, 0], [1, 0, 1])
         base = ProjPointQ(0, 1)
@@ -516,7 +506,7 @@ def _three_param_orbit_count(triple: tuple[int, int, int], exponents: tuple[int,
     rec = scan_orbit(m, base, s_spec, n_cap=policy.n_cap,
                      height_budget_bits=policy.height_budget_bits)
     count, exact = count_s_integral(rec)
-    return cell, count, not exact
+    return h, count, not exact, cell
 
 
 def three_param_avg(n1: int, n2: int, n3: int, b_values: Sequence[int],
@@ -529,9 +519,7 @@ def three_param_avg(n1: int, n2: int, n3: int, b_values: Sequence[int],
     """
     if min(n1, n2, n3) < 6:
         raise ValueError("exponents must all be >= 6")
-    bs = tuple(int(b) for b in b_values)
-    if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])) or bs[0] < 1:
-        raise ValueError("b_values must be strictly increasing and >= 1")
+    bs = check_b_values(b_values)
     fam = three_param_family()
     b_max = bs[-1]
     triples = [(r, s, t)
@@ -542,30 +530,20 @@ def three_param_avg(n1: int, n2: int, n3: int, b_values: Sequence[int],
                                family=fam, s_spec=EMPTY_S, policy=policy)
     results = map_chunks(worker, triples, workers)
 
-    cell_names = ("open", "t_zero", "s_zero", "r_zero")
-    population = [0] * len(bs)
-    totals = [0] * len(bs)
-    truncated = [0] * len(bs)
-    cells = [{name: [0, 0, 0] for name in cell_names} for _ in bs]
-    for (r, s, t), (cell, count, trunc) in zip(triples, results):
-        h = max(abs(r), abs(s), abs(t))
-        for i, b in enumerate(bs):
-            if h <= b:
-                population[i] += 1
-                totals[i] += count
-                truncated[i] += 1 if trunc else 0
-                tally = cells[i][cell]
-                tally[0] += 1
-                tally[1] += count
-                tally[2] = max(tally[2], count)
+    population, totals, truncated = tally_by_height(bs, results, (operator.add, operator.add))
+    cells = [{} for _ in bs]
+    for name in ("open", "t_zero", "s_zero", "r_zero"):
+        in_cell = ((h, count, count) for h, count, _, cell in results if cell == name)
+        for i, tally in enumerate(zip(*tally_by_height(bs, in_cell, (operator.add, max)))):
+            cells[i][name] = CellTally(*tally)
     return ThreeParamReport(
-        b_values=bs,
         exponents=(n1, n2, n3),
-        population=tuple(population),
-        totals=tuple(totals),
-        averages=tuple(totals[i] / population[i] for i in range(len(bs))),
-        truncated_fractions=tuple(truncated[i] / population[i] for i in range(len(bs))),
-        cells=tuple({name: CellTally(*vals) for name, vals in cell.items()} for cell in cells),
+        b_values=bs,
+        population=population,
+        totals=totals,
+        averages=tuple(t / n for t, n in zip(totals, population)),
+        truncated_fractions=tuple(t / n for t, n in zip(truncated, population)),
+        cells=tuple(cells),
     )
 
 

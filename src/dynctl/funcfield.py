@@ -8,6 +8,7 @@ so every height in this module is an integer.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import sys
 from array import array
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateFamilyError
-from .points import is_prime
-from .polynomials import resultant_from_coeffs
+from .points import check_b_values, is_prime, tally_by_height
+from .polynomials import form_compose, form_eval, form_mul, resultant_from_coeffs
 from .reports import CheckResult, VerificationReport
 
 MAX_PRIME = 97
@@ -407,16 +408,6 @@ def make_ff_map(num_coeffs: Sequence[FFRat], den_coeffs: Sequence[FFRat]) -> FFM
     return FFMap(p, d, tuple(nf), tuple(df), res)
 
 
-def _eval_forms(coeffs: Sequence[FFPoly], z0: FFPoly, z1: FFPoly) -> FFPoly:
-    d = len(coeffs) - 1
-    val = coeffs[d]
-    zpow = FFPoly.const(z0.p if not z0.is_zero() else z1.p, 1)
-    for i in range(d - 1, -1, -1):
-        zpow = zpow * z1
-        val = val * z0 + coeffs[i] * zpow
-    return val
-
-
 def evaluate_ff(m: FFMap, point: FFPointK) -> FFPointK:
     """Apply the map exactly; the gcd divided out divides the resultant, so the
     common factor is located modulo the small resultant polynomial.
@@ -424,8 +415,8 @@ def evaluate_ff(m: FFMap, point: FFPointK) -> FFPointK:
     gcd(F(z), G(z)) = gcd(F(z), G(z), Res), so after the division the pair is
     coprime and only the monic rescaling of a full normalization remains.
     """
-    fa = _eval_forms(m.num_forms, point.z0, point.z1)
-    gb = _eval_forms(m.den_forms, point.z0, point.z1)
+    fa = form_eval(m.num_forms, point.z0, point.z1)
+    gb = form_eval(m.den_forms, point.z0, point.z1)
     r = m.res
     if not r.is_constant():
         g = r.gcd(fa % r)
@@ -494,16 +485,7 @@ def _xp_add(a: list[FFRat], b: list[FFRat]) -> list[FFRat]:
 
 
 def _xp_mul(a: list[FFRat], b: list[FFRat]) -> list[FFRat]:
-    if not a or not b:
-        return []
-    p = a[0].p
-    out = [FFRat.constant(p, 0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _xp_trim(out)
+    return _xp_trim(form_mul(a, b)) if a and b else []
 
 
 def _xp_scale(a: list[FFRat], c: FFRat) -> list[FFRat]:
@@ -590,16 +572,16 @@ def ff_family(d: int, f: FFRat) -> tuple[FFMap, FFFamilyChecks]:
     separable = bool(_xp_trim(list(deriv_num)))
 
     # (iv) direct second iterate: degrees, non-polynomiality, scalar vs the displayed pair.
-    comp_num, comp_den = _ff_compose_xpolys(n_poly, d_poly, d)
+    d_form = d_poly + [zero]  # the denominator as a degree-d form
+    comp_num, comp_den = form_compose(n_poly, d_form, n_poly, d_form)
     deg_ok = (len(_xp_trim(list(comp_num))) - 1 == d * d
               and len(_xp_trim(list(comp_den))) - 1 == d * d - 1)
     g = _xp_gcd(comp_num, comp_den)
     not_poly = (len(_xp_trim(list(comp_den))) - 1) - (len(g) - 1) >= 1
     # displayed pair: (f+1) x^(d^2) over (f+1)^(d-1) x^(d(d-1)) (x^(d-1)+f) + f (x^(d-1)+f)^d
     disp_num = [zero] * (d * d) + [f + one]
-    xdm1f = [f] + [zero] * (d - 2) + [one]
-    term1 = _xp_scale(_xp_mul([zero] * (d * (d - 1)) + [one], xdm1f), (f + one) ** (d - 1))
-    term2 = _xp_scale(_xp_pow(xdm1f, d), f)
+    term1 = _xp_scale(_xp_mul([zero] * (d * (d - 1)) + [one], d_poly), (f + one) ** (d - 1))
+    term2 = _xp_scale(_xp_pow(d_poly, d), f)
     disp_den = _xp_add(term1, term2)
     scalar = (f + one) ** d
     scalar_matches = (_xp_eq(comp_den, disp_den)
@@ -624,37 +606,6 @@ def _xp_pow(a: list[FFRat], n: int) -> list[FFRat]:
     for _ in range(n):
         out = _xp_mul(out, a)
     return out
-
-
-def _ff_compose_xpolys(num: list[FFRat], den: list[FFRat], d: int) -> tuple[list[FFRat], list[FFRat]]:
-    """Raw composition of the dehomogenized map with itself, as binary-form coefficient lists."""
-    p = num[0].p
-    zero = FFRat.constant(p, 0)
-    n_pad = list(num) + [zero] * (d + 1 - len(num))
-    d_pad = list(den) + [zero] * (d + 1 - len(den))
-    f_pows = {1: n_pad}
-    g_pows = {1: d_pad}
-    for k in range(2, d + 1):
-        f_pows[k] = _xp_mul(f_pows[k - 1], n_pad)
-        g_pows[k] = _xp_mul(g_pows[k - 1], d_pad)
-    deg = d * d
-    out_num = [zero] * (deg + 1)
-    out_den = [zero] * (deg + 1)
-    for i in range(d + 1):
-        a_i = n_pad[i]
-        b_i = d_pad[i]
-        if a_i.is_zero() and b_i.is_zero():
-            continue
-        if i == 0:
-            prod = g_pows[d]
-        elif i == d:
-            prod = f_pows[d]
-        else:
-            prod = _xp_mul(f_pows[i], g_pows[d - i])
-        for k, c in enumerate(prod):
-            out_num[k] = out_num[k] + a_i * c
-            out_den[k] = out_den[k] + b_i * c
-    return out_num, out_den
 
 
 # ---------------------------------------------------------------------------
@@ -748,13 +699,9 @@ def ff_orbit_avg(p: int, d: int, beta_coeffs: Sequence[int], s: Sequence[FFPoly]
     if beta_deg * (d - 1) <= 2 * d - 1:
         raise ValueError("beta degree must strictly exceed (2d-1)/(d-1)")
     validate_s_set(s)
-    bs = tuple(int(b) for b in b_values)
-    if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])) or bs[0] < 1:
-        raise ValueError("b_values must be strictly increasing and >= 1")
+    bs = check_b_values(b_values)
 
-    population = [0] * len(bs)
-    totals = [0] * len(bs)
-    truncated = [0] * len(bs)
+    rows = []
     for f in enumerate_ff_elements(p, bs[-1]):
         m = ff_family_map(d, f)
         beta_val = FFRat.constant(p, 0)
@@ -765,18 +712,14 @@ def ff_orbit_avg(p: int, d: int, beta_coeffs: Sequence[int], s: Sequence[FFPoly]
             fpow = fpow * f
         rec = ff_scan_orbit(m, ff_point_from_rat(beta_val), s,
                             n_cap=n_cap, height_budget=height_budget)
-        h = f.height()
-        for i, b in enumerate(bs):
-            if h <= b:
-                population[i] += 1
-                totals[i] += len(rec.integral_indices)
-                truncated[i] += 0 if rec.completed else 1
+        rows.append((f.height(), len(rec.integral_indices), not rec.completed))
+    population, totals, truncated = tally_by_height(bs, rows, (operator.add, operator.add))
     return FFAvgReport(
         b_values=bs,
-        population=tuple(population),
-        totals=tuple(totals),
-        averages=tuple(totals[i] / population[i] for i in range(len(bs))),
-        truncated_fractions=tuple(truncated[i] / population[i] for i in range(len(bs))),
+        population=population,
+        totals=totals,
+        averages=tuple(t / n for t, n in zip(totals, population)),
+        truncated_fractions=tuple(t / n for t, n in zip(truncated, population)),
     )
 
 

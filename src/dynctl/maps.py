@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
 from .points import HeightValue, ProjPointQ, log_of_int, normalize
-from .polynomials import resultant_from_coeffs, solve_exact
+from .polynomials import form_compose, form_eval, form_mul, resultant_from_coeffs, solve_exact
 
 DEFAULT_COEFF_BITS = 10**6
 
@@ -29,25 +29,13 @@ class BinaryForm:
             raise ValueError("coefficient count must be degree + 1")
 
     def __call__(self, a: int, b: int) -> int:
-        # Horner in a, with powers of b folded in on the way down.
-        c = self.coeffs
-        val = c[self.degree]
-        bpow = 1
-        for i in range(self.degree - 1, -1, -1):
-            bpow *= b
-            val = val * a + c[i] * bpow
-        return val
+        return form_eval(self.coeffs, a, b)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        out = [0] * (self.degree + other.degree + 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci:
-                for j, cj in enumerate(other.coeffs):
-                    out[i + j] += ci * cj
-        return BinaryForm(self.degree + other.degree, tuple(out))
+        return BinaryForm(self.degree + other.degree, tuple(form_mul(self.coeffs, other.coeffs)))
 
     def __add__(self, other: "BinaryForm") -> "BinaryForm":
         if self.degree != other.degree:
@@ -210,8 +198,8 @@ def evaluate(m: RationalMapQ, p: ProjPointQ, max_coord_bits: int | None = None) 
     common factor is found by reducing modulo the (small) resultant instead
     of running a full gcd on enormous coordinates.
     """
-    fa = m.numerator(p.a, p.b)
-    gb = m.denominator(p.a, p.b)
+    fa = form_eval(m.numerator.coeffs, p.a, p.b)
+    gb = form_eval(m.denominator.coeffs, p.a, p.b)
     r = m._res
     if r is None:
         g = math.gcd(fa, gb)
@@ -237,31 +225,11 @@ def evaluate(m: RationalMapQ, p: ProjPointQ, max_coord_bits: int | None = None) 
     return ProjPointQ(fa, gb)
 
 
-def _pair_powers(form: BinaryForm, n: int) -> list[BinaryForm]:
-    powers = [BinaryForm(0, (1,))]
-    for _ in range(n):
-        powers.append(powers[-1] * form)
-    return powers
-
-
 def compose(outer: RationalMapQ, inner: RationalMapQ,
             max_coeff_bits: int = DEFAULT_COEFF_BITS) -> RationalMapQ:
     """outer after inner; degree multiplies, pair stays coprime, content is re-reduced."""
-    d_out = outer.degree
-    f_pows = _pair_powers(inner.numerator, d_out)
-    g_pows = _pair_powers(inner.denominator, d_out)
-    deg = d_out * inner.degree
-    num = [0] * (deg + 1)
-    den = [0] * (deg + 1)
-    for i in range(d_out + 1):
-        a_i = outer.numerator.coeffs[i]
-        b_i = outer.denominator.coeffs[i]
-        if a_i == 0 and b_i == 0:
-            continue
-        prod = f_pows[i] * g_pows[d_out - i]
-        for k, c in enumerate(prod.coeffs):
-            num[k] += a_i * c
-            den[k] += b_i * c
+    num, den = form_compose(outer.numerator.coeffs, outer.denominator.coeffs,
+                            inner.numerator.coeffs, inner.denominator.coeffs)
     num_t, den_t = _canonical_pair(num, den)
     worst = max(max(abs(c) for c in num_t), max(abs(c) for c in den_t))
     if worst.bit_length() > max_coeff_bits:
@@ -270,6 +238,7 @@ def compose(outer: RationalMapQ, inner: RationalMapQ,
         )
     # Composition of valid maps is valid: a common root of the composite forms
     # would push down to a common root of the outer pair.
+    deg = outer.degree * inner.degree
     return RationalMapQ(BinaryForm(deg, num_t), BinaryForm(deg, den_t), None)
 
 
@@ -295,11 +264,6 @@ def map_height(m: RationalMapQ) -> HeightValue:
     """Projective height of the (2d+2)-tuple of coefficients: H = max |c|, h = ln H."""
     big = max(abs(c) for c in m.all_coeffs())
     return HeightValue(big, log_of_int(big))
-
-
-def evaluate_unreduced(m: RationalMapQ, p: ProjPointQ) -> tuple[int, int]:
-    """Raw form values (F(a,b), G(a,b)) before normalization; used by oracles."""
-    return m.numerator(p.a, p.b), m.denominator(p.a, p.b)
 
 
 def format_map(m: RationalMapQ) -> str:

@@ -5,12 +5,14 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .canonical import is_preperiodic
 from .maps import RationalMapQ, evaluate, is_polynomial, second_iterate_is_polynomial
 from .parallel import map_chunks
-from .points import ProjPointQ, SIntSpec, enumerate_points, is_s_integral, strip_s_part
+from .points import (ProjPointQ, SIntSpec, check_b_values, enumerate_points, is_s_integral,
+                     strip_s_part, tally_by_height)
 
 
 class Truncation(enum.Enum):
@@ -177,26 +179,12 @@ def density_of_integral_preimages(f: RationalMapQ, s: SIntSpec,
     against the divisor trap: the non-S part of G(a, b) must divide the
     resultant. The trap is a cross-check only; counting is by enumeration.
     """
-    bs = tuple(int(b) for b in b_values)
-    if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])) or bs[0] < 1:
-        raise ValueError("b_values must be strictly increasing and >= 1")
+    bs = check_b_values(b_values)
     check_trap = not is_polynomial(f)
     res = abs(f.resultant)
     worker = functools.partial(_density_point, f=f, s=s, check_trap=check_trap, res=res)
     results = map_chunks(worker, enumerate_points(bs[-1]), workers)
-    violations = 0
-    hits = [0] * len(bs)
-    totals = [0] * len(bs)
-    trap_hits = [0] * len(bs)
-    for h, hit, in_trap, violation in results:
-        violations += 1 if violation else 0
-        for i, b in enumerate(bs):
-            if h <= b:
-                totals[i] += 1
-                if hit:
-                    hits[i] += 1
-                if in_trap:
-                    trap_hits[i] += 1
-    ratios = tuple(hits[i] / totals[i] for i in range(len(bs)))
-    return DensityReport(bs, tuple(hits), tuple(totals), ratios, check_trap, violations,
-                         tuple(trap_hits) if check_trap else None)
+    totals, hits, trap_hits, violations = tally_by_height(bs, results, (operator.add,) * 3)
+    ratios = tuple(n / total for n, total in zip(hits, totals))
+    return DensityReport(bs, hits, totals, ratios, check_trap, violations[-1],
+                         trap_hits if check_trap else None)

@@ -27,9 +27,12 @@ def default_workers() -> int:
 def map_chunks(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
     """Ordered map over items, fanning out to `workers` processes when asked.
 
-    fn must be picklable (a module-level function or functools.partial of one).
+    The pool never has more processes than the machine has CPUs; output does
+    not depend on the worker count. fn must be picklable (a module-level
+    function or functools.partial of one).
     """
     items = list(items)
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or len(items) < 2 * workers:
         return [fn(x) for x in items]
     ctx = multiprocessing.get_context("fork")

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BothZeroError, ParseError
 
@@ -90,11 +92,6 @@ def normalize(a: int, b: int) -> ProjPointQ:
     if b < 0:
         a, b = -a, -b
     return ProjPointQ(a, b)
-
-
-def from_fraction(q: Fraction | int) -> ProjPointQ:
-    q = Fraction(q)
-    return ProjPointQ(q.numerator, q.denominator)
 
 
 @dataclass(frozen=True)
@@ -184,6 +181,41 @@ def count_points(bound: int) -> int:
     for b in range(1, bound + 1):
         total += sum(1 for a in range(-bound, bound + 1) if gcd(abs(a), b) == 1)
     return total
+
+
+def check_b_values(b_values: Iterable[int]) -> tuple[int, ...]:
+    """Height bounds as a tuple of ints: nonempty, >= 1 and strictly increasing."""
+    bs = tuple(int(b) for b in b_values)
+    if not bs or bs[0] < 1 or any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
+        raise ValueError("b_values must be strictly increasing and >= 1")
+    return bs
+
+
+def tally_by_height(b_values: tuple[int, ...], rows: Iterable[Sequence],
+                    folds: Sequence[Callable[[int, int], int]]) -> list[tuple[int, ...]]:
+    """Cumulative tallies of rows (h, v_1, ..., v_k) by height bound.
+
+    Returns k + 1 columns, each with one entry per bound B in b_values:
+    column 0 counts the rows with h <= B, and column j folds v_j over them
+    with folds[j - 1] (operator.add for sums, max for maxima), starting
+    from 0; entries of a row past v_k are ignored. Each row goes into the
+    bucket of the first bound >= h and the buckets are then accumulated;
+    rows above the last bound count nowhere.
+    """
+    last = len(b_values)
+    buckets = [[0] * (len(folds) + 1) for _ in range(last)]
+    indexed = tuple(enumerate(folds, 1))
+    for row in rows:
+        i = bisect_left(b_values, row[0])
+        if i < last:
+            bucket = buckets[i]
+            bucket[0] += 1
+            for j, fold in indexed:
+                bucket[j] = fold(bucket[j], row[j])
+    columns = (operator.add, *folds)
+    for i in range(1, last):
+        buckets[i] = [fold(x, y) for fold, x, y in zip(columns, buckets[i - 1], buckets[i])]
+    return [tuple(column) for column in zip(*buckets)]
 
 
 def format_point(p: ProjPointQ) -> str:

@@ -338,6 +338,22 @@ def resultant_from_coeffs(f_coeffs: Sequence, g_coeffs: Sequence, degree: int):
 # ---------------------------------------------------------------------------
 
 
+def form_eval(coeffs: Sequence, a, b):
+    """Value at (a, b) of the form with ascending coefficients: sum c_i a^i b^(d-i).
+
+    Horner in a with the powers of b folded in on the way down; the powers
+    start at b itself, so the ring needs no one.
+    """
+    val = coeffs[-1]
+    if len(coeffs) == 1:
+        return val
+    bpow = b
+    for i in range(len(coeffs) - 2, 0, -1):
+        val = val * a + coeffs[i] * bpow
+        bpow = bpow * b
+    return val * a + coeffs[0] * bpow
+
+
 def form_mul(a: Sequence, b: Sequence) -> list:
     """Coefficient convolution of two forms given by ascending coefficient lists."""
     zero = a[0] * 0

@@ -6,7 +6,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,24 @@ CSV_SCHEMAS = {
     "orbit": ("dynctl.orbit.v1", ["n", "point", "integral"]),
     "avg3": ("dynctl.avg3.v1", ["B", "population", "total_integral", "average", "open_cell_max"]),
     "ffavg": ("dynctl.ffavg.v1", ["B", "population", "total_integral", "average"]),
+    "verify": ("dynctl.verify.v1", ["name", "ok", "detail"]),
+}
+
+# The per-bound report attribute behind each column of the sweep schemas.
+CSV_FIELDS = {
+    "B": "b_values",
+    "hits": "hits",
+    "total": "totals",
+    "ratio": "ratios",
+    "population": "population",
+    "total_integral": "totals",
+    "average": "averages",
+    "truncated_fraction": "truncated_fractions",
+    "open_cell_max": "open_cell_maxima",
 }
 
 
-def emit_csv(kind: str, rows: Sequence[Sequence]) -> str:
+def emit_csv(kind: str, rows: Iterable[Sequence]) -> str:
     schema, columns = CSV_SCHEMAS[kind]
     buf = io.StringIO()
     buf.write(f"# schema: {schema}\n")
@@ -55,6 +69,12 @@ def emit_csv(kind: str, rows: Sequence[Sequence]) -> str:
     for row in rows:
         writer.writerow(row)
     return buf.getvalue()
+
+
+def emit_report_csv(kind: str, report) -> str:
+    """A sweep report as CSV: one row per height bound, columns from CSV_SCHEMAS[kind]."""
+    _, columns = CSV_SCHEMAS[kind]
+    return emit_csv(kind, zip(*(getattr(report, CSV_FIELDS[c]) for c in columns)))
 
 
 def emit_json(payload: dict) -> str:

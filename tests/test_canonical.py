@@ -50,6 +50,12 @@ def test_canonical_height_fixed_point():
     assert est.value <= est.radius
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan")])
+def test_canonical_height_rejects_non_positive_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        canonical_height(X_SQUARED, ProjPointQ(2, 1), tol)
+
+
 def test_canonical_height_rejects_degree_one():
     mobius = make_map([1, 1], [1, 0])
     with pytest.raises(ValueError):

@@ -335,3 +335,38 @@ def test_ffavg_subcommand(capsys):
     lines = out.splitlines()
     assert lines[0] == "# schema: dynctl.ffavg.v1"
     assert len(lines) == 4
+
+
+def test_canheight_nan_tol_is_one_json_error(capsys):
+    code, out, err = run_cli(["canheight", "--map", "x^2", "--point", "2", "--tol", "nan"],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "tol must be positive"}
+
+
+def test_verify_csv_schema(monkeypatch, capsys):
+    import csv
+
+    import dynctl.cli as cli_mod
+    from dynctl.reports import CheckResult, VerificationReport
+
+    def fake_checks():
+        return {
+            "passes": lambda: VerificationReport((CheckResult("a.identity", True, "3 samples, 0 bad"),)),
+            "fails": lambda seed=0: VerificationReport((CheckResult("b.bound", False, f"seed {seed}"),
+                                                        CheckResult("b.empty", True))),
+        }
+
+    monkeypatch.setattr(cli_mod, "registered_checks", fake_checks)
+    monkeypatch.setattr(cli_mod, "VERIFY_REGISTRY", ("passes", "fails"))
+    code, out, _ = run_cli(["verify", "--format", "csv", "--seed", "4"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "# schema: dynctl.verify.v1"
+    assert list(csv.reader(lines[1:])) == [
+        ["name", "ok", "detail"],
+        ["a.identity", "1", "3 samples, 0 bad"],
+        ["b.bound", "0", "seed 4"],
+        ["b.empty", "1", ""],
+    ]

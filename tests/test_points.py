@@ -1,12 +1,14 @@
 import math
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dynctl.errors import BothZeroError, ParseError
-from dynctl.points import (EMPTY_S, INFINITY, ProjPointQ, SIntSpec, count_points,
-                           enumerate_points, format_point, is_prime, is_s_integral,
-                           log_of_int, normalize, parse_point, weil_height)
+from dynctl.points import (EMPTY_S, INFINITY, ProjPointQ, SIntSpec, check_b_values,
+                           count_points, enumerate_points, format_point, is_prime,
+                           is_s_integral, log_of_int, normalize, parse_point, tally_by_height,
+                           weil_height)
 
 nonzero_pairs = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)).filter(
     lambda ab: ab != (0, 0)
@@ -140,3 +142,47 @@ def test_serialization_examples():
 def test_serialization_roundtrip(ab):
     p = normalize(*ab)
     assert parse_point(format_point(p)) == p
+
+
+@pytest.mark.parametrize("bad", [(), (0, 5), (5, 5), (10, 5)])
+def test_check_b_values_rejects(bad):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        check_b_values(bad)
+
+
+def test_check_b_values_returns_int_tuple():
+    assert check_b_values(["3", 7]) == (3, 7)
+
+
+def _empty_b_value_runs():
+    from dynctl.families import BasepointSpec, avg_experiment, pell_map, three_param_avg
+    from dynctl.funcfield import ff_orbit_avg
+    from dynctl.orbits import density_of_integral_preimages
+    from dynctl.polynomials import IntPoly
+
+    beta = BasepointSpec.polynomial(IntPoly.var("t", ("t",)))
+    return {
+        "density": lambda: density_of_integral_preimages(pell_map(2), EMPTY_S, ()),
+        "avg": lambda: avg_experiment(pell_map(2), beta, EMPTY_S, ()),
+        "avg3": lambda: three_param_avg(6, 6, 6, ()),
+        "ffavg": lambda: ff_orbit_avg(2, 2, [0, 0, 0, 0, 1], [], ()),
+    }
+
+
+@pytest.mark.parametrize("sweep", ["density", "avg", "avg3", "ffavg"])
+def test_sweeps_reject_empty_b_values(sweep):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _empty_b_value_runs()[sweep]()
+
+
+@given(st.lists(st.tuples(st.integers(1, 30), st.integers(0, 9), st.integers(0, 9)),
+                max_size=40),
+       st.lists(st.integers(1, 25), min_size=1, max_size=4, unique=True))
+def test_tally_by_height_matches_the_definition(rows, bounds):
+    bs = tuple(sorted(bounds))
+    counts, sums, maxima = tally_by_height(bs, rows, (operator.add, max))
+    for i, b in enumerate(bs):
+        below = [r for r in rows if r[0] <= b]
+        assert counts[i] == len(below)
+        assert sums[i] == sum(r[1] for r in below)
+        assert maxima[i] == max((r[2] for r in below), default=0)

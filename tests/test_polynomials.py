@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynctl.polynomials import (IntPoly, bareiss_determinant, form_compose, form_mul,
+from dynctl.polynomials import (IntPoly, bareiss_determinant, form_compose, form_eval, form_mul,
                                 resultant_from_coeffs, solve_exact, sylvester_matrix)
 
 T = ("t",)
@@ -164,3 +164,19 @@ def test_form_mul_and_compose_ints():
     assert num == [0, 0, 0, 0, 1]
     assert den == [1, 0, 0, 0, 0]
     assert form_mul([1, 1], [1, 1]) == [1, 2, 1]
+
+
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=7),
+       st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+def test_form_eval_matches_monomial_sum(coeffs, a, b):
+    d = len(coeffs) - 1
+    assert form_eval(coeffs, a, b) == sum(c * a**i * b ** (d - i) for i, c in enumerate(coeffs))
+
+
+def test_form_eval_over_a_ring_without_int_one():
+    # Coefficients and coordinates in Z[t]: the powers of b start at b itself.
+    t = IntPoly.var("t", T)
+    coeffs = [tpoly(1, 1), IntPoly.const(0, T), tpoly(0, 0, 3)]  # (1+t) Y^2 + 3t^2 X^2
+    got = form_eval(coeffs, t, t + 2)
+    assert got == tpoly(1, 1) * (t + 2) ** 2 + tpoly(0, 0, 3) * t**2
+    assert form_eval([tpoly(5)], t, t) == tpoly(5)
