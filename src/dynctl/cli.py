@@ -38,6 +38,7 @@ VERIFY_REGISTRY: tuple[str, ...] = (
     "phi_t_preimage_height_bound",
     "pell_solutions",
     "three_param_slice_bounds",
+    "resultant_specialization",
     "ff_family_checks",
 )
 

@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,16 +28,60 @@ from .reports import CheckResult, VerificationReport
 T_VAR = ("t",)
 RST_VARS = ("r", "s", "t")
 
+# A polynomial in the family's parameters as (coefficient, exponents) pairs,
+# the exponents ordered like FamilySpec.param_names.
+Terms = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _terms(poly: IntPoly) -> Terms:
+    return tuple((c, e) for e, c in poly.terms.items())
+
+
+def _eval_terms(terms: Terms, params: Sequence[Fraction | int]) -> Fraction | int:
+    """Value at exact parameters; an int when every parameter is an int."""
+    total = 0
+    for c, exps in terms:
+        for v, k in zip(params, exps):
+            if k:
+                c *= v**k
+        total += c
+    return total
+
+
+# Largest FamilySpec.symbolic_resultant_cost for which specialize evaluates
+# the symbolic resultant; dearer families run make_map's own Bareiss per
+# parameter. It admits phi_t (cost 3e3) and three_param (1.5e6) and keeps
+# second iterates and dense families such as ((x+t)^8 + 1)/((x-1)^7 + t)
+# (2e7) on the numeric path.
+SYMBOLIC_RESULTANT_BUDGET = 2 * 10**6
+
+
+@dataclass(frozen=True)
+class CompiledFamily:
+    """A family's coefficients and symbolic resultant as term lists, built once per family.
+
+    `resultant` is None when the symbolic resultant is over budget.
+    """
+
+    num: tuple[Terms, ...]
+    den: tuple[Terms, ...]
+    resultant: Terms | None
+
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family of degree-d maps whose coefficients are integer polynomials in parameters."""
+    """A family of degree-d maps whose coefficients are integer polynomials in parameters.
+
+    The first specialization compiles the family (see `compiled`).
+    Construction only checks a few numeric samples.
+    """
 
     param_names: tuple[str, ...]
     degree: int
     num_coeffs: tuple[IntPoly, ...]
     den_coeffs: tuple[IntPoly, ...]
     name: str = ""
+    _compiled: CompiledFamily | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def arity(self) -> int:
@@ -47,14 +91,18 @@ class FamilySpec:
         d = self.degree
         if len(self.num_coeffs) != d + 1 or len(self.den_coeffs) != d + 1:
             raise ValueError("coefficient sequences must have length degree + 1")
+        if any(c.vars != self.param_names for c in self.num_coeffs + self.den_coeffs):
+            raise ValueError("coefficients must be polynomials in exactly param_names")
         if not self._has_nondegenerate_sample():
             raise DegenerateFamilyError("the generic resultant vanishes identically on a sample grid")
 
     def _has_nondegenerate_sample(self) -> bool:
         candidates = (1, 2, -2, 3, -3, 5, 7, -1, 0)
         for params in itertools.islice(itertools.product(candidates, repeat=self.arity), 200):
+            values = dict(zip(self.param_names, params))
             try:
-                specialize(self, params)
+                make_map([c.evaluate(values) for c in self.num_coeffs],
+                         [c.evaluate(values) for c in self.den_coeffs])
                 return True
             except (DegenerateMapError, DegreeDropError):
                 continue
@@ -68,6 +116,28 @@ class FamilySpec:
 
     def symbolic_resultant(self) -> IntPoly:
         return resultant_from_coeffs(self.num_coeffs, self.den_coeffs, self.degree)
+
+    def symbolic_resultant_cost(self) -> int:
+        """Work bound for symbolic_resultant: (2d)^3 products of polynomials of
+        at most M terms, M the number of monomials of degree <= D in the
+        parameters, D = d * (num coefficient degree + den coefficient degree)
+        the resultant's degree bound."""
+        d = self.degree
+        deg = sum(max(max(c.total_degree() for c in coeffs), 0)
+                  for coeffs in (self.num_coeffs, self.den_coeffs))
+        m = math.comb(d * deg + self.arity, self.arity)
+        return (2 * d) ** 3 * m * m
+
+    @property
+    def compiled(self) -> CompiledFamily:
+        """Coefficients and, within budget, symbolic resultant as term lists, computed on first use."""
+        if self._compiled is None:
+            res = None
+            if self.symbolic_resultant_cost() <= SYMBOLIC_RESULTANT_BUDGET:
+                res = _terms(self.symbolic_resultant())
+            object.__setattr__(self, "_compiled", CompiledFamily(
+                tuple(map(_terms, self.num_coeffs)), tuple(map(_terms, self.den_coeffs)), res))
+        return self._compiled
 
     def uniformity_degree_threshold(self) -> Fraction:
         """Basepoint degree beyond which the general uniform-boundedness result
@@ -88,22 +158,32 @@ def specialize(family: FamilySpec, params: Sequence[Fraction | int]) -> Rational
     """
     if len(params) != family.arity:
         raise ValueError(f"family takes {family.arity} parameter(s)")
-    values = {name: Fraction(v) for name, v in zip(family.param_names, params)}
-    num = [Fraction(c.evaluate(values)) for c in family.num_coeffs]
-    den = [Fraction(c.evaluate(values)) for c in family.den_coeffs]
-    lcm = 1
-    for v in num + den:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    return make_map([int(v * lcm) for v in num], [int(v * lcm) for v in den])
+    comp = family.compiled
+    num = [_eval_terms(terms, params) for terms in comp.num]
+    den = [_eval_terms(terms, params) for terms in comp.den]
+    lcm = math.lcm(*(v.denominator for v in num), *(v.denominator for v in den))
+    res = None
+    if comp.resultant is not None:
+        # Res is homogeneous of degree 2d in the coefficients, so clearing
+        # denominators by lcm scales it by lcm^(2d).
+        res = int(_eval_terms(comp.resultant, params) * lcm ** (2 * family.degree))
+    return make_map([v.numerator * (lcm // v.denominator) for v in num],
+                    [v.numerator * (lcm // v.denominator) for v in den],
+                    resultant=res)
+
+
+def _member_map(family: FamilySpec, params: Sequence[Fraction | int]) -> RationalMapQ | None:
+    """The specialized map if the parameters pass i_membership, else None."""
+    try:
+        m = specialize(family, params)
+    except (DegenerateMapError, DegreeDropError):
+        return None
+    return None if second_iterate_is_polynomial(m) else m
 
 
 def i_membership(family: FamilySpec, params: Sequence[Fraction | int]) -> bool:
     """True iff the specialized map exists in degree d and its second iterate is not a polynomial."""
-    try:
-        m = specialize(family, params)
-    except (DegenerateMapError, DegreeDropError):
-        return False
-    return not second_iterate_is_polynomial(m)
+    return _member_map(family, params) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +497,10 @@ def avg_experiment(map_or_family: RationalMapQ | FamilySpec, beta: BasepointSpec
         if constant:
             m = map_or_family
         else:
-            if p.is_infinity() or not i_membership(map_or_family, (p.as_fraction(),)):
+            m = None if p.is_infinity() else _member_map(map_or_family, (p.as_fraction(),))
+            if m is None:
                 excluded_h.append(h)
                 continue
-            m = specialize(map_or_family, (p.as_fraction(),))
         base = beta.eval_at_param(p, var)
         if base is None:
             excluded_h.append(h)
@@ -591,11 +671,14 @@ def resultant_specialization_check(family: FamilySpec,
                                    sample_params: Sequence[Sequence[int]]) -> VerificationReport:
     """Specializing the symbolic resultant commutes with specializing the forms.
 
-    Samples where either form's x-degree drops are excluded with a note, as
-    the identity only speaks to degree-preserving specializations. Integer
-    samples only (exact equality of exact integers).
+    The symbolic side is the compiled resultant, the one specialize uses,
+    where the family has one. Samples where either form's x-degree drops are
+    excluded with a note, as the identity only speaks to degree-preserving
+    specializations. Integer samples only (exact equality of exact integers).
     """
-    sym = family.symbolic_resultant()
+    sym = family.compiled.resultant
+    if sym is None:
+        sym = _terms(family.symbolic_resultant())
     deg_num = family.x_degree_num()
     deg_den = family.x_degree_den()
     checks = []
@@ -610,10 +693,25 @@ def resultant_specialization_check(family: FamilySpec,
             checks.append(CheckResult(f"resultant_specialization[{label}]", True,
                                       "excluded: degree drop at this sample"))
             continue
-        lhs = sym.evaluate(values)
+        lhs = _eval_terms(sym, tuple(values.values()))
         rhs = resultant_from_coeffs(n_spec, d_spec, family.degree)
         checks.append(CheckResult(f"resultant_specialization[{label}]", lhs == rhs,
                                   f"symbolic={lhs} specialized={rhs}"))
+    return VerificationReport(tuple(checks))
+
+
+def resultant_specialization_grid_check() -> VerificationReport:
+    """The identity specialize relies on, for phi_t and three_param on the integer box [-2, 2]."""
+    checks = []
+    for family in (phi_t_family(), three_param_family()):
+        grid = itertools.product(range(-2, 3), repeat=family.arity)
+        results = resultant_specialization_check(family, list(grid)).checks
+        excluded = sum(c.detail.startswith("excluded") for c in results)
+        bad = sum(not c.ok for c in results)
+        checks.append(CheckResult(
+            f"{family.name}.resultant_specialization", bad == 0,
+            f"{len(results)} integer samples in [-2,2], {excluded} excluded for degree drop, "
+            f"{bad} mismatches"))
     return VerificationReport(tuple(checks))
 
 
@@ -623,4 +721,5 @@ VERIFICATION_CHECKS = {
     "phi_t_preimage_height_bound": preimage_height_bound_check,
     "pell_solutions": pell_checks,
     "three_param_slice_bounds": three_param_slice_bounds_check,
+    "resultant_specialization": resultant_specialization_grid_check,
 }

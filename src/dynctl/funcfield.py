@@ -283,7 +283,10 @@ class FFRat:
     def height(self) -> int:
         return max(self.num.degree(), self.den.degree(), 0)
 
-    def __add__(self, other: "FFRat") -> "FFRat":
+    def __add__(self, other: "FFRat | int") -> "FFRat":
+        if isinstance(other, int):
+            # num + c*den stays coprime to den, and den stays monic.
+            return FFRat(self.num + self.den * other, self.den)
         return FFRat.make(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "FFRat") -> "FFRat":
@@ -704,13 +707,7 @@ def ff_orbit_avg(p: int, d: int, beta_coeffs: Sequence[int], s: Sequence[FFPoly]
     rows = []
     for f in enumerate_ff_elements(p, bs[-1]):
         m = ff_family_map(d, f)
-        beta_val = FFRat.constant(p, 0)
-        fpow = FFRat.constant(p, 1)
-        for c in beta:
-            if c:
-                beta_val = beta_val + fpow * c
-            fpow = fpow * f
-        rec = ff_scan_orbit(m, ff_point_from_rat(beta_val), s,
+        rec = ff_scan_orbit(m, ff_point_from_rat(form_eval(beta, f, 1)), s,
                             n_cap=n_cap, height_budget=height_budget)
         rows.append((f.height(), len(rec.integral_indices), not rec.completed))
     population, totals, truncated = tally_by_height(bs, rows, (operator.add, operator.add))

@@ -103,8 +103,15 @@ def _canonical_pair(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, 
     return tuple(num), tuple(den)
 
 
-def make_map(num_coeffs: Sequence[int], den_coeffs: Sequence[int]) -> RationalMapQ:
-    """Build a validated map from ascending coefficient sequences of length d+1."""
+def make_map(num_coeffs: Sequence[int], den_coeffs: Sequence[int],
+             resultant: int | None = None) -> RationalMapQ:
+    """Build a validated map from ascending coefficient sequences of length d+1.
+
+    `resultant`, if given, must be Res(F, G) of the pair exactly as passed; it
+    replaces the Sylvester determinant. Dividing out the content c divides it
+    by c^(2d) exactly, since Res(cF, cG) = c^(2d) Res(F, G), and the sign fix
+    leaves it unchanged.
+    """
     num = [int(c) for c in num_coeffs]
     den = [int(c) for c in den_coeffs]
     if len(num) != len(den):
@@ -117,7 +124,10 @@ def make_map(num_coeffs: Sequence[int], den_coeffs: Sequence[int]) -> RationalMa
     if num[d] == 0 and den[d] == 0:
         raise DegreeDropError("both forms are divisible by Y; true degree < declared degree")
     num_t, den_t = _canonical_pair(num, den)
-    res = resultant_from_coeffs(num_t, den_t, d)
+    if resultant is None:
+        res = resultant_from_coeffs(num_t, den_t, d)
+    else:
+        res = resultant // math.gcd(*num, *den) ** (2 * d)
     if res == 0:
         raise DegenerateMapError("the defining forms share a projective root (Res = 0)")
     return RationalMapQ(BinaryForm(d, num_t), BinaryForm(d, den_t), res)

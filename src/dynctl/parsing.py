@@ -17,6 +17,14 @@ from .polynomials import IntPoly
 
 ALL_VARS = ("x", "t", "r", "s", "f")
 
+# Input size limits, each checked before the work it bounds. Every expression
+# in the tests, README and goldens is far inside them (exponents up to 24).
+MAX_LITERAL_DIGITS = 1000
+MAX_EXPONENT = 64
+MAX_DEGREE = 64  # total degree of any polynomial the parser builds
+MAX_COEFF_BITS = 100_000
+MAX_TERM_PAIRS = 100_000  # term products in one polynomial multiplication
+
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([xtrsf])|(\*\*|[-+*/^()]))")
 
 
@@ -39,6 +47,9 @@ def _tokenize(text: str) -> list[_Token]:
                 break
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if m.group(1) is not None:
+            if len(m.group(1)) > MAX_LITERAL_DIGITS:
+                raise ParseError(f"integer literal longer than {MAX_LITERAL_DIGITS} digits",
+                                 m.start(1))
             out.append(_Token("int", m.group(1), m.start(1)))
         elif m.group(2) is not None:
             out.append(_Token("sym", m.group(2), m.start(2)))
@@ -49,8 +60,40 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
+def _mul(a: IntPoly, b: IntPoly, pos: int) -> IntPoly:
+    """a * b, refused before it is computed if it would pass a size limit."""
+    if a.total_degree() + b.total_degree() > MAX_DEGREE:
+        raise ParseError(f"degree above {MAX_DEGREE}", pos)
+    if len(a.terms) * len(b.terms) > MAX_TERM_PAIRS:
+        raise ParseError(f"more than {MAX_TERM_PAIRS} term products in one multiplication", pos)
+    bits = (max((abs(c).bit_length() for c in a.terms.values()), default=0)
+            + max((abs(c).bit_length() for c in b.terms.values()), default=0)
+            + min(len(a.terms), len(b.terms)).bit_length())
+    if bits > MAX_COEFF_BITS:
+        raise ParseError(f"coefficients above {MAX_COEFF_BITS} bits", pos)
+    return a * b
+
+
+def _pow(a: IntPoly, e: int, pos: int) -> IntPoly:
+    """a^e for 0 <= e <= MAX_EXPONENT by squaring, every product through _mul."""
+    if e > MAX_EXPONENT:
+        raise ParseError(f"exponent above {MAX_EXPONENT}", pos)
+    out = IntPoly.const(1, a.vars)
+    while e:
+        if e & 1:
+            out = _mul(out, a, pos)
+        e >>= 1
+        if e:
+            a = _mul(a, a, pos)
+    return out
+
+
 class _Rat:
-    """Rational expression as a pair of IntPoly over the full variable tuple."""
+    """Rational expression as a pair of IntPoly over the full variable tuple.
+
+    Every product goes through _mul, so an operation that would pass a size
+    limit is refused at the position of its operator.
+    """
 
     __slots__ = ("num", "den")
 
@@ -66,26 +109,28 @@ class _Rat:
     def sym(cls, name: str) -> "_Rat":
         return cls(IntPoly.var(name, ALL_VARS), IntPoly.const(1, ALL_VARS))
 
-    def add(self, other: "_Rat") -> "_Rat":
-        return _Rat(self.num * other.den + other.num * self.den, self.den * other.den)
+    def add(self, other: "_Rat", pos: int) -> "_Rat":
+        return _Rat(_mul(self.num, other.den, pos) + _mul(other.num, self.den, pos),
+                    _mul(self.den, other.den, pos))
 
-    def sub(self, other: "_Rat") -> "_Rat":
-        return _Rat(self.num * other.den - other.num * self.den, self.den * other.den)
+    def sub(self, other: "_Rat", pos: int) -> "_Rat":
+        return _Rat(_mul(self.num, other.den, pos) - _mul(other.num, self.den, pos),
+                    _mul(self.den, other.den, pos))
 
-    def mul(self, other: "_Rat") -> "_Rat":
-        return _Rat(self.num * other.num, self.den * other.den)
+    def mul(self, other: "_Rat", pos: int) -> "_Rat":
+        return _Rat(_mul(self.num, other.num, pos), _mul(self.den, other.den, pos))
 
     def div(self, other: "_Rat", pos: int) -> "_Rat":
         if other.num.is_zero():
             raise ParseError("division by zero", pos)
-        return _Rat(self.num * other.den, self.den * other.num)
+        return _Rat(_mul(self.num, other.den, pos), _mul(self.den, other.num, pos))
 
     def pow(self, e: int, pos: int) -> "_Rat":
         if e >= 0:
-            return _Rat(self.num**e, self.den**e)
+            return _Rat(_pow(self.num, e, pos), _pow(self.den, e, pos))
         if self.num.is_zero():
             raise ParseError("zero to a negative power", pos)
-        return _Rat(self.den ** (-e), self.num ** (-e))
+        return _Rat(_pow(self.den, -e, pos), _pow(self.num, -e, pos))
 
     def as_int(self) -> int | None:
         if self.num.is_const() and self.den.is_const():
@@ -127,14 +172,14 @@ class _Parser:
             negate = tok.text == "-"
         value = self.term()
         if negate:
-            value = _Rat.const(0).sub(value)
+            value = _Rat.const(0).sub(value, tok.pos)
         while True:
             tok = self.peek()
             if tok is None or tok.kind != "op" or tok.text not in "+-":
                 return value
             self.take()
             rhs = self.term()
-            value = value.add(rhs) if tok.text == "+" else value.sub(rhs)
+            value = value.add(rhs, tok.pos) if tok.text == "+" else value.sub(rhs, tok.pos)
 
     def term(self) -> _Rat:
         value = self.power()
@@ -144,7 +189,7 @@ class _Parser:
                 return value
             self.take()
             rhs = self.power()
-            value = value.mul(rhs) if tok.text == "*" else value.div(rhs, tok.pos)
+            value = value.mul(rhs, tok.pos) if tok.text == "*" else value.div(rhs, tok.pos)
 
     def power(self) -> _Rat:
         base = self.atom()
@@ -189,7 +234,7 @@ class _Parser:
             return value
         if tok.kind == "op" and tok.text in "+-":
             inner = self.atom()
-            return inner if tok.text == "+" else _Rat.const(0).sub(inner)
+            return inner if tok.text == "+" else _Rat.const(0).sub(inner, tok.pos)
         raise ParseError(f"unexpected {tok.text!r}", tok.pos)
 
 

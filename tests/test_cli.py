@@ -370,3 +370,34 @@ def test_verify_csv_schema(monkeypatch, capsys):
         ["b.bound", "0", "seed 4"],
         ["b.empty", "1", ""],
     ]
+
+
+@pytest.mark.parametrize("expr", [
+    "x^99999999",
+    "(x^2+1)^5000",
+    "(x^2+1)^40",
+    "1" * 5000 + "*x",
+])
+def test_oversized_map_is_one_json_parse_error(expr, monkeypatch, capsys):
+    from dynctl.parsing import MAX_DEGREE, MAX_TERM_PAIRS
+    from dynctl.polynomials import IntPoly
+
+    real_mul = IntPoly.__mul__
+
+    def bounded_mul(a, b):
+        # An oversized product must be refused before it is computed.
+        if isinstance(b, IntPoly):
+            assert a.total_degree() + b.total_degree() <= MAX_DEGREE
+            assert len(a.terms) * len(b.terms) <= MAX_TERM_PAIRS
+        return real_mul(a, b)
+
+    def no_pow(a, n):
+        raise AssertionError("the parser powers by checked products only")
+
+    monkeypatch.setattr(IntPoly, "__mul__", bounded_mul)
+    monkeypatch.setattr(IntPoly, "__pow__", no_pow)
+    code, out, err = run_cli(["orbit", "--map", expr, "--point", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ParseError"

@@ -1,21 +1,27 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from dynctl.errors import DegenerateFamilyError, DegenerateMapError, DegreeDropError
-from dynctl.families import (AvgReport, BasepointSpec, FamilySpec, PHI_T_SECOND_DEN,
-                             PHI_T_SECOND_NUM, avg_experiment, cube_sum_bound_check,
+from dynctl.families import (SYMBOLIC_RESULTANT_BUDGET, AvgReport, BasepointSpec, FamilySpec,
+                             PHI_T_SECOND_DEN, PHI_T_SECOND_NUM, avg_experiment, cube_sum_bound_check,
                              i_membership, pell_fundamental, pell_map, pell_stream,
                              phi_t_family, phi_t_identities, phi_t_resultant_closed_form,
                              preimage_height_bound_check, resultant_specialization_check,
+                             resultant_specialization_grid_check,
                              second_iterate_family, specialize, symbolic_second_iterate,
                              three_param_avg, three_param_family,
                              three_param_slice_bounds_check)
-from dynctl.maps import evaluate
+from dynctl import families as families_mod
+from dynctl import maps as maps_mod
+from dynctl.maps import evaluate, make_map
 from dynctl.orbits import OrbitPolicy, Truncation, scan_orbit
+from dynctl.parsing import parse_map
 from dynctl.points import EMPTY_S, ProjPointQ, enumerate_points, is_s_integral, normalize
-from dynctl.polynomials import IntPoly
+from dynctl.polynomials import IntPoly, resultant_from_coeffs
 
 SWEEP_POLICY = OrbitPolicy(n_cap=16, height_budget_bits=10**4)
 
@@ -167,6 +173,8 @@ def test_avg_preconditions():
         avg_experiment(pell_map(2), beta_const, EMPTY_S, (5, 10))
     with pytest.raises(ValueError):
         avg_experiment(make_map([0, 0, 1], [1, 0, 0]), beta_t, EMPTY_S, (5, 10))
+    with pytest.raises(ValueError, match="one-parameter"):
+        avg_experiment(three_param_family(), beta_t, EMPTY_S, (5, 10))
 
 
 def test_avg_constant_map_decreasing():
@@ -228,3 +236,135 @@ def test_lemma_3dim_shadow_random_rational_triples():
         assert count <= len(rec.points)
         if rec.truncation is Truncation.COMPLETED:
             assert count <= len(rec.points)
+
+
+# ---------------------------------------------------------------------------
+# The compiled specialization path
+# ---------------------------------------------------------------------------
+
+
+def _fraction_specialize(family, params):
+    """Reference: Fraction evaluation, lcm clearing and make_map's own Bareiss."""
+    values = {name: Fraction(v) for name, v in zip(family.param_names, params)}
+    num = [Fraction(c.evaluate(values)) for c in family.num_coeffs]
+    den = [Fraction(c.evaluate(values)) for c in family.den_coeffs]
+    lcm = math.lcm(*(v.denominator for v in num + den))
+    return make_map([int(v * lcm) for v in num], [int(v * lcm) for v in den])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DegenerateMapError, DegreeDropError) as err:
+        return type(err)
+
+
+@st.composite
+def _random_family(draw):
+    arity = draw(st.integers(1, 3))
+    names = ("r", "s", "t")[3 - arity:]
+    degree = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 1)] * arity)
+    coeff = st.dictionaries(exps, st.integers(-3, 3), max_size=2).map(
+        lambda terms: IntPoly(names, terms))
+    num = draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1))
+    den = draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1))
+    try:
+        return FamilySpec(names, degree, tuple(num), tuple(den))
+    except DegenerateFamilyError:
+        reject()
+
+
+_families = st.one_of(st.just(three_param_family()), st.just(phi_t_family()), _random_family())
+_param = st.one_of(st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=5))
+
+
+@given(_families, st.data())
+@settings(max_examples=150, deadline=None)
+def test_specialize_matches_fraction_path(family, data):
+    params = data.draw(st.tuples(*[_param] * family.arity))
+    got = _outcome(specialize, family, params)
+    want = _outcome(_fraction_specialize, family, params)
+    assert got == want
+    if not isinstance(got, type):
+        # _res is compare=False, so the cached resultant is checked on its own.
+        assert got.resultant == want.resultant
+        assert got.resultant == resultant_from_coeffs(got.numerator.coeffs,
+                                                      got.denominator.coeffs, got.degree)
+
+
+def test_specialize_runs_no_resultant_after_compiling(monkeypatch):
+    fam = three_param_family()
+    specialize(fam, (1, 1, 1))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return resultant_from_coeffs(*args)
+
+    monkeypatch.setattr(maps_mod, "resultant_from_coeffs", counting)
+    rng = random.Random(3)
+    for _ in range(50):
+        specialize(fam, tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(3)))
+    assert calls == []
+
+
+def test_avg_family_specializes_once_per_parameter(monkeypatch):
+    fam = phi_t_family()
+    calls = []
+    real = families_mod.specialize
+
+    def counting(family, params):
+        calls.append(params)
+        return real(family, params)
+
+    monkeypatch.setattr(families_mod, "specialize", counting)
+    beta = BasepointSpec.polynomial(IntPoly.var("t", ("t",)) ** 3 + 2)
+    avg_experiment(fam, beta, EMPTY_S, (3,), policy=SWEEP_POLICY)
+    finite = [p for p in enumerate_points(3) if not p.is_infinity()]
+    assert sorted(calls) == sorted((p.as_fraction(),) for p in finite)
+
+
+def test_family_coefficients_must_use_param_names():
+    t = IntPoly.var("t", ("t",))
+    one_rt = IntPoly.const(1, ("r", "t"))
+    with pytest.raises(ValueError):
+        FamilySpec(("t",), 1, (t, t), (one_rt, one_rt))
+
+
+def test_resultant_specialization_grid_check():
+    report = resultant_specialization_grid_check()
+    assert report.ok
+    assert [c.name for c in report.checks] == ["phi_t.resultant_specialization",
+                                               "three_param.resultant_specialization"]
+
+
+def _dense_family(d):
+    return parse_map(f"((x+t)^{d} + 1)/((x-1)^{d - 1} + t)").to_family()
+
+
+def test_families_build_without_a_symbolic_resultant(monkeypatch):
+    def refuse(self):
+        raise AssertionError("symbolic resultant computed")
+
+    monkeypatch.setattr(FamilySpec, "symbolic_resultant", refuse)
+    phi_t_family()
+    three_param_family()
+    dense = _dense_family(16)
+    second = second_iterate_family(three_param_family())
+    # Both are over budget, so specializing them runs make_map's Bareiss.
+    assert specialize(dense, (2,)).degree == 16
+    assert specialize(second, (1, 2, 3)).degree == 9
+    with pytest.raises(AssertionError):
+        specialize(three_param_family(), (1, 2, 3))
+
+
+def test_symbolic_resultant_budget_selects_the_path():
+    assert phi_t_family().compiled.resultant is not None
+    assert three_param_family().compiled.resultant is not None
+    for fam in (_dense_family(8), second_iterate_family(three_param_family())):
+        assert fam.symbolic_resultant_cost() > SYMBOLIC_RESULTANT_BUDGET
+        assert fam.compiled.resultant is None
+        m = specialize(fam, (2,) * fam.arity)
+        assert m.resultant == resultant_from_coeffs(m.numerator.coeffs, m.denominator.coeffs,
+                                                    m.degree)

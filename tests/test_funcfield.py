@@ -376,3 +376,14 @@ def test_make_ff_map_clears_denominators():
     m = make_ff_map([zero, zero, half], [one, zero, zero])
     assert all(isinstance(c, FFPoly) for c in m.num_forms + m.den_forms)
     assert not m.res.is_zero()
+
+
+@given(st.sampled_from((2, 3, 5)), st.data())
+@settings(max_examples=60)
+def test_ffrat_plus_int_matches_plus_constant(p, data):
+    coeffs = st.lists(st.integers(0, p - 1), max_size=4)
+    num = FFPoly(p, data.draw(coeffs))
+    den = FFPoly(p, data.draw(coeffs) + [1])
+    c = data.draw(st.integers(-2 * p, 2 * p))
+    f = FFRat.make(num, den)
+    assert f + c == f + FFRat.constant(p, c)

@@ -2,7 +2,8 @@ import pytest
 
 from dynctl.errors import NotRationalError, ParseError
 from dynctl.families import PRESET_EXPRESSIONS, pell_map, phi_t_family, three_param_family
-from dynctl.parsing import (family_from_spec_text, map_expression_text, parse_map,
+from dynctl.parsing import (MAX_DEGREE, MAX_EXPONENT, MAX_LITERAL_DIGITS,
+                            family_from_spec_text, map_expression_text, parse_map,
                             resolve_map_text)
 
 
@@ -144,3 +145,27 @@ def test_family_from_spec_text_errors():
         family_from_spec_text("arity=2\nd=2\nnum=1,0,1\nden=1,0,1")
     with pytest.raises(ParseError):
         family_from_spec_text("d=3\nnum=-t,1,0,0\nden=1,0,0,1")  # missing arity
+
+
+def test_size_limits_accept_their_bounds():
+    assert parse_map(f"x^{MAX_EXPONENT}").x_degree == MAX_EXPONENT
+    assert parse_map(f"x^-{MAX_EXPONENT}").x_degree == MAX_EXPONENT
+    assert parse_map(f"(x^2+1)^{MAX_DEGREE // 2}").x_degree == MAX_DEGREE
+    literal = "9" * MAX_LITERAL_DIGITS
+    assert parse_map(f"{literal}*x").num.coefficient((1, 0, 0, 0, 0)) == int(literal)
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"x^{MAX_EXPONENT + 1}", "exponent above"),
+    (f"x^-{MAX_EXPONENT + 1}", "exponent above"),
+    ("x^99999999", "exponent above"),
+    (f"(x^2+1)^{MAX_DEGREE // 2 + 1}", "degree above"),
+    (f"x^{MAX_EXPONENT}*x", "degree above"),
+    (f"1/x^{MAX_EXPONENT} + 1/(x+1)", "degree above"),
+    ("9" * (MAX_LITERAL_DIGITS + 1), "integer literal longer"),
+    ("((2^64)^64)^64", "coefficients above"),
+    ("(x+t+r+s+1)^16", "term products"),
+])
+def test_size_limits_refuse_before_computing(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_map(text, enforce_param_sets=False)
