@@ -10,12 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import SizeBudgetExceededError
 from .maps import RationalMapQ, evaluate, map_height
 from .points import ProjPointQ, enumerate_points, log_of_int
 
 # Reaching radius <= tol costs d^n ~ c/tol iterations, whose coordinates hold
-# ~d^n * h(P) bits; the budget is sized for tol = 1e-6 on desk-scale maps.
-DEFAULT_HEIGHT_ITER_BITS = 1 << 25
+# ~d^n * h(P) bits; the budget is sized for tol = 1e-6 on desk-scale maps and
+# read at call time.
+HEIGHT_ITER_BITS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -61,12 +63,12 @@ def _require_degree_two(m: RationalMapQ) -> None:
         raise ValueError("canonical heights need a map of degree >= 2")
 
 
-def canonical_height(m: RationalMapQ, p: ProjPointQ, tol: float,
-                     max_coord_bits: int = DEFAULT_HEIGHT_ITER_BITS) -> CanonicalHeightEstimate:
+def canonical_height(m: RationalMapQ, p: ProjPointQ, tol: float) -> CanonicalHeightEstimate:
     """Estimate hhat(P) = lim h(phi^n P) / d^n with a certified geometric tail.
 
     After n steps the tail is bounded by max(c_up, c_low) / (d^n (d-1));
-    iteration stops at the first n where that bound is <= tol.
+    iteration stops at the first n where that bound is <= tol. A walk point
+    with a coordinate over HEIGHT_ITER_BITS bits raises SizeBudgetExceededError.
     """
     _require_degree_two(m)
     if not tol > 0:  # also rejects NaN
@@ -80,7 +82,11 @@ def canonical_height(m: RationalMapQ, p: ProjPointQ, tol: float,
         n += 1
     cur = p
     for _ in range(n):
-        cur = evaluate(m, cur, max_coord_bits=max_coord_bits)
+        cur = evaluate(m, cur)
+        if max(abs(cur.a), abs(cur.b)).bit_length() > HEIGHT_ITER_BITS:
+            raise SizeBudgetExceededError(
+                f"orbit point outgrew the {HEIGHT_ITER_BITS}-bit coordinate budget"
+            )
     h = log_of_int(max(abs(cur.a), abs(cur.b)))
     return CanonicalHeightEstimate(value=h / d**n, radius=c / (d**n * scale), iterations_used=n)
 
@@ -106,36 +112,6 @@ def is_preperiodic(m: RationalMapQ, p: ProjPointQ) -> bool:
         if cur in seen:
             return True
         seen.add(cur)
-
-
-@dataclass(frozen=True)
-class HhatMinReport:
-    """Empirical minimum of hhat over wandering points of height <= bound.
-
-    Empirical over H <= bound only; never a claim about the true infimum.
-    value is the certified lower end (estimate - radius), floored at 0.
-    """
-
-    bound: int
-    tol: float
-    value: float | None
-    witness: ProjPointQ | None
-
-
-def hhat_min_empirical(m: RationalMapQ, bound: int, tol: float) -> HhatMinReport:
-    """Sweep H(P) <= bound, skip preperiodic points, take the smallest certified value."""
-    _require_degree_two(m)
-    best: float | None = None
-    witness: ProjPointQ | None = None
-    for p in enumerate_points(bound):
-        if is_preperiodic(m, p):
-            continue
-        est = canonical_height(m, p, tol)
-        low = max(0.0, est.value - est.radius)
-        if best is None or low < best:
-            best = low
-            witness = p
-    return HhatMinReport(bound=bound, tol=tol, value=best, witness=witness)
 
 
 def transition_constants_check(bound: int = 30):

@@ -139,16 +139,6 @@ class FamilySpec:
                 tuple(map(_terms, self.num_coeffs)), tuple(map(_terms, self.den_coeffs)), res))
         return self._compiled
 
-    def uniformity_degree_threshold(self) -> Fraction:
-        """Basepoint degree beyond which the general uniform-boundedness result
-        applies: (4d^2 + 2d - 2)/(d - 1) times the largest coefficient degree.
-
-        Metadata only; specific families may be analyzed with lower degrees.
-        """
-        d = self.degree
-        max_deg = max(c.total_degree() for c in self.num_coeffs + self.den_coeffs)
-        return Fraction(4 * d * d + 2 * d - 2, d - 1) * max(max_deg, 0)
-
 
 def specialize(family: FamilySpec, params: Sequence[Fraction | int]) -> RationalMapQ:
     """Evaluate the family at exact parameter values and validate the resulting map.

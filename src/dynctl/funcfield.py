@@ -154,9 +154,6 @@ class FFPoly:
     def __mod__(self, other: "FFPoly") -> "FFPoly":
         return divmod(self, other)[1]
 
-    def __floordiv__(self, other: "FFPoly") -> "FFPoly":
-        return divmod(self, other)[0]
-
     def exact_div(self, other: "FFPoly") -> "FFPoly":
         q, r = divmod(self, other)
         if not r.is_zero():

@@ -11,10 +11,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
-from .points import HeightValue, ProjPointQ, log_of_int, normalize
+from .points import HeightValue, ProjPointQ, log_of_int
 from .polynomials import form_compose, form_eval, form_mul, resultant_from_coeffs, solve_exact
 
-DEFAULT_COEFF_BITS = 10**6
+# Composed coefficients are refused past this many bits; read at call time.
+COEFF_BITS = 10**6
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,6 @@ class BinaryForm:
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degrees")
         return BinaryForm(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def scale(self, k: int) -> "BinaryForm":
-        return BinaryForm(self.degree, tuple(k * c for c in self.coeffs))
 
 
 def _monomial_form(degree: int, x_exponent: int, c: int = 1) -> BinaryForm:
@@ -133,13 +131,6 @@ def make_map(num_coeffs: Sequence[int], den_coeffs: Sequence[int],
     return RationalMapQ(BinaryForm(d, num_t), BinaryForm(d, den_t), res)
 
 
-def resultant(f: BinaryForm, g: BinaryForm) -> int:
-    """Resultant of two equal-degree binary forms (2d x 2d exact Sylvester determinant)."""
-    if f.degree != g.degree:
-        raise ValueError("forms must share a degree (pad with zeros as needed)")
-    return resultant_from_coeffs(f.coeffs, g.coeffs, f.degree)
-
-
 @dataclass(frozen=True)
 class CofactorCertificate:
     """Forms of degree d-1 with p1*F + q1*G = R*X^D and p2*F + q2*G = R*Y^D, D = 2d-1."""
@@ -201,7 +192,7 @@ def cofactors(m: RationalMapQ) -> CofactorCertificate:
     return cert
 
 
-def evaluate(m: RationalMapQ, p: ProjPointQ, max_coord_bits: int | None = None) -> ProjPointQ:
+def evaluate(m: RationalMapQ, p: ProjPointQ) -> ProjPointQ:
     """Apply the map to a normalized point, exactly.
 
     The gcd divided out always divides Res(F, G), so for validated maps the
@@ -227,24 +218,18 @@ def evaluate(m: RationalMapQ, p: ProjPointQ, max_coord_bits: int | None = None) 
         fa = 1
     elif gb < 0:
         fa, gb = -fa, -gb
-    if max_coord_bits is not None:
-        if max(abs(fa), abs(gb)).bit_length() > max_coord_bits:
-            raise SizeBudgetExceededError(
-                f"orbit point outgrew the {max_coord_bits}-bit coordinate budget"
-            )
     return ProjPointQ(fa, gb)
 
 
-def compose(outer: RationalMapQ, inner: RationalMapQ,
-            max_coeff_bits: int = DEFAULT_COEFF_BITS) -> RationalMapQ:
+def compose(outer: RationalMapQ, inner: RationalMapQ) -> RationalMapQ:
     """outer after inner; degree multiplies, pair stays coprime, content is re-reduced."""
     num, den = form_compose(outer.numerator.coeffs, outer.denominator.coeffs,
                             inner.numerator.coeffs, inner.denominator.coeffs)
     num_t, den_t = _canonical_pair(num, den)
     worst = max(max(abs(c) for c in num_t), max(abs(c) for c in den_t))
-    if worst.bit_length() > max_coeff_bits:
+    if worst.bit_length() > COEFF_BITS:
         raise SizeBudgetExceededError(
-            f"composed coefficients outgrew the {max_coeff_bits}-bit budget"
+            f"composed coefficients outgrew the {COEFF_BITS}-bit budget"
         )
     # Composition of valid maps is valid: a common root of the composite forms
     # would push down to a common root of the outer pair.
@@ -252,12 +237,12 @@ def compose(outer: RationalMapQ, inner: RationalMapQ,
     return RationalMapQ(BinaryForm(deg, num_t), BinaryForm(deg, den_t), None)
 
 
-def iterate(m: RationalMapQ, n: int, max_coeff_bits: int = DEFAULT_COEFF_BITS) -> RationalMapQ:
+def iterate(m: RationalMapQ, n: int) -> RationalMapQ:
     if n < 1:
         raise ValueError("iterate needs n >= 1")
     out = m
     for _ in range(n - 1):
-        out = compose(m, out, max_coeff_bits)
+        out = compose(m, out)
     return out
 
 
@@ -274,22 +259,6 @@ def map_height(m: RationalMapQ) -> HeightValue:
     """Projective height of the (2d+2)-tuple of coefficients: H = max |c|, h = ln H."""
     big = max(abs(c) for c in m.all_coeffs())
     return HeightValue(big, log_of_int(big))
-
-
-def format_map(m: RationalMapQ) -> str:
-    num = ",".join(str(c) for c in m.numerator.coeffs)
-    den = ",".join(str(c) for c in m.denominator.coeffs)
-    return f"[{num} | {den}]"
-
-
-def parse_map_coeffs(text: str) -> RationalMapQ:
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError("expected [a_0,...,a_d | b_0,...,b_d]")
-    left, _, right = body[1:-1].partition("|")
-    num = [int(c) for c in left.split(",")]
-    den = [int(c) for c in right.split(",")]
-    return make_map(num, den)
 
 
 def random_map(rng, degree: int, coeff_bound: int = 9) -> RationalMapQ:

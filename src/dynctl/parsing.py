@@ -2,7 +2,8 @@
 
 Rational expressions in x with integer literals, the parameter symbols
 t, r, s, f, the operators + - * / ^ (integer exponents), and parentheses.
-Parse -> print -> parse is a fixed point on the canonical form.
+A parsed expression becomes a map (no parameters) or a family (t alone,
+f alone, or r, s, t).
 """
 
 from __future__ import annotations
@@ -289,24 +290,12 @@ class MapExpression:
             name=name,
         )
 
-    def canonical_text(self) -> str:
-        num_s = _poly_text(self.num)
-        den_s = _poly_text(self.den)
-        if self.den.is_const() and self.den.const_value() == 1:
-            return num_s
-        return f"({num_s})/({den_s})"
 
-
-def _poly_text(poly: IntPoly) -> str:
-    """Render with explicit * and ^ so the output re-parses in the same grammar."""
-    return str(poly)
-
-
-def parse_map(text: str, enforce_param_sets: bool = True) -> MapExpression:
+def parse_map(text: str) -> MapExpression:
     """Parse, clear denominators to integers, and canonicalize content and sign.
 
-    enforce_param_sets restricts parameters to the supported family shapes
-    (t alone, f alone, or r,s,t); coefficient-level parsing turns it off.
+    The parameters must form a supported family shape: t alone, f alone, or
+    r, s, t together. Anything else is a ParseError.
     """
     if not text.strip():
         raise ParseError("empty expression", 0)
@@ -330,7 +319,7 @@ def parse_map(text: str, enforce_param_sets: bool = True) -> MapExpression:
     if "f" in used and len(used & {"t", "r", "s"}) > 0:
         raise ParseError("f cannot be mixed with t, r, s", 0)
     params = tuple(v for v in ("r", "s", "t", "f") if v in used)
-    if enforce_param_sets and params and params not in (("t",), ("f",), ("r", "s", "t")):
+    if params and params not in (("t",), ("f",), ("r", "s", "t")):
         raise ParseError(f"unsupported parameter combination {params}", 0)
     return MapExpression(
         source=text,
@@ -357,72 +346,3 @@ def resolve_map_text(text: str) -> str:
         return f"x^4/(x^2 - {d})^2"
     return text
 
-
-def map_expression_text(m: RationalMapQ) -> str:
-    """Human-readable expression for a map; re-parses to the identical map."""
-    x = IntPoly.var("x", ALL_VARS)
-    num = IntPoly.const(0, ALL_VARS)
-    den = IntPoly.const(0, ALL_VARS)
-    for i in range(m.degree + 1):
-        num = num + x**i * m.numerator.coeffs[i]
-        den = den + x**i * m.denominator.coeffs[i]
-    if den.is_const() and den.const_value() == 1:
-        return str(num)
-    return f"({num})/({den})"
-
-
-def family_from_spec_text(text: str) -> FamilySpec:
-    """Load a family from the declarative format:
-
-        arity=1
-        d=3
-        num=-t, 1, 0, 0
-        den=1, 0, 0, 1
-
-    Coefficient entries are expressions in the parameters (same grammar as
-    the CLI); num/den list ascending powers of x and must have d+1 entries.
-    """
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected key=value, got {line!r}", 0)
-        key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
-    for key in ("arity", "d", "num", "den"):
-        if key not in fields:
-            raise ParseError(f"missing field {key!r}", 0)
-    arity = int(fields["arity"])
-    degree = int(fields["d"])
-    if arity not in (1, 3):
-        raise ParseError("arity must be 1 or 3", 0)
-    params = ("t",) if arity == 1 else ("r", "s", "t")
-
-    def coeff_list(source: str) -> tuple[IntPoly, ...]:
-        chunks = [c.strip() for c in source.split(",")]
-        if len(chunks) != degree + 1:
-            raise ParseError(f"need {degree + 1} coefficients, got {len(chunks)}", 0)
-        out = []
-        for chunk in chunks:
-            e = parse_map(chunk, enforce_param_sets=False)
-            if e.x_degree > 0:
-                raise ParseError("coefficients cannot involve x", 0)
-            if not e.den.is_const():
-                raise ParseError("coefficients must be polynomial in the parameters", 0)
-            scale = e.den.const_value()
-            try:
-                poly = e.num.exact_div(IntPoly.const(scale, e.num.vars))
-            except ValueError:
-                raise ParseError("coefficients must have integer entries", 0) from None
-            out.append(poly.restrict_vars(params))
-        return tuple(out)
-
-    return FamilySpec(
-        param_names=params,
-        degree=degree,
-        num_coeffs=coeff_list(fields["num"]),
-        den_coeffs=coeff_list(fields["den"]),
-        name=fields.get("name", ""),
-    )

@@ -77,7 +77,6 @@ class ProjPointQ:
 
 
 INFINITY = ProjPointQ(1, 0)
-ZERO = ProjPointQ(0, 1)
 
 
 def normalize(a: int, b: int) -> ProjPointQ:
@@ -100,12 +99,6 @@ class HeightValue:
 
     mult: int
     log: float
-
-
-def weil_height(p: ProjPointQ) -> HeightValue:
-    """H([a : b]) = max(|a|, |b|) on normalized coordinates; h = ln H."""
-    m = max(abs(p.a), abs(p.b))
-    return HeightValue(m, log_of_int(m))
 
 
 @dataclass(frozen=True)

@@ -37,23 +37,6 @@ class IntPoly:
             raise ValueError(f"{name!r} not among {variables}")
         return cls(variables, {e: 1})
 
-    def in_vars(self, variables: tuple[str, ...]) -> "IntPoly":
-        """Reindex into a superset variable tuple."""
-        if variables == self.vars:
-            return self
-        pos = []
-        for v in self.vars:
-            if v not in variables:
-                raise ValueError(f"cannot drop variable {v!r}")
-            pos.append(variables.index(v))
-        terms: dict[tuple[int, ...], int] = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(variables)
-            for p, k in zip(pos, e):
-                ne[p] = k
-            terms[tuple(ne)] = c
-        return IntPoly(variables, terms)
-
     def restrict_vars(self, variables: tuple[str, ...]) -> "IntPoly":
         """Drop variables that never occur; raises if a used variable is dropped."""
         used = self.used_vars()

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from dynctl.canonical import (canonical_height, hhat_min_empirical, is_preperiodic,
-                              transition_constants, transition_constants_check)
+from dynctl.canonical import (canonical_height, is_preperiodic, transition_constants,
+                              transition_constants_check)
 from dynctl.families import pell_map
 from dynctl.maps import evaluate, make_map, map_height, random_map
 from dynctl.points import INFINITY, ProjPointQ, enumerate_points, log_of_int, normalize
@@ -135,22 +135,6 @@ def test_preperiodic_iff_hhat_near_zero():
             assert est.value <= est.radius
         else:
             assert est.value - est.radius > 0
-
-
-def test_hhat_min_power_map():
-    rep = hhat_min_empirical(X_SQUARED, 10, 1e-4)
-    assert rep.value == pytest.approx(math.log(2), abs=1e-3)
-    assert rep.witness in {ProjPointQ(-2, 1), ProjPointQ(2, 1), ProjPointQ(1, 2), ProjPointQ(-1, 2)}
-
-
-def test_hhat_min_no_wandering_points():
-    rep = hhat_min_empirical(X_SQUARED, 1, 1e-4)
-    assert rep.value is None and rep.witness is None
-
-
-def test_hhat_min_positive_when_wandering_exists():
-    rep = hhat_min_empirical(PELL_2, 5, 1e-4)
-    assert rep.value is not None and rep.value > 0
 
 
 @pytest.mark.parametrize("m", [X_SQ_MINUS_1, PELL_2], ids=["x^2-1", "pell2"])

@@ -56,13 +56,6 @@ def test_i_membership_three_param_polynomial_cell():
     assert i_membership(fam, (1, 1, 1))
 
 
-def test_uniformity_degree_threshold():
-    # d = 3, coefficient degrees <= 1: (4*9 + 6 - 2)/2 = 20
-    assert phi_t_family().uniformity_degree_threshold() == 20
-    # the three-parameter family's r*s coefficient has total degree 2
-    assert three_param_family().uniformity_degree_threshold() == 40
-
-
 def test_family_rejects_identically_degenerate():
     zero = IntPoly.const(0, ("t",))
     one = IntPoly.const(1, ("t",))

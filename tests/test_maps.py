@@ -4,12 +4,14 @@ import random
 
 import pytest
 
+from dynctl import canonical, maps
+from dynctl.canonical import canonical_height
 from dynctl.errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
-from dynctl.maps import (BinaryForm, cofactor_certificates_check, cofactors, compose,
-                         evaluate, format_map, is_polynomial, iterate, make_map, map_height,
-                         parse_map_coeffs, random_coprime_pair, random_map, resultant,
-                         second_iterate_is_polynomial)
+from dynctl.maps import (cofactor_certificates_check, cofactors, compose, evaluate,
+                         is_polynomial, iterate, make_map, map_height, random_coprime_pair,
+                         random_map, second_iterate_is_polynomial)
 from dynctl.points import INFINITY, ProjPointQ, normalize
+from dynctl.polynomials import resultant_from_coeffs
 
 X_SQUARED = make_map([0, 0, 1], [1, 0, 0])
 PHI_1 = make_map([-1, 1, 0, 0], [1, 0, 0, 1])  # (x-1)/(x^3+1)
@@ -49,9 +51,9 @@ def test_sign_canonicalization():
 
 
 def test_resultant_examples():
-    assert resultant(BinaryForm(2, (0, 0, 1)), BinaryForm(2, (1, 0, 0))) == 1
-    f = BinaryForm(2, (-2, 0, 1))
-    assert resultant(f, f) == 0
+    assert resultant_from_coeffs((0, 0, 1), (1, 0, 0), 2) == 1
+    f = (-2, 0, 1)
+    assert resultant_from_coeffs(f, f, 2) == 0
 
 
 def test_second_iterate_resultant_phi_1():
@@ -125,10 +127,12 @@ def test_evaluate_examples():
     assert evaluate(PHI_1, ProjPointQ(1, 1)) == ProjPointQ(0, 1)
 
 
-def test_evaluate_budget():
+def test_evaluate_budget(monkeypatch):
+    # canonical_height checks each evaluated point of its walk against the budget
+    monkeypatch.setattr(canonical, "HEIGHT_ITER_BITS", 100)
     big = ProjPointQ(2**40 + 1, 3)
-    with pytest.raises(SizeBudgetExceededError):
-        evaluate(PELL_2, big, max_coord_bits=100)
+    with pytest.raises(SizeBudgetExceededError, match="100-bit coordinate budget"):
+        canonical_height(PELL_2, big, 1e-3)
 
 
 def test_iterate_power_map():
@@ -179,15 +183,8 @@ def test_map_height():
     assert map_height(PELL_2).mult == 4
 
 
-def test_compose_budget():
+def test_compose_budget(monkeypatch):
+    monkeypatch.setattr(maps, "COEFF_BITS", 40)
     with pytest.raises(SizeBudgetExceededError):
         big = make_map([0, 0, 2**30 - 1], [1, 0, 0])
-        compose(big, big, max_coeff_bits=40)
-
-
-def test_map_serialization_roundtrip():
-    text = format_map(PHI_1)
-    assert text == "[-1,1,0,0 | 1,0,0,1]"
-    again = parse_map_coeffs(text)
-    assert again.numerator == PHI_1.numerator
-    assert again.denominator == PHI_1.denominator
+        compose(big, big)

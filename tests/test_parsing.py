@@ -1,9 +1,8 @@
 import pytest
 
 from dynctl.errors import NotRationalError, ParseError
-from dynctl.families import PRESET_EXPRESSIONS, pell_map, phi_t_family, three_param_family
-from dynctl.parsing import (MAX_DEGREE, MAX_EXPONENT, MAX_LITERAL_DIGITS,
-                            family_from_spec_text, map_expression_text, parse_map,
+from dynctl.families import PRESET_EXPRESSIONS, phi_t_family, three_param_family
+from dynctl.parsing import (MAX_DEGREE, MAX_EXPONENT, MAX_LITERAL_DIGITS, parse_map,
                             resolve_map_text)
 
 
@@ -69,11 +68,10 @@ def test_double_star_power():
     "t^3+2",
 ])
 def test_print_parse_fixed_point(src):
+    # IntPoly prints with explicit * and ^, so its text re-parses to the same pair
     e = parse_map(src)
-    text = e.canonical_text()
-    e2 = parse_map(text)
+    e2 = parse_map(f"({e.num})/({e.den})")
     assert e2.num == e.num and e2.den == e.den
-    assert parse_map(e2.canonical_text()).num == e2.num
 
 
 def test_presets_round_trip_to_internal_forms():
@@ -108,45 +106,6 @@ def test_wrong_conversion_direction_raises():
         parse_map("x^2").to_family()
 
 
-def test_map_expression_text_roundtrip():
-    for m in (pell_map(2), pell_map(3)):
-        text = map_expression_text(m)
-        again = parse_map(text).to_rational_map()
-        assert again.numerator == m.numerator
-        assert again.denominator == m.denominator
-
-
-def test_family_from_spec_text():
-    fam = family_from_spec_text("""
-        # the one-parameter cubic family
-        arity=1
-        d=3
-        num=-t, 1, 0, 0
-        den=1, 0, 0, 1
-        name=phi_t
-    """)
-    ref = phi_t_family()
-    assert fam.num_coeffs == ref.num_coeffs
-    assert fam.den_coeffs == ref.den_coeffs
-    assert fam.name == "phi_t"
-
-
-def test_family_from_spec_text_three_param():
-    fam = family_from_spec_text("arity=3\nd=3\nnum=t, s, 0, r*s\nden=1, 0, 1, 0\n")
-    ref = three_param_family()
-    assert fam.num_coeffs == ref.num_coeffs
-    assert fam.den_coeffs == ref.den_coeffs
-
-
-def test_family_from_spec_text_errors():
-    with pytest.raises(ParseError):
-        family_from_spec_text("arity=1\nd=3\nnum=1,0,0\nden=1,0,0,1")  # wrong count
-    with pytest.raises(ParseError):
-        family_from_spec_text("arity=2\nd=2\nnum=1,0,1\nden=1,0,1")
-    with pytest.raises(ParseError):
-        family_from_spec_text("d=3\nnum=-t,1,0,0\nden=1,0,0,1")  # missing arity
-
-
 def test_size_limits_accept_their_bounds():
     assert parse_map(f"x^{MAX_EXPONENT}").x_degree == MAX_EXPONENT
     assert parse_map(f"x^-{MAX_EXPONENT}").x_degree == MAX_EXPONENT
@@ -168,4 +127,4 @@ def test_size_limits_accept_their_bounds():
 ])
 def test_size_limits_refuse_before_computing(text, message):
     with pytest.raises(ParseError, match=message):
-        parse_map(text, enforce_param_sets=False)
+        parse_map(text)

@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 from dynctl.errors import BothZeroError, ParseError
 from dynctl.points import (EMPTY_S, INFINITY, ProjPointQ, SIntSpec, check_b_values,
                            count_points, enumerate_points, format_point, is_prime,
-                           is_s_integral, log_of_int, normalize, parse_point, tally_by_height,
-                           weil_height)
+                           is_s_integral, log_of_int, normalize, parse_point, tally_by_height)
 
 nonzero_pairs = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)).filter(
     lambda ab: ab != (0, 0)
@@ -41,17 +40,8 @@ def test_normalize_scaling_invariance(ab, k):
     assert normalize(k * a, k * b) == normalize(a, b)
 
 
-def test_weil_height_examples():
-    h = weil_height(ProjPointQ(3, 2))
-    assert h.mult == 3
-    assert h.log == pytest.approx(math.log(3))
-    assert weil_height(ProjPointQ(0, 1)).mult == 1
-    assert weil_height(ProjPointQ(0, 1)).log == 0.0
-    assert weil_height(INFINITY).mult == 1
-
-
 def test_height_one_characterization():
-    ones = [p for p in enumerate_points(5) if weil_height(p).mult == 1]
+    ones = [p for p in enumerate_points(5) if max(abs(p.a), abs(p.b)) == 1]
     assert set(ones) == {ProjPointQ(0, 1), ProjPointQ(1, 1), ProjPointQ(-1, 1), INFINITY}
 
 

@@ -76,7 +76,7 @@ def test_evaluation_is_a_ring_map(a, b, t):
 
 def test_restrict_and_extend_vars():
     p = tpoly(1, 2)
-    q = p.in_vars(("t", "u"))
+    q = IntPoly(("t", "u"), {(0, 0): 1, (1, 0): 2})
     assert q.vars == ("t", "u")
     assert q.restrict_vars(T) == p
     with pytest.raises(ValueError):
