@@ -20,33 +20,23 @@ from .points import ProjPointQ, enumerate_points, log_of_int
 HEIGHT_ITER_BITS = 1 << 25
 
 
-@dataclass(frozen=True)
-class TransitionConstants:
-    """c_up, c_low with d*h(P) - c_low <= h(phi(P)) <= d*h(P) + c_up for every P."""
+def transition_constants(m: RationalMapQ) -> tuple[int, int]:
+    """Explicit one-step height bounds as integers (U, L), exact for every P:
 
-    c_up: float
-    c_low: float
-
-
-def transition_constants(m: RationalMapQ) -> TransitionConstants:
-    """Explicit one-step height drift bounds.
+        H(phi(P)) <= U * H(P)^d   and   H(P)^d <= L * H(phi(P)).
 
     Upper: each coordinate of phi(P) is a sum of d+1 monomials, so
-    H(phi(P)) <= (d+1) * H(phi) * H(P)^d.
+    U = (d+1) * H(phi).
 
     Lower: with p*F + q*G = R*X^D, R*Y^D and M the largest cofactor
     coefficient, |R| * H(P)^D <= 2d * M * H(P)^(D-d) * max(|F|,|G|)(a,b),
-    and the gcd divided out in evaluation divides R, so
-    H(phi(P)) >= H(P)^d / (2d * M).
+    and the gcd divided out in evaluation divides R, so L = 2d * M.
 
     The certificate is the one cached on the map, so sweeps over basepoints
     solve it once per map.
     """
     d = m.degree
-    cert = m.certificate
-    c_up = map_height(m).log + math.log(d + 1)
-    c_low = math.log(2 * d) + log_of_int(cert.max_coefficient())
-    return TransitionConstants(c_up=c_up, c_low=c_low)
+    return (d + 1) * map_height(m), 2 * d * m.certificate.max_coefficient()
 
 
 @dataclass(frozen=True)
@@ -66,16 +56,18 @@ def _require_degree_two(m: RationalMapQ) -> None:
 def canonical_height(m: RationalMapQ, p: ProjPointQ, tol: float) -> CanonicalHeightEstimate:
     """Estimate hhat(P) = lim h(phi^n P) / d^n with a certified geometric tail.
 
-    After n steps the tail is bounded by max(c_up, c_low) / (d^n (d-1));
-    iteration stops at the first n where that bound is <= tol. A walk point
-    with a coordinate over HEIGHT_ITER_BITS bits raises SizeBudgetExceededError.
+    The one-step drift |h(phi(P)) - d*h(P)| is at most c = max(ln U, ln L)
+    for the transition constants U and L, so after n steps the tail is
+    bounded by c / (d^n (d-1)); iteration stops at the first n where that
+    bound is <= tol. A walk point with a coordinate over HEIGHT_ITER_BITS
+    bits raises SizeBudgetExceededError.
     """
     _require_degree_two(m)
     if not tol > 0:  # also rejects NaN
         raise ValueError("tol must be positive")
     d = m.degree
-    tc = transition_constants(m)
-    c = max(tc.c_up, tc.c_low)
+    c = max(log_of_int(map_height(m)) + math.log(d + 1),
+            math.log(2 * d) + log_of_int(m.certificate.max_coefficient()))
     n = 0
     scale = d - 1
     while c / (d**n * scale) > tol:
@@ -92,21 +84,21 @@ def canonical_height(m: RationalMapQ, p: ProjPointQ, tol: float) -> CanonicalHei
 
 
 def is_preperiodic(m: RationalMapQ, p: ProjPointQ) -> bool:
-    """Certified preperiodicity decision by cycle detection under a height ceiling.
+    """Exact preperiodicity decision by cycle detection under a height ceiling.
 
-    Preperiodic points have hhat = 0, so every orbit point satisfies
-    h <= c_low/(d-1) <= (c_up + c_low)/(d-1). The orbit either repeats a
-    point (preperiodic) or climbs past the ceiling (wandering); either way
-    the walk terminates because only finitely many rationals sit below any
-    height bound.
+    Every point Q of a preperiodic orbit satisfies H(Q)^(d-1) <= L: the
+    orbit is finite, and its highest point Q* has H(Q*)^d <= L * H(phi(Q*))
+    <= L * H(Q*). The orbit either repeats a point (preperiodic) or reaches
+    a point above that ceiling (wandering); either way the walk terminates
+    because only finitely many rationals sit below any height bound.
     """
     _require_degree_two(m)
-    tc = transition_constants(m)
-    ceiling = (tc.c_up + tc.c_low) / (m.degree - 1) + 1.0
+    _, low = transition_constants(m)
+    exponent = m.degree - 1
     seen = {p}
     cur = p
     while True:
-        if log_of_int(max(abs(cur.a), abs(cur.b))) > ceiling:
+        if max(abs(cur.a), abs(cur.b)) ** exponent > low:
             return False
         cur = evaluate(m, cur)
         if cur in seen:
@@ -125,14 +117,14 @@ def transition_constants_check(bound: int = 30):
     }
     checks = []
     for label, m in targets.items():
-        tc = transition_constants(m)
+        up, low = transition_constants(m)
         d = m.degree
         bad = 0
         for p in enumerate_points(bound):
-            h = log_of_int(max(abs(p.a), abs(p.b)))
+            h_d = max(abs(p.a), abs(p.b)) ** d
             img = evaluate(m, p)
-            h_img = log_of_int(max(abs(img.a), abs(img.b)))
-            if not (d * h - tc.c_low - 1e-9 <= h_img <= d * h + tc.c_up + 1e-9):
+            h_img = max(abs(img.a), abs(img.b))
+            if not (h_d <= low * h_img and h_img <= up * h_d):
                 bad += 1
         checks.append(CheckResult(f"transition_constants[{label}]", bad == 0,
                                   f"all H <= {bound}, {bad} violations"))

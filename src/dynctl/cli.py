@@ -21,8 +21,8 @@ from .canonical import canonical_height, is_preperiodic
 from .errors import DynctlError
 from .families import BasepointSpec, avg_experiment, three_param_avg
 from .funcfield import ff_orbit_avg, parse_ffpoly, validate_s_set
-from .orbits import (OrbitPolicy, count_s_integral, density_of_integral_preimages,
-                     empirical_max_iterate, scan_orbit)
+from .orbits import (DEFAULT_HEIGHT_BUDGET_BITS, DEFAULT_N_CAP, OrbitPolicy, count_s_integral,
+                     density_of_integral_preimages, empirical_max_iterate, scan_orbit)
 from .parallel import default_workers
 from .parsing import parse_map, resolve_map_text
 from .points import SIntSpec, format_point, parse_point
@@ -85,8 +85,8 @@ def cmd_orbit(args) -> int:
     rec = scan_orbit(m, point, s, n_cap=args.ncap, height_budget_bits=args.height_budget_bits)
     count, exact = count_s_integral(rec)
     if args.format == "csv":
-        rows = [(n, format_point(p), int(n in rec.integral_indices))
-                for n, p in enumerate(rec.points)]
+        integral = set(rec.integral_indices)
+        rows = [(n, format_point(p), int(n in integral)) for n, p in enumerate(rec.points)]
         _write(args, emit_csv("orbit", rows))
     else:
         _write(args, emit_json({
@@ -246,9 +246,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default="", help="output path (default stdout)")
         if ncap:
-            p.add_argument("--ncap", type=int, default=16)
+            p.add_argument("--ncap", type=int, default=DEFAULT_N_CAP)
         if budget:
-            p.add_argument("--height-budget-bits", type=int, default=10**6,
+            p.add_argument("--height-budget-bits", type=int, default=DEFAULT_HEIGHT_BUDGET_BITS,
                            dest="height_budget_bits")
         if workers:
             p.add_argument("--workers", type=int, default=default_workers())

@@ -163,17 +163,13 @@ def specialize(family: FamilySpec, params: Sequence[Fraction | int]) -> Rational
 
 
 def _member_map(family: FamilySpec, params: Sequence[Fraction | int]) -> RationalMapQ | None:
-    """The specialized map if the parameters pass i_membership, else None."""
+    """The specialized map if it exists in degree d and its second iterate is
+    not a polynomial (the good-parameter locus), else None."""
     try:
         m = specialize(family, params)
     except (DegenerateMapError, DegreeDropError):
         return None
     return None if second_iterate_is_polynomial(m) else m
-
-
-def i_membership(family: FamilySpec, params: Sequence[Fraction | int]) -> bool:
-    """True iff the specialized map exists in degree d and its second iterate is not a polynomial."""
-    return _member_map(family, params) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +417,6 @@ class BasepointSpec:
     num: IntPoly
     den: IntPoly
 
-    @classmethod
-    def polynomial(cls, poly: IntPoly) -> "BasepointSpec":
-        return cls(poly, IntPoly.const(1, poly.vars))
-
     @property
     def degree(self) -> int:
         return max(self.num.total_degree(), self.den.total_degree())
@@ -465,7 +457,7 @@ def avg_experiment(map_or_family: RationalMapQ | FamilySpec, beta: BasepointSpec
     """Average #(orbit of beta_t  intersect  O_S) over parameters t with H(t) <= B.
 
     The population is the good-parameter locus: for a constant map, all of
-    P^1(Q); for a family, parameters passing i_membership. Parameters whose
+    P^1(Q); for a family, the parameters _member_map accepts. Parameters whose
     specialization fails are excluded, not errors. Heights on the parameter
     line are the parameter's own height (for a fixed beta this rescales B and
     leaves the zero/bounded verdicts untouched).
@@ -530,9 +522,6 @@ class ThreeParamReport:
     averages: tuple[float, ...]
     truncated_fractions: tuple[float, ...]
     cells: tuple[dict[str, CellTally], ...]
-
-    def open_cell_max(self, index: int) -> int:
-        return self.cells[index]["open"].max_count
 
     @property
     def open_cell_maxima(self) -> tuple[int, ...]:

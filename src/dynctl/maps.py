@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
-from .points import HeightValue, ProjPointQ, log_of_int
+from .points import ProjPointQ
 from .polynomials import form_compose, form_eval, form_mul, resultant_from_coeffs, solve_exact
 
 # Composed coefficients are refused past this many bits; read at call time.
@@ -83,9 +83,6 @@ class RationalMapQ:
         if self._cert is None:
             object.__setattr__(self, "_cert", cofactors(self))
         return self._cert
-
-    def all_coeffs(self) -> tuple[int, ...]:
-        return self.numerator.coeffs + self.denominator.coeffs
 
 
 def _canonical_pair(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -255,10 +252,9 @@ def second_iterate_is_polynomial(m: RationalMapQ) -> bool:
     return is_polynomial(iterate(m, 2))
 
 
-def map_height(m: RationalMapQ) -> HeightValue:
-    """Projective height of the (2d+2)-tuple of coefficients: H = max |c|, h = ln H."""
-    big = max(abs(c) for c in m.all_coeffs())
-    return HeightValue(big, log_of_int(big))
+def map_height(m: RationalMapQ) -> int:
+    """Projective height H(phi) of the (2d+2)-tuple of coefficients: the largest |c|."""
+    return max(abs(c) for c in m.numerator.coeffs + m.denominator.coeffs)
 
 
 def random_map(rng, degree: int, coeff_bound: int = 9) -> RationalMapQ:

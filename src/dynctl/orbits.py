@@ -8,8 +8,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .canonical import is_preperiodic
-from .maps import RationalMapQ, evaluate, is_polynomial, second_iterate_is_polynomial
+from .canonical import _require_degree_two, is_preperiodic
+from .maps import RationalMapQ, evaluate, is_polynomial, map_height, second_iterate_is_polynomial
 from .parallel import map_chunks
 from .points import (ProjPointQ, SIntSpec, check_b_values, enumerate_points, is_s_integral,
                      strip_s_part, tally_by_height)
@@ -58,7 +58,7 @@ def scan_orbit(m: RationalMapQ, b: ProjPointQ, s: SIntSpec,
     error; counts on truncated records are lower bounds.
     """
     d = m.degree
-    slack = max(abs(c) for c in m.all_coeffs()).bit_length() + (d + 1).bit_length() + 1
+    slack = map_height(m).bit_length() + (d + 1).bit_length() + 1
     points = [b]
     seen = {b: 0}
     truncation = Truncation.ITERATION_CAP
@@ -104,11 +104,13 @@ def empirical_max_iterate(m: RationalMapQ, s: SIntSpec, bound: int,
     """Largest n <= n_cap with phi^n(b) S-integral, over wandering b with H(b) <= bound.
 
     Returns (-1, None) when no integral point ever shows up. The wandering
-    filter is the certified preperiodicity decision. The reduction keeps the
-    first witness in enumeration order, so worker count never changes output.
+    filter is the exact preperiodicity decision, so a degree-1 map is refused
+    before any point is enumerated. The reduction keeps the first witness in
+    enumeration order, so worker count never changes output.
     """
     if second_iterate_is_polynomial(m):
         raise ValueError("the second iterate is a polynomial; the uniform-iterate bound needs phi^2 not in Q[x]")
+    _require_degree_two(m)
     points = enumerate_points(bound)
     worker = functools.partial(_max_integral_index, m=m, s=s, n_cap=n_cap,
                                height_budget_bits=height_budget_bits)

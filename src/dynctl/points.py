@@ -94,14 +94,6 @@ def normalize(a: int, b: int) -> ProjPointQ:
 
 
 @dataclass(frozen=True)
-class HeightValue:
-    """Multiplicative Weil height H >= 1 and its natural log h = ln H."""
-
-    mult: int
-    log: float
-
-
-@dataclass(frozen=True)
 class SIntSpec:
     """A finite set of rational primes S; O_S is Z localized at S (Z itself when empty)."""
 

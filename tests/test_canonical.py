@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dynctl.canonical import (canonical_height, is_preperiodic, transition_constants,
                               transition_constants_check)
@@ -13,26 +14,45 @@ from dynctl.points import INFINITY, ProjPointQ, enumerate_points, log_of_int, no
 X_SQUARED = make_map([0, 0, 1], [1, 0, 0])
 X_SQ_MINUS_1 = make_map([-1, 0, 1], [1, 0, 0])
 PELL_2 = make_map([0, 0, 0, 0, 1], [4, 0, -4, 0, 1])
+# (x^2 - 2)/(-2x^2 + x + 2) sends 4/3 to 1, so H(P)^2 = 16 against L = 24:
+# the lower constant is attained within a factor 2/3.
+NEAR_SHARP = make_map([-2, 0, 1], [2, 1, -2])
+
+
+def _height(p: ProjPointQ) -> int:
+    return max(abs(p.a), abs(p.b))
 
 
 def _h(p: ProjPointQ) -> float:
-    return log_of_int(max(abs(p.a), abs(p.b)))
+    return log_of_int(_height(p))
 
 
-@pytest.mark.parametrize("m", [X_SQUARED, PELL_2], ids=["x^2", "pell2"])
-def test_transition_constants_bruteforce_h50(m):
-    tc = transition_constants(m)
-    assert tc.c_up >= 0 and tc.c_low >= 0
+def _assert_one_step_bounds(m, bound):
+    up, low = transition_constants(m)
     d = m.degree
-    for p in enumerate_points(50):
-        img = evaluate(m, p)
-        drift = _h(img) - d * _h(p)
-        assert -tc.c_low - 1e-9 <= drift <= tc.c_up + 1e-9
+    for p in enumerate_points(bound):
+        h_d = _height(p) ** d
+        h_img = _height(evaluate(m, p))
+        assert h_d <= low * h_img and h_img <= up * h_d, p
+
+
+@pytest.mark.parametrize("m", [X_SQUARED, PELL_2, NEAR_SHARP], ids=["x^2", "pell2", "near_sharp"])
+def test_transition_constants_bruteforce_h50(m):
+    up, low = transition_constants(m)
+    assert up >= 1 and low >= 1
+    _assert_one_step_bounds(m, 50)
+
+
+# Coefficients in [-1, 1] often give maps whose L is attained within a factor 2.
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.sampled_from((1, 9)))
+@settings(max_examples=100, deadline=None)
+def test_transition_constants_exact_on_random_maps(seed, degree, coeff_bound):
+    _assert_one_step_bounds(random_map(random.Random(seed), degree, coeff_bound), 30)
 
 
 def test_transition_constants_c_up_formula():
-    tc = transition_constants(X_SQUARED)
-    assert tc.c_up == pytest.approx(map_height(X_SQUARED).log + math.log(3))
+    assert transition_constants(X_SQUARED) == (3 * map_height(X_SQUARED), 4)
+    assert transition_constants(NEAR_SHARP) == (3 * map_height(NEAR_SHARP), 24)
 
 
 def test_transition_constants_registry_check():
@@ -95,8 +115,8 @@ def test_radius_monotone_in_iterations():
 
 
 def test_height_vs_canonical_height_bound():
-    tc = transition_constants(PELL_2)
-    margin = (tc.c_up + tc.c_low) / (PELL_2.degree - 1)
+    up, low = transition_constants(PELL_2)
+    margin = (log_of_int(up) + log_of_int(low)) / (PELL_2.degree - 1)
     for p in enumerate_points(10):
         est = canonical_height(PELL_2, p, 1e-4)
         assert abs(est.value - _h(p)) <= margin + est.radius + 1e-9
@@ -126,6 +146,15 @@ def _orbit_table_oracle(m, p, height_cutoff=10**9, step_cap=200):
 def test_preperiodicity_matches_orbit_table(m):
     for p in enumerate_points(10):
         assert is_preperiodic(m, p) == _orbit_table_oracle(m, p)
+
+
+@pytest.mark.parametrize("m", [X_SQUARED, X_SQ_MINUS_1, PELL_2, NEAR_SHARP],
+                         ids=["x^2", "x^2-1", "pell2", "near_sharp"])
+def test_preperiodic_points_sit_below_the_ceiling(m):
+    _, low = transition_constants(m)
+    for p in enumerate_points(10):
+        if _orbit_table_oracle(m, p):
+            assert _height(p) ** (m.degree - 1) <= low, p
 
 
 def test_preperiodic_iff_hhat_near_zero():

@@ -84,6 +84,24 @@ def test_error_json_on_degenerate_map(capsys):
     assert json.loads(err)["error"] == "DegenerateMapError"
 
 
+@pytest.mark.parametrize("args", [
+    ["nmax", "--map", "(x+1)/(x+2)", "--s", "", "--b", "10", "--workers", "2"],
+    ["preper", "--map", "(x+1)/(x+2)", "--point", "3"],
+], ids=["nmax", "preper"])
+def test_degree_one_map_is_refused_before_any_point(args, monkeypatch, capsys):
+    import dynctl.orbits as orbits_mod
+
+    def no_enumeration(bound):
+        raise AssertionError("points were enumerated for a degree-1 map")
+
+    monkeypatch.setattr(orbits_mod, "enumerate_points", no_enumeration)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "canonical heights need a map of degree >= 2"}
+
+
 def test_nmax_deterministic_across_workers(capsys):
     args = ["nmax", "--map", "pell(2)", "--s", "", "--b", "20", "--height-budget-bits", "10000"]
     _, out1, _ = run_cli(args + ["--workers", "1"], capsys)

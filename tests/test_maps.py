@@ -176,11 +176,10 @@ def test_polynomial_fixes_infinity():
 
 
 def test_map_height():
-    assert map_height(X_SQUARED).log == 0.0
+    assert map_height(X_SQUARED) == 1
     phi_5 = make_map([-5, 1, 0, 0], [1, 0, 0, 1])
-    assert map_height(phi_5).mult == 5
-    assert map_height(phi_5).log == pytest.approx(math.log(5))
-    assert map_height(PELL_2).mult == 4
+    assert map_height(phi_5) == 5
+    assert map_height(PELL_2) == 4
 
 
 def test_compose_budget(monkeypatch):

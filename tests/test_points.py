@@ -150,7 +150,7 @@ def _empty_b_value_runs():
     from dynctl.orbits import density_of_integral_preimages
     from dynctl.polynomials import IntPoly
 
-    beta = BasepointSpec.polynomial(IntPoly.var("t", ("t",)))
+    beta = BasepointSpec(IntPoly.var("t", ("t",)), IntPoly.const(1, ("t",)))
     return {
         "density": lambda: density_of_integral_preimages(pell_map(2), EMPTY_S, ()),
         "avg": lambda: avg_experiment(pell_map(2), beta, EMPTY_S, ()),
