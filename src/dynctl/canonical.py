@@ -53,6 +53,32 @@ def _require_degree_two(m: RationalMapQ) -> None:
         raise ValueError("canonical heights need a map of degree >= 2")
 
 
+def _walk_over_budget() -> SizeBudgetExceededError:
+    return SizeBudgetExceededError(
+        f"orbit point outgrew the {HEIGHT_ITER_BITS}-bit coordinate budget"
+    )
+
+
+def _outgrows(height: int, d: int, loss: int, steps: int) -> bool:
+    """True when one of the next `steps` walk points from a point of height
+    `height` certainly has a coordinate over HEIGHT_ITER_BITS bits.
+
+    lb_0 = bit_length(height) - 1 and lb_(k+1) = d*lb_k - loss, with loss
+    the bit length of L, satisfy 2^lb_k < H(phi^k P) for k >= 1, because
+    H(P)^d <= L * H(phi(P)) and L < 2^loss. Once a step does not raise
+    lb, no later step does.
+    """
+    lb = height.bit_length() - 1
+    for _ in range(steps):
+        nxt = d * lb - loss
+        if nxt >= HEIGHT_ITER_BITS:
+            return True
+        if nxt <= lb:
+            return False
+        lb = nxt
+    return False
+
+
 def canonical_height(m: RationalMapQ, p: ProjPointQ, tol: float) -> CanonicalHeightEstimate:
     """Estimate hhat(P) = lim h(phi^n P) / d^n with a certified geometric tail.
 
@@ -60,7 +86,9 @@ def canonical_height(m: RationalMapQ, p: ProjPointQ, tol: float) -> CanonicalHei
     for the transition constants U and L, so after n steps the tail is
     bounded by c / (d^n (d-1)); iteration stops at the first n where that
     bound is <= tol. A walk point with a coordinate over HEIGHT_ITER_BITS
-    bits raises SizeBudgetExceededError.
+    bits raises SizeBudgetExceededError, and so does a walk that
+    H(P)^d <= L * H(phi(P)) shows will reach one, before the step that
+    would pay for it.
     """
     _require_degree_two(m)
     if not tol > 0:  # also rejects NaN
@@ -72,13 +100,14 @@ def canonical_height(m: RationalMapQ, p: ProjPointQ, tol: float) -> CanonicalHei
     scale = d - 1
     while c / (d**n * scale) > tol:
         n += 1
+    loss = transition_constants(m)[1].bit_length()
     cur = p
-    for _ in range(n):
+    for left in range(n, 0, -1):
+        if _outgrows(max(abs(cur.a), abs(cur.b)), d, loss, left):
+            raise _walk_over_budget()
         cur = evaluate(m, cur)
         if max(abs(cur.a), abs(cur.b)).bit_length() > HEIGHT_ITER_BITS:
-            raise SizeBudgetExceededError(
-                f"orbit point outgrew the {HEIGHT_ITER_BITS}-bit coordinate budget"
-            )
+            raise _walk_over_budget()
     h = log_of_int(max(abs(cur.a), abs(cur.b)))
     return CanonicalHeightEstimate(value=h / d**n, radius=c / (d**n * scale), iterations_used=n)
 

@@ -18,7 +18,7 @@ class DegreeDropError(DynctlError):
 
 
 class SizeBudgetExceededError(DynctlError):
-    """A coefficient or coordinate outgrew the configured bit-length budget."""
+    """A coefficient, coordinate or enumeration outgrew its configured budget."""
 
 
 class DegenerateFamilyError(DynctlError):

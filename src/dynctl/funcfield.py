@@ -15,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DegenerateFamilyError
+from .errors import DegenerateFamilyError, SizeBudgetExceededError
 from .points import check_b_values, is_prime, tally_by_height
 from .polynomials import form_compose, form_eval, form_mul, resultant_from_coeffs
 from .reports import CheckResult, VerificationReport
@@ -614,6 +614,11 @@ def _xp_pow(a: list[FFRat], n: int) -> list[FFRat]:
 
 DEFAULT_FF_N_CAP = 16
 DEFAULT_FF_HEIGHT_BUDGET = 512  # heights here are degrees; ~5 doubling steps from desk-scale points
+# enumerate_ff_elements(p, B) visits (p^(B+1) - 1)/(p - 1) monic denominators
+# times p^(B+1) numerators and refuses more pairs than this (B > 8 at p = 2).
+# The largest README, acceptance and bench input, p = 2 and B = 4, visits
+# 992: 1008x headroom.
+FF_ENUMERATION_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -627,11 +632,31 @@ class FFOrbitRecord:
 def ff_scan_orbit(m: FFMap, b: FFPointK, s: Sequence[FFPoly],
                   n_cap: int = DEFAULT_FF_N_CAP,
                   height_budget: int = DEFAULT_FF_HEIGHT_BUDGET) -> FFOrbitRecord:
+    """Iterate until a cycle closes, n_cap is reached, or a degree passes height_budget.
+
+    Before evaluating a point P the scan applies the certified lower bound
+    h(phi(P)) >= d*h(P) - C with C = (2d-1)*D, where D is the largest
+    coefficient degree of F and G. Proof: A*F + B*G = Res*X^(2d-1) and
+    A'*F + B'*G = Res*Y^(2d-1) with cofactors of degree d-1 whose
+    coefficients are (2d-1)-minors of the Sylvester matrix, so of degree at
+    most C. At coprime (z0, z1) of height h one right-hand side has degree
+    deg Res + (2d-1)*h, so max(deg F(z), deg G(z)) >= d*h + deg Res - C.
+    The gcd that evaluate_ff divides out divides Res, so h(phi(P)) >= d*h - C.
+    The cut leaves the record as evaluating would: see the comment below.
+    """
+    d = m.degree
+    c = (2 * d - 1) * max(poly.degree() for poly in m.num_forms + m.den_forms)
+    # Every stored point but b has height <= height_budget. So a next point
+    # certified above max(height_budget, h(b)) is not in `seen` and is over
+    # the budget: the loop would evaluate it only to break, with this record.
+    cut = max(height_budget, ff_height(b))
     points = [b]
     seen = {b: 0}
     cycle_entry = None
     completed = False
     while len(points) <= n_cap:
+        if d * ff_height(points[-1]) - c > cut:
+            break
         nxt = evaluate_ff(m, points[-1])
         if nxt in seen:
             cycle_entry = (seen[nxt], len(points) - seen[nxt])
@@ -649,7 +674,21 @@ def enumerate_ff_elements(p: int, bound: int, include_constants: bool = False) -
     """All reduced u/v in F_p(t) with max(deg u, deg v) <= bound, v monic.
 
     Ordered deterministically by (height, denominator coeffs, numerator coeffs).
+    A bound with more than FF_ENUMERATION_LIMIT (v, u) pairs to visit is
+    refused before any is built.
     """
+    # p^(B+1) polynomials of degree <= B, (p^(B+1) - 1)/(p - 1) of them monic.
+    # Past B = 64 the count alone would be a huge integer; it is over the
+    # limit at any p, so the count at 64 is named instead.
+    height = min(bound, 64)
+    polys = p ** (height + 1)
+    pairs = (polys - 1) // (p - 1) * polys
+    if pairs > FF_ENUMERATION_LIMIT:
+        more = "more than " if height < bound else ""
+        raise SizeBudgetExceededError(
+            f"enumerating F_{p}(t) up to height {bound} visits {more}{pairs} "
+            f"(denominator, numerator) pairs, over the limit of {FF_ENUMERATION_LIMIT}"
+        )
     out = []
     numerators = [FFPoly(p, coeffs) for n in range(bound + 2)
                   for coeffs in itertools.product(range(p), repeat=n)

@@ -5,8 +5,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynctl import canonical
 from dynctl.canonical import (canonical_height, is_preperiodic, transition_constants,
                               transition_constants_check)
+from dynctl.errors import SizeBudgetExceededError
 from dynctl.families import pell_map
 from dynctl.maps import evaluate, make_map, map_height, random_map
 from dynctl.points import INFINITY, ProjPointQ, enumerate_points, log_of_int, normalize
@@ -194,3 +196,90 @@ def test_certificate_solved_once_per_map(monkeypatch):
         is_preperiodic(m, p)
     canonical_height(m, ProjPointQ(3, 2), 1e-4)
     assert len(solves) == 2  # one Sylvester solve per cofactor identity
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+    real_evaluate = canonical.evaluate
+
+    def counting_evaluate(m, p):
+        calls.append(p)
+        return real_evaluate(m, p)
+
+    monkeypatch.setattr(canonical, "evaluate", counting_evaluate)
+    return calls
+
+
+def test_walk_that_cannot_fit_is_refused_early(monkeypatch):
+    # x^2 at 2 with tol 1e-15 needs 51 steps; coordinates pass 2^25 bits at
+    # step 25. Bit lengths only grow certifiably from H = 16 (L = 4), so the
+    # walk is refused after 2 evaluations instead of 25.
+    calls = _count_evaluations(monkeypatch)
+    with pytest.raises(SizeBudgetExceededError,
+                       match=f"the {canonical.HEIGHT_ITER_BITS}-bit coordinate budget"):
+        canonical_height(X_SQUARED, ProjPointQ(2, 1), 1e-15)
+    assert len(calls) == 2
+
+
+def test_walk_from_a_high_point_is_refused_before_any_evaluation(monkeypatch):
+    monkeypatch.setattr(canonical, "HEIGHT_ITER_BITS", 100)
+    calls = _count_evaluations(monkeypatch)
+    with pytest.raises(SizeBudgetExceededError, match="100-bit coordinate budget"):
+        canonical_height(PELL_2, ProjPointQ(2**40 + 1, 3), 1e-3)
+    assert calls == []
+
+
+def test_preperiodic_point_walks_the_whole_way(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    est = canonical_height(X_SQUARED, ProjPointQ(1, 1), 1e-15)
+    assert est.value == 0.0 and est.iterations_used == 51 == len(calls)
+
+
+def test_walk_at_the_budget_boundary(monkeypatch):
+    # Each walk fits a budget equal to its largest coordinate bit length and
+    # gives the same estimate there; one bit less, it is refused.
+    rng = random.Random(5)
+    for _ in range(80):
+        m = random_map(rng, rng.randint(2, 3), coeff_bound=9)
+        p = normalize(rng.randint(-40, 40), rng.randint(1, 40))
+        tol = rng.choice((1e-1, 1e-2, 1e-3))
+        est = canonical_height(m, p, tol)
+        walk = [p]
+        for _ in range(est.iterations_used):
+            walk.append(evaluate(m, walk[-1]))
+        widest = max((_height(q).bit_length() for q in walk[1:]), default=0)
+        monkeypatch.setattr(canonical, "HEIGHT_ITER_BITS", widest)
+        assert canonical_height(m, p, tol) == est
+        monkeypatch.setattr(canonical, "HEIGHT_ITER_BITS", widest - 1)
+        with pytest.raises(SizeBudgetExceededError):
+            canonical_height(m, p, tol)
+        monkeypatch.undo()
+
+
+def test_outgrows_recurrence_at_its_threshold(monkeypatch):
+    # H = 2^10 gives lb_0 = 10, then lb_1 = 2*10 - 3 = 17 and lb_2 = 31.
+    monkeypatch.setattr(canonical, "HEIGHT_ITER_BITS", 17)
+    assert canonical._outgrows(2**10, 2, 3, 1)
+    assert not canonical._outgrows(2**10 - 1, 2, 3, 1)
+    monkeypatch.setattr(canonical, "HEIGHT_ITER_BITS", 31)
+    assert canonical._outgrows(2**10, 2, 3, 2)
+    assert not canonical._outgrows(2**10, 2, 3, 1)
+    assert not canonical._outgrows(4, 2, 3, 10**6)  # lb 2, 1, ... never grows
+
+
+@pytest.mark.parametrize("m", [X_SQUARED, NEAR_SHARP, PELL_2, random_map(random.Random(8), 3)],
+                         ids=["x^2", "near_sharp", "pell2", "random_cubic"])
+def test_outgrows_never_refuses_a_walk_that_fits(m, monkeypatch):
+    # Set the budget to the largest bit length the next `steps` points really
+    # reach: then no point passes it, and the recurrence must not claim one does.
+    loss = transition_constants(m)[1].bit_length()
+    for p in enumerate_points(12):
+        walk = [p]
+        for _ in range(5):
+            walk.append(evaluate(m, walk[-1]))
+        bits = [_height(q).bit_length() for q in walk]
+        for start in range(5):
+            for steps in range(1, 6 - start):
+                budget = max(bits[start + 1:start + 1 + steps])
+                monkeypatch.setattr(canonical, "HEIGHT_ITER_BITS", budget)
+                assert not canonical._outgrows(_height(walk[start]), m.degree, loss, steps)

@@ -102,6 +102,20 @@ def test_degree_one_map_is_refused_before_any_point(args, monkeypatch, capsys):
                                "message": "canonical heights need a map of degree >= 2"}
 
 
+@pytest.mark.parametrize("args, estimate", [
+    (["density", "--map", "x^2", "--s", "", "--b", "10,1000000"], "2000001000001"),
+    (["ffavg", "--p", "2", "--d", "2", "--beta-coeffs", "0,0,0,0,1", "--s", "", "--b", "30"],
+     "4611686016279904256"),
+], ids=["density", "ffavg"])
+def test_enumeration_over_its_limit_is_refused_before_it_starts(args, estimate, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "SizeBudgetExceededError"
+    assert f" {estimate} " in payload["message"]
+
+
 def test_nmax_deterministic_across_workers(capsys):
     args = ["nmax", "--map", "pell(2)", "--s", "", "--b", "20", "--height-budget-bits", "10000"]
     _, out1, _ = run_cli(args + ["--workers", "1"], capsys)

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynctl.errors import DegenerateFamilyError
-from dynctl.funcfield import (FFPoly, FFRat, enumerate_ff_elements, evaluate_ff,
+from dynctl.errors import DegenerateFamilyError, SizeBudgetExceededError
+from dynctl.funcfield import (DEFAULT_FF_N_CAP, FFPoly, FFRat, enumerate_ff_elements, evaluate_ff,
                               ff_family, ff_family_map, ff_family_verification, ff_height,
                               ff_infinity, ff_is_s_integral, ff_orbit_avg, ff_point_from_rat,
                               ff_scan_orbit, format_ffpoly, is_irreducible, make_ff_map,
@@ -300,11 +300,125 @@ def test_ff_scan_orbit_fixed_point():
     assert rec.integral_indices == (0,)
 
 
+def _reference_scan(m, b, s, n_cap, height_budget):
+    """The scan without the pre-evaluation cut: evaluate, then discard."""
+    points = [b]
+    seen = {b: 0}
+    cycle_entry = None
+    completed = False
+    while len(points) <= n_cap:
+        nxt = evaluate_ff(m, points[-1])
+        if nxt in seen:
+            cycle_entry = (seen[nxt], len(points) - seen[nxt])
+            completed = True
+            break
+        if ff_height(nxt) > height_budget:
+            break
+        seen[nxt] = len(points)
+        points.append(nxt)
+    return tuple(points), cycle_entry, completed
+
+
+def _random_ffpoly(rng, p, max_degree):
+    return FFPoly(p, [rng.randrange(p) for _ in range(rng.randint(0, max_degree + 1))])
+
+
+def _random_ff_map(rng, p, d):
+    """A map of degree d over F_p(t) whose coefficients have degree <= 3."""
+    while True:
+        num = [FFRat.from_poly(_random_ffpoly(rng, p, 3)) for _ in range(d + 1)]
+        den = [FFRat.from_poly(_random_ffpoly(rng, p, 3)) for _ in range(d + 1)]
+        try:
+            return make_ff_map(num, den)
+        except (DegenerateFamilyError, ValueError):  # Res = 0, or the zero map
+            continue
+
+
+def _random_ff_point(rng, p):
+    """A point of height <= 8, now and then the point at infinity."""
+    while True:
+        z0, z1 = _random_ffpoly(rng, p, 8), _random_ffpoly(rng, p, 8)
+        if not (z0.is_zero() and z1.is_zero()):
+            return normalize_ff_point(z0, z1)
+
+
+def _scan_cases(seed=12, n_maps=300, per_map=8):
+    """(map, basepoint, budget) over p in {2, 3, 5}, d in {2, 3}, budgets 0-30."""
+    rng = random.Random(seed)
+    for _ in range(n_maps):
+        p, d = rng.choice((2, 3, 5)), rng.choice((2, 3))
+        m = _random_ff_map(rng, p, d)
+        for _ in range(per_map):
+            yield m, _random_ff_point(rng, p), rng.randint(0, 30)
+
+
+def _degree_constant(m):
+    """C = (2d-1) * (largest coefficient degree of F and G)."""
+    return (2 * m.degree - 1) * max(poly.degree() for poly in m.num_forms + m.den_forms)
+
+
+def test_ff_scan_orbit_matches_evaluate_then_discard():
+    # 2400 fixed-seed cases; the scan's pre-evaluation cut must change no
+    # record. Some basepoints sit above the budget.
+    above = 0
+    for m, b, budget in _scan_cases():
+        above += ff_height(b) > budget
+        rec = ff_scan_orbit(m, b, [], height_budget=budget)
+        want = _reference_scan(m, b, [], DEFAULT_FF_N_CAP, budget)
+        assert (rec.points, rec.cycle_entry, rec.completed) == want, (m, b, budget)
+    assert above > 100
+
+
+def test_ff_height_lower_bound_is_certified():
+    # h(phi(P)) >= d*h(P) - C exactly, on the maps and points of the scan sweep.
+    for m, b, _ in _scan_cases():
+        assert ff_height(evaluate_ff(m, b)) >= m.degree * ff_height(b) - _degree_constant(m)
+
+
+def test_ff_scan_orbit_fixed_basepoint_above_budget():
+    # phi(x) = x + (v x - u)^2 / w fixes b = u/v, whose height 3 is over the
+    # budget; the scan must still close the cycle at b.
+    p = 3
+    t = FFPoly.t_var(p)
+    one = FFPoly.const(p, 1)
+    u, v, w = t * t * t + t + one, t, t + one
+    num = [u * u, w - 2 * u * v, v * v]
+    den = [w, FFPoly(p, ()), FFPoly(p, ())]
+    m = make_ff_map([FFRat.from_poly(c) for c in num], [FFRat.from_poly(c) for c in den])
+    b = normalize_ff_point(u, v)
+    assert evaluate_ff(m, b) == b and ff_height(b) == 3
+    rec = ff_scan_orbit(m, b, [], height_budget=1)
+    assert rec.completed and rec.cycle_entry == (0, 1) and rec.points == (b,)
+
+
+def test_ff_scan_orbit_identity_keeps_a_basepoint_above_budget():
+    # For degree 1 the bound is h(P) - C with C = 0 here, which puts phi(b)
+    # over the budget; only the comparison with h(b) keeps b's cycle.
+    p = 2
+    t = FFPoly.t_var(p)
+    zero, one = FFRat.constant(p, 0), FFRat.constant(p, 1)
+    identity = make_ff_map([zero, one], [one, zero])
+    b = normalize_ff_point(t**5 + t, FFPoly.const(p, 1))
+    rec = ff_scan_orbit(identity, b, [], height_budget=2)
+    assert rec.completed and rec.cycle_entry == (0, 1) and rec.points == (b,)
+
+
 def test_enumerate_ff_elements_b1():
     elems = enumerate_ff_elements(2, 1)
     assert len(elems) == 6
     assert all(not f.is_constant() for f in elems)
     assert len(enumerate_ff_elements(2, 1, include_constants=True)) == 8
+
+
+def test_ff_enumeration_limit_is_checked_before_enumerating(monkeypatch):
+    import dynctl.funcfield as ff
+
+    monkeypatch.setattr(ff, "FF_ENUMERATION_LIMIT", 31 * 32)  # p = 2, B = 4
+    assert len(enumerate_ff_elements(2, 4)) == 510
+    with pytest.raises(SizeBudgetExceededError, match="visits 4032 "):
+        enumerate_ff_elements(2, 5)
+    with pytest.raises(SizeBudgetExceededError, match="height 10000 visits more than "):
+        enumerate_ff_elements(97, 10000)
 
 
 def test_ff_orbit_avg_b1_hand_table():

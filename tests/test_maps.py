@@ -3,6 +3,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dynctl import canonical, maps
 from dynctl.canonical import canonical_height
@@ -187,3 +188,65 @@ def test_compose_budget(monkeypatch):
     with pytest.raises(SizeBudgetExceededError):
         big = make_map([0, 0, 2**30 - 1], [1, 0, 0])
         compose(big, big)
+
+
+def _sympy_form(coeffs, x, y):
+    import sympy
+
+    d = len(coeffs) - 1
+    return sympy.Poly(sum(c * x**i * y ** (d - i) for i, c in enumerate(coeffs)), x, y)
+
+
+def _sympy_apply(m, pair, x, y):
+    """m's forms evaluated at a pair of sympy forms, without any reduction."""
+    f, g = pair
+    d = m.degree
+    return tuple(sum((c * f**i * g ** (d - i) for i, c in enumerate(form.coeffs)),
+                     _sympy_form([0], x, y))
+                 for form in (m.numerator, m.denominator))
+
+
+def _canonical(pair, degree, x, y):
+    """Primitive integer coefficients, sign fixed by the first nonzero one
+    from the numerator's leading coefficient down, then the denominator's."""
+    num, den = ([int(f.coeff_monomial(x**i * y ** (degree - i))) for i in range(degree + 1)]
+                for f in pair)
+    content = math.gcd(*num, *den)
+    sign = -1 if next(c for c in num[::-1] + den[::-1] if c) < 0 else 1
+    return (tuple(sign * c // content for c in num), tuple(sign * c // content for c in den))
+
+
+@st.composite
+def _maps(draw, max_degree=3, bound=5):
+    d = draw(st.integers(1, max_degree))
+    coeffs = st.lists(st.integers(-bound, bound), min_size=d + 1, max_size=d + 1)
+    try:
+        return make_map(draw(coeffs), draw(coeffs))
+    except (DegenerateMapError, DegreeDropError):
+        assume(False)
+
+
+@given(_maps(), _maps())
+@settings(max_examples=60, deadline=None)
+def test_compose_matches_sympy(outer, inner):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    pair = tuple(_sympy_form(form.coeffs, x, y) for form in (inner.numerator, inner.denominator))
+    degree = outer.degree * inner.degree
+    got = compose(outer, inner)
+    assert got.degree == degree
+    want = _canonical(_sympy_apply(outer, pair, x, y), degree, x, y)
+    assert (got.numerator.coeffs, got.denominator.coeffs) == want
+
+
+@given(_maps(), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_iterate_matches_sympy(m, n):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    pair = (_sympy_form([0, 1], x, y), _sympy_form([1, 0], x, y))  # the identity X, Y
+    for _ in range(n):
+        pair = _sympy_apply(m, pair, x, y)
+    got = iterate(m, n)
+    assert got.degree == m.degree**n
+    assert (got.numerator.coeffs, got.denominator.coeffs) == _canonical(pair, m.degree**n, x, y)

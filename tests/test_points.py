@@ -4,7 +4,7 @@ import operator
 import pytest
 from hypothesis import given, strategies as st
 
-from dynctl.errors import BothZeroError, ParseError
+from dynctl.errors import BothZeroError, ParseError, SizeBudgetExceededError
 from dynctl.points import (EMPTY_S, INFINITY, ProjPointQ, SIntSpec, check_b_values,
                            count_points, enumerate_points, format_point, is_prime,
                            is_s_integral, log_of_int, normalize, parse_point, tally_by_height)
@@ -176,3 +176,12 @@ def test_tally_by_height_matches_the_definition(rows, bounds):
         assert counts[i] == len(below)
         assert sums[i] == sum(r[1] for r in below)
         assert maxima[i] == max((r[2] for r in below), default=0)
+
+
+def test_enumeration_limit_is_checked_before_enumerating(monkeypatch):
+    import dynctl.points as points_mod
+
+    monkeypatch.setattr(points_mod, "ENUMERATION_LIMIT", 7 * 3 + 1)  # (2B+1)*B + 1 at B = 3
+    assert len(enumerate_points(3)) == count_points(3)
+    with pytest.raises(SizeBudgetExceededError, match="visits 37 candidate points"):
+        enumerate_points(4)

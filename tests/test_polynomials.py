@@ -151,6 +151,34 @@ def test_resultant_vs_sympy_oracle():
         assert mine == sympy.resultant(fx, gx, x)
 
 
+def _forms(max_degree, bound):
+    """Two binary forms of one degree <= max_degree, as ascending coefficient lists."""
+    coeffs = lambda d: st.lists(st.integers(-bound, bound), min_size=d + 1, max_size=d + 1)
+    return st.integers(1, max_degree).flatmap(lambda d: st.tuples(coeffs(d), coeffs(d)))
+
+
+@given(_forms(4, 9))
+@settings(max_examples=150, deadline=None)
+def test_form_resultant_matches_sympy(forms):
+    # Leading coefficients may vanish here. The substitution Y -> Y + cX has
+    # determinant 1, so it leaves Res(F, G) unchanged; at a c with
+    # F(1, c) * G(1, c) != 0 both forms keep x-degree d, where the form
+    # resultant is sympy's univariate one.
+    sympy = pytest.importorskip("sympy")
+    f, g = forms
+    d = len(f) - 1
+    mine = resultant_from_coeffs(f, g, d)
+    if not any(f) or not any(g):
+        assert mine == 0
+        return
+    at = lambda cs, c: sum(ci * c ** (d - i) for i, ci in enumerate(cs))
+    c = next(c for c in range(2 * d + 1) if at(f, c) and at(g, c))
+    x = sympy.Symbol("x")
+    fx = sympy.expand(sum(ci * x**i * (1 + c * x) ** (d - i) for i, ci in enumerate(f)))
+    gx = sympy.expand(sum(ci * x**i * (1 + c * x) ** (d - i) for i, ci in enumerate(g)))
+    assert mine == sympy.resultant(fx, gx, x)
+
+
 def test_solve_exact():
     sol = solve_exact([[2, 0], [1, 3]], [4, 5])
     assert sol == [Fraction(2), Fraction(1)]
