@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DegenerateFamilyError, DegenerateMapError, DegreeDropError
+from .errors import (DegenerateFamilyError, DegenerateMapError, DegreeDropError,
+                     SizeBudgetExceededError)
 from .maps import RationalMapQ, evaluate, make_map, second_iterate_is_polynomial
 from .orbits import OrbitPolicy, count_s_integral, scan_orbit
 from .parallel import map_chunks
 from .points import (EMPTY_S, ProjPointQ, SIntSpec, check_b_values, enumerate_points,
                      is_s_integral, normalize, tally_by_height)
-from .polynomials import IntPoly, form_compose, form_eval, resultant_from_coeffs
+from .polynomials import FORM_KERNELS, IntPoly, form_compose, form_shape, resultant_from_coeffs
 from .reports import CheckResult, VerificationReport
 
 T_VAR = ("t",)
@@ -54,6 +55,14 @@ def _eval_terms(terms: Terms, params: Sequence[Fraction | int]) -> Fraction | in
 # second iterates and dense families such as ((x+t)^8 + 1)/((x-1)^7 + t)
 # (2e7) on the numeric path.
 SYMBOLIC_RESULTANT_BUDGET = 2 * 10**6
+# three_param_avg refuses, before building any triple, a box of more than
+# THREE_PARAM_TRIPLE_LIMIT triples ((2B+1)^3, so B <= 49) and basepoints
+# r^n1 s^n2 t^n3 that may exceed THREE_PARAM_BASE_BITS bits
+# ((n1+n2+n3) * bit_length(B)). The largest README, acceptance, golden and
+# bench box, B = 10 with n1 = n2 = n3 = 6, has 9261 triples (108x headroom)
+# and basepoints of at most 72 bits (1388x).
+THREE_PARAM_TRIPLE_LIMIT = 10**6
+THREE_PARAM_BASE_BITS = 10**5
 
 
 @dataclass(frozen=True)
@@ -412,20 +421,32 @@ def pell_checks(d_param: int = 2, count: int = 10) -> VerificationReport:
 
 @dataclass(frozen=True)
 class BasepointSpec:
-    """Basepoint family: an integer-coefficient rational function of the parameters."""
+    """Basepoint family: an integer-coefficient rational function of the parameter.
+
+    The numerator and denominator as binary forms of one degree, with their
+    evaluation shape, are built on the first evaluation and cached.
+    """
 
     num: IntPoly
     den: IntPoly
+    _forms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def degree(self) -> int:
         return max(self.num.total_degree(), self.den.total_degree())
 
     def eval_at_param(self, p: ProjPointQ, var: str) -> ProjPointQ | None:
-        """Homogeneous evaluation at a parameter point of P^1; None if (0, 0)."""
-        e = max(self.num.degree_in(var), self.den.degree_in(var), 0)
-        n_val = form_eval([self.num.coefficient((i,)) for i in range(e + 1)], p.a, p.b)
-        d_val = form_eval([self.den.coefficient((i,)) for i in range(e + 1)], p.a, p.b)
+        """Homogeneous evaluation at a parameter point of P^1; None if (0, 0).
+
+        var is the parameter's name; the forms are built in it on the first call.
+        """
+        if self._forms is None:
+            e = max(self.num.degree_in(var), self.den.degree_in(var), 0)
+            num = tuple(self.num.coefficient((i,)) for i in range(e + 1))
+            den = tuple(self.den.coefficient((i,)) for i in range(e + 1))
+            object.__setattr__(self, "_forms", (form_shape(num, den), num, den))
+        shape, num, den = self._forms
+        n_val, d_val = FORM_KERNELS[shape](num, den, p.a, p.b)
         if n_val == 0 and d_val == 0:
             return None
         return normalize(n_val, d_val)
@@ -574,13 +595,26 @@ def three_param_avg(n1: int, n2: int, n3: int, b_values: Sequence[int],
 
     The t = 0 slice contributes exactly 1 per point; the s = 0 and r = 0
     slices run on the reduced degree-2 maps t/(x^2+1) and (s x + t)/(x^2+1),
-    whose real-line bounds keep those orbits small.
+    whose real-line bounds keep those orbits small. A box or exponents over
+    THREE_PARAM_TRIPLE_LIMIT or THREE_PARAM_BASE_BITS are refused first.
     """
     if min(n1, n2, n3) < 6:
         raise ValueError("exponents must all be >= 6")
     bs = check_b_values(b_values)
-    fam = three_param_family()
     b_max = bs[-1]
+    count = (2 * b_max + 1) ** 3
+    if count > THREE_PARAM_TRIPLE_LIMIT:
+        raise SizeBudgetExceededError(
+            f"the box |r|, |s|, |t| <= {b_max} holds {count} parameter triples, "
+            f"over the limit of {THREE_PARAM_TRIPLE_LIMIT}"
+        )
+    bits = (n1 + n2 + n3) * b_max.bit_length()
+    if bits > THREE_PARAM_BASE_BITS:
+        raise SizeBudgetExceededError(
+            f"basepoints r^{n1} s^{n2} t^{n3} with |r|, |s|, |t| <= {b_max} may reach "
+            f"{bits} bits, over the limit of {THREE_PARAM_BASE_BITS}"
+        )
+    fam = three_param_family()
     triples = [(r, s, t)
                for r in range(-b_max, b_max + 1)
                for s in range(-b_max, b_max + 1)

@@ -12,12 +12,12 @@ import operator
 import random
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import DegenerateFamilyError, SizeBudgetExceededError
 from .points import check_b_values, is_prime, tally_by_height
-from .polynomials import form_compose, form_eval, form_mul, resultant_from_coeffs
+from .polynomials import FORM_KERNELS, form_compose, form_mul, form_shape, resultant_from_coeffs
 from .reports import CheckResult, VerificationReport
 
 MAX_PRIME = 97
@@ -109,7 +109,8 @@ class FFPoly:
         else:
             raise OverflowError("F_p[t] product too long for 8-byte Kronecker slots")
         x = int.from_bytes(array(code, a).tobytes(), sys.byteorder)
-        y = int.from_bytes(array(code, b).tobytes(), sys.byteorder)
+        # One object for a square lets the big-int multiply square.
+        y = x if other is self else int.from_bytes(array(code, b).tobytes(), sys.byteorder)
         n = len(a) + len(b) - 1
         slots = memoryview((x * y).to_bytes(n * width, sys.byteorder)).cast(code)
         return FFPoly._reduced(p, [c % p for c in slots])
@@ -371,13 +372,24 @@ def validate_s_set(s: Sequence[FFPoly]) -> None:
 
 @dataclass(frozen=True)
 class FFMap:
-    """Degree-d self-map of P^1 over F_p(t), stored as cleared coprime forms over F_p[t]."""
+    """Degree-d self-map of P^1 over F_p(t), stored as cleared coprime forms over F_p[t].
+
+    The evaluation shape of the pair is computed on first use and cached.
+    """
 
     p: int
     degree: int
     num_forms: tuple[FFPoly, ...]
     den_forms: tuple[FFPoly, ...]
     res: FFPoly
+    _shape: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """polynomials.form_shape of the pair, computed on first use."""
+        if self._shape is None:
+            object.__setattr__(self, "_shape", form_shape(self.num_forms, self.den_forms))
+        return self._shape
 
 
 def make_ff_map(num_coeffs: Sequence[FFRat], den_coeffs: Sequence[FFRat]) -> FFMap:
@@ -415,8 +427,7 @@ def evaluate_ff(m: FFMap, point: FFPointK) -> FFPointK:
     gcd(F(z), G(z)) = gcd(F(z), G(z), Res), so after the division the pair is
     coprime and only the monic rescaling of a full normalization remains.
     """
-    fa = form_eval(m.num_forms, point.z0, point.z1)
-    gb = form_eval(m.den_forms, point.z0, point.z1)
+    fa, gb = FORM_KERNELS[m.shape](m.num_forms, m.den_forms, point.z0, point.z1)
     r = m.res
     if not r.is_constant():
         g = r.gcd(fa % r)
@@ -740,10 +751,12 @@ def ff_orbit_avg(p: int, d: int, beta_coeffs: Sequence[int], s: Sequence[FFPoly]
     validate_s_set(s)
     bs = check_b_values(b_values)
 
+    # beta(f) is the form sum beta_i X^i Y^(deg - i) at (f, 1).
+    beta_kernel = FORM_KERNELS[form_shape(beta)]
     rows = []
     for f in enumerate_ff_elements(p, bs[-1]):
         m = ff_family_map(d, f)
-        rec = ff_scan_orbit(m, ff_point_from_rat(form_eval(beta, f, 1)), s,
+        rec = ff_scan_orbit(m, ff_point_from_rat(beta_kernel(beta, f, 1)), s,
                             n_cap=n_cap, height_budget=height_budget)
         rows.append((f.height(), len(rec.integral_indices), not rec.completed))
     population, totals, truncated = tally_by_height(bs, rows, (operator.add, operator.add))

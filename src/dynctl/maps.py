@@ -12,7 +12,8 @@ from typing import Sequence
 
 from .errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
 from .points import ProjPointQ
-from .polynomials import form_compose, form_eval, form_mul, resultant_from_coeffs, solve_exact
+from .polynomials import (FORM_KERNELS, form_compose, form_mul, form_shape, resultant_from_coeffs,
+                          solve_exact)
 
 # Composed coefficients are refused past this many bits; read at call time.
 COEFF_BITS = 10**6
@@ -20,17 +21,28 @@ COEFF_BITS = 10**6
 
 @dataclass(frozen=True)
 class BinaryForm:
-    """Homogeneous binary form; coeffs[i] is the coefficient of X^i Y^(degree-i)."""
+    """Homogeneous binary form; coeffs[i] is the coefficient of X^i Y^(degree-i).
+
+    The evaluation shape is computed on first use and cached on the form.
+    """
 
     degree: int
     coeffs: tuple[int, ...]
+    _shape: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) != self.degree + 1:
             raise ValueError("coefficient count must be degree + 1")
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """polynomials.form_shape of the form, computed on first use."""
+        if self._shape is None:
+            object.__setattr__(self, "_shape", form_shape(self.coeffs))
+        return self._shape
+
     def __call__(self, a: int, b: int) -> int:
-        return form_eval(self.coeffs, a, b)
+        return FORM_KERNELS[self.shape](self.coeffs, a, b)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -57,14 +69,16 @@ class RationalMapQ:
     The stored pair is content-reduced and sign-canonicalized (the first
     nonzero coefficient, scanning numerator then denominator from the leading
     coefficient down, is positive). Constructed via make_map or compose.
-    The resultant and the cofactor certificate are cached on the map (the
-    certificate is solved on first use), and both travel with it when pickled.
+    The resultant, the cofactor certificate and the evaluation shape of the
+    pair are cached on the map (the certificate and the shape are computed on
+    first use), and all three travel with it when pickled.
     """
 
     numerator: BinaryForm
     denominator: BinaryForm
     _res: int | None = field(default=None, repr=False, compare=False)
     _cert: "CofactorCertificate | None" = field(default=None, repr=False, compare=False)
+    _shape: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def degree(self) -> int:
@@ -83,6 +97,14 @@ class RationalMapQ:
         if self._cert is None:
             object.__setattr__(self, "_cert", cofactors(self))
         return self._cert
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """polynomials.form_shape of (F, G), computed on first use."""
+        if self._shape is None:
+            object.__setattr__(self, "_shape",
+                               form_shape(self.numerator.coeffs, self.denominator.coeffs))
+        return self._shape
 
 
 def _canonical_pair(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -196,8 +218,7 @@ def evaluate(m: RationalMapQ, p: ProjPointQ) -> ProjPointQ:
     common factor is found by reducing modulo the (small) resultant instead
     of running a full gcd on enormous coordinates.
     """
-    fa = form_eval(m.numerator.coeffs, p.a, p.b)
-    gb = form_eval(m.denominator.coeffs, p.a, p.b)
+    fa, gb = FORM_KERNELS[m.shape](m.numerator.coeffs, m.denominator.coeffs, p.a, p.b)
     r = m._res
     if r is None:
         g = math.gcd(fa, gb)

@@ -9,6 +9,7 @@ import operator
 from dataclasses import dataclass
 
 from .canonical import _require_degree_two, is_preperiodic
+from .errors import SizeBudgetExceededError
 from .maps import RationalMapQ, evaluate, is_polynomial, map_height, second_iterate_is_polynomial
 from .parallel import map_chunks
 from .points import (ProjPointQ, SIntSpec, check_b_values, enumerate_points, is_s_integral,
@@ -23,6 +24,11 @@ class Truncation(enum.Enum):
 
 DEFAULT_N_CAP = 16
 DEFAULT_HEIGHT_BUDGET_BITS = 10**6
+# scan_orbit refuses an iteration cap above this before iterating: only the
+# cap bounds a degree-1 orbit, whose heights grow too slowly to meet the
+# height budget. The largest README, acceptance, golden, test and bench cap,
+# 50, has 2000x headroom.
+N_CAP_LIMIT = 10**5
 
 
 @dataclass(frozen=True)
@@ -55,8 +61,14 @@ def scan_orbit(m: RationalMapQ, b: ProjPointQ, s: SIntSpec,
     The budget cut fires before computing a point whose size bound
     (d * bits + coefficient slack) already exceeds the budget, so the scan
     never pays for a point it would discard. Truncation is data, not an
-    error; counts on truncated records are lower bounds.
+    error; counts on truncated records are lower bounds. A cap above
+    N_CAP_LIMIT is refused before the first evaluation.
     """
+    if n_cap > N_CAP_LIMIT:
+        raise SizeBudgetExceededError(
+            f"an iteration cap of {n_cap} keeps up to {n_cap + 1} orbit points, "
+            f"over the limit of {N_CAP_LIMIT + 1}"
+        )
     d = m.degree
     slack = map_height(m).bit_length() + (d + 1).bit_length() + 1
     points = [b]

@@ -321,20 +321,98 @@ def resultant_from_coeffs(f_coeffs: Sequence, g_coeffs: Sequence, degree: int):
 # ---------------------------------------------------------------------------
 
 
-def form_eval(coeffs: Sequence, a, b):
-    """Value at (a, b) of the form with ascending coefficients: sum c_i a^i b^(d-i).
+def form_shape(*forms: Sequence) -> tuple[int, ...]:
+    """The evaluation shape of forms of one degree d: (d, mask_1, mask_2, ...).
 
-    Horner in a with the powers of b folded in on the way down; the powers
-    start at b itself, so the ring needs no one.
+    Bit i of mask_k is set when form k has a nonzero coefficient of X^i Y^(d-i).
+    Only this tuple of ints selects an evaluation kernel in FORM_KERNELS.
     """
-    val = coeffs[-1]
-    if len(coeffs) == 1:
-        return val
-    bpow = b
-    for i in range(len(coeffs) - 2, 0, -1):
-        val = val * a + coeffs[i] * bpow
-        bpow = bpow * b
-    return val * a + coeffs[0] * bpow
+    shape = [len(forms[0]) - 1]
+    for form in forms:
+        mask = 0
+        for i, c in enumerate(form):
+            if not _is_zero(c):
+                mask |= 1 << i
+        shape.append(mask)
+    return tuple(shape)
+
+
+def _power_lines(var: str, exponents) -> list[str]:
+    """Statements binding var<e> = var1^e for each needed e, each power once:
+    an even power squares the half power, an odd one multiplies by var1."""
+    lines: list[str] = []
+    done = {1}
+
+    def need(e: int) -> None:
+        if e in done:
+            return
+        if e % 2:
+            need(e - 1)
+            lines.append(f"{var}{e} = {var}{e - 1} * {var}1")
+        else:
+            need(e // 2)
+            lines.append(f"{var}{e} = {var}{e // 2} * {var}{e // 2}")
+        done.add(e)
+
+    for e in sorted(exponents):
+        need(e)
+    return lines
+
+
+def _kernel_source(shape: tuple[int, ...]) -> str:
+    """Straight-line source evaluating every form of a shape at (a1, b1).
+
+    Each form is a sparse Horner in a over its nonzero terms, from the top:
+    v = v * a^gap + c_i * b^(d-i), one statement per term (so no expression
+    nests deeper as d grows), then v * a^i at the lowest index i. The forms
+    share the powers of a and b. A form with no nonzero term returns its
+    (zero) constant coefficient. Only ring + and * are used, and the powers
+    start at a and b themselves, so the ring needs no one.
+    """
+    d = shape[0]
+    a_exps: set[int] = set()
+    b_exps: set[int] = set()
+    body: list[str] = []
+
+    def term(k: int, i: int) -> str:
+        if i == d:
+            return f"c{k}[{i}]"
+        b_exps.add(d - i)
+        return f"c{k}[{i}] * b{d - i}"
+
+    for k, mask in enumerate(shape[1:]):
+        idx = [i for i in range(d, -1, -1) if mask >> i & 1]
+        if not idx:
+            body.append(f"v{k} = c{k}[0]")
+            continue
+        body.append(f"v{k} = {term(k, idx[0])}")
+        for hi, lo in zip(idx, idx[1:]):
+            a_exps.add(hi - lo)
+            body.append(f"v{k} = v{k} * a{hi - lo} + {term(k, lo)}")
+        if idx[-1]:
+            a_exps.add(idx[-1])
+            body.append(f"v{k} = v{k} * a{idx[-1]}")
+    n = len(shape) - 1
+    params = ", ".join([f"c{k}" for k in range(n)] + ["a1", "b1"])
+    lines = _power_lines("a", a_exps) + _power_lines("b", b_exps) + body
+    lines.append("return " + ", ".join(f"v{k}" for k in range(n)))
+    return f"def kernel({params}):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+class _KernelCache(dict):
+    """shape -> kernel, each kernel compiled on the first lookup of its shape."""
+
+    def __missing__(self, shape: tuple[int, ...]):
+        namespace: dict = {}
+        exec(compile(_kernel_source(shape), f"<form kernel {shape}>", "exec"), namespace)
+        kernel = self[shape] = namespace["kernel"]
+        return kernel
+
+
+# FORM_KERNELS[form_shape(f1, ..., fn)](f1, ..., fn, a, b) is the tuple of the
+# values sum_i c_i a^i b^(d-i) of f1, ..., fn at (a, b); for one form, the
+# value itself. Coefficients, a and b may lie in any commutative ring.
+FORM_KERNELS = _KernelCache()
 
 
 def form_mul(a: Sequence, b: Sequence) -> list:

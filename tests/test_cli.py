@@ -116,6 +116,29 @@ def test_enumeration_over_its_limit_is_refused_before_it_starts(args, estimate, 
     assert f" {estimate} " in payload["message"]
 
 
+@pytest.mark.parametrize("args, count", [
+    (["avg3", "--b", "5,1000"], "8012006001"),
+    (["avg3", "--n1", "1000000000", "--b", "5"], "3000000036"),
+    (["orbit", "--map", "x+1", "--point", "0", "--ncap", "1000000000"], "1000000001"),
+], ids=["avg3-box", "avg3-exponent", "orbit-ncap"])
+def test_avg3_and_orbit_over_their_limits_are_refused_before_any_work(args, count,
+                                                                       monkeypatch, capsys):
+    import dynctl.families as families_mod
+    import dynctl.orbits as orbits_mod
+
+    def no_work(*args):
+        raise AssertionError("work started before the limit was checked")
+
+    monkeypatch.setattr(families_mod, "three_param_family", no_work)
+    monkeypatch.setattr(orbits_mod, "evaluate", no_work)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "SizeBudgetExceededError"
+    assert f" {count} " in payload["message"]
+
+
 def test_nmax_deterministic_across_workers(capsys):
     args = ["nmax", "--map", "pell(2)", "--s", "", "--b", "20", "--height-budget-bits", "10000"]
     _, out1, _ = run_cli(args + ["--workers", "1"], capsys)

@@ -9,6 +9,8 @@ from dynctl.funcfield import (DEFAULT_FF_N_CAP, FFPoly, FFRat, enumerate_ff_elem
                               ff_infinity, ff_is_s_integral, ff_orbit_avg, ff_point_from_rat,
                               ff_scan_orbit, format_ffpoly, is_irreducible, make_ff_map,
                               normalize_ff_point, parse_ffpoly, validate_s_set)
+from dynctl.polynomials import FORM_KERNELS, form_shape
+from test_polynomials import horner
 
 
 def _naive_mul(p, a, b):
@@ -28,6 +30,8 @@ def test_ffpoly_mul_matches_schoolbook():
             got = FFPoly(p, a) * FFPoly(p, b)
             want = FFPoly(p, _naive_mul(p, a, b))
             assert got == want
+            f = FFPoly(p, a)
+            assert f * f == FFPoly(p, _naive_mul(p, a, a))
 
 
 def test_ffpoly_divmod_roundtrip():
@@ -118,6 +122,18 @@ def test_ffpoly_kernels_match_sympy(p, data):
         assert divmod(a, b) == (_from_sympy(p, sq), _from_sympy(p, sr))
     if not (a.is_zero() and b.is_zero()):
         assert a.gcd(b) == _from_sympy(p, sa.gcd(sb))
+
+
+@given(st.sampled_from((2, 3, 5)), st.data())
+@settings(max_examples=80, deadline=None)
+def test_ff_form_kernel_matches_reference_horner(p, data):
+    d = data.draw(st.integers(0, 6))
+    poly = lambda size: st.lists(st.integers(0, p - 1), max_size=size).map(lambda cs: FFPoly(p, cs))
+    # Coefficients are zero about half the time, so the shapes are sparse.
+    coeff = st.one_of(st.just(FFPoly(p, ())), poly(4))
+    f, g = (data.draw(st.lists(coeff, min_size=d + 1, max_size=d + 1)) for _ in range(2))
+    a, b = data.draw(poly(30)), data.draw(poly(30))
+    assert FORM_KERNELS[form_shape(f, g)](f, g, a, b) == (horner(f, a, b), horner(g, a, b))
 
 
 ff_polys = st.builds(

@@ -12,7 +12,8 @@ from dynctl.maps import (cofactor_certificates_check, cofactors, compose, evalua
                          is_polynomial, iterate, make_map, map_height, random_coprime_pair,
                          random_map, second_iterate_is_polynomial)
 from dynctl.points import INFINITY, ProjPointQ, normalize
-from dynctl.polynomials import resultant_from_coeffs
+from dynctl.parallel import map_chunks
+from dynctl.polynomials import FORM_KERNELS, resultant_from_coeffs
 
 X_SQUARED = make_map([0, 0, 1], [1, 0, 0])
 PHI_1 = make_map([-1, 1, 0, 0], [1, 0, 0, 1])  # (x-1)/(x^3+1)
@@ -120,6 +121,48 @@ def test_certificate_survives_pickle(monkeypatch):
     monkeypatch.setattr(maps_mod, "solve_exact", no_solve)
     assert back == m
     assert back.certificate == cert
+
+
+def test_maps_of_one_shape_share_one_kernel():
+    rng = random.Random(15)
+    ms = []
+    while len(ms) < 1000:
+        num = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(3)]
+        den = [rng.choice((-1, 1)) * rng.randint(1, 9), 0, rng.choice((-1, 1)) * rng.randint(1, 9)]
+        try:
+            ms.append(make_map(num, den))
+        except DegenerateMapError:
+            continue
+    before = set(FORM_KERNELS)
+    pt = normalize(7, 3)
+    for m in ms:
+        a, b = pt.a, pt.b
+        want = normalize(sum(c * a**i * b ** (2 - i) for i, c in enumerate(m.numerator.coeffs)),
+                         sum(c * a**i * b ** (2 - i) for i, c in enumerate(m.denominator.coeffs)))
+        assert evaluate(m, pt) == want
+    assert {m.shape for m in ms} == {(2, 0b111, 0b101)}
+    assert set(FORM_KERNELS) - before <= {(2, 0b111, 0b101)}
+
+
+def _orbit_tail(task):
+    m, pt = task
+    for _ in range(4):
+        pt = evaluate(m, pt)
+    return pt, m.shape
+
+
+def test_evaluated_map_survives_pickle_and_the_pool():
+    m = make_map([-1, 1, 0, 0], [1, 0, 0, 1])
+    pt = evaluate(m, normalize(2, 3))
+    m.denominator(2, 3)
+    back = pickle.loads(pickle.dumps(m))
+    assert back == m and hash(back) == hash(m)
+    assert back.shape == m.shape == (3, 0b11, 0b1001)
+    assert back.denominator.shape == (3, 0b1001)
+    assert evaluate(back, normalize(2, 3)) == pt
+    fresh = make_map([0, 0, 0, 0, 1], [4, 0, -4, 0, 1])
+    tasks = [(mm, normalize(a, b)) for mm in (m, fresh, back) for a, b in ((1, 2), (3, 5), (-7, 2))]
+    assert map_chunks(_orbit_tail, tasks, workers=2) == map_chunks(_orbit_tail, tasks, workers=1)
 
 
 def test_evaluate_examples():

@@ -1,5 +1,6 @@
 import pytest
 
+from dynctl.errors import SizeBudgetExceededError
 from dynctl.families import pell_map, specialize, three_param_family
 from dynctl.maps import make_map
 from dynctl.orbits import (Truncation, count_s_integral, density_of_integral_preimages,
@@ -142,3 +143,13 @@ def test_nmax_deterministic_across_workers():
     serial = empirical_max_iterate(PELL_2, EMPTY_S, 8, height_budget_bits=10**4, workers=1)
     pooled = empirical_max_iterate(PELL_2, EMPTY_S, 8, height_budget_bits=10**4, workers=3)
     assert serial == pooled
+
+
+def test_scan_orbit_cap_limit_is_inclusive():
+    from dynctl import orbits
+
+    m = make_map([0, 1], [1, 1])  # x/(x+1): 1/n -> 1/(n+1), a degree-1 wandering orbit
+    rec = scan_orbit(m, ProjPointQ(1, 1), EMPTY_S, n_cap=orbits.N_CAP_LIMIT)
+    assert len(rec.points) == orbits.N_CAP_LIMIT + 1
+    with pytest.raises(SizeBudgetExceededError):
+        scan_orbit(m, ProjPointQ(1, 1), EMPTY_S, n_cap=orbits.N_CAP_LIMIT + 1)

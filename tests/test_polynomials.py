@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from dynctl.polynomials import (IntPoly, bareiss_determinant, form_compose, form_eval, form_mul,
-                                resultant_from_coeffs, solve_exact, sylvester_matrix)
+from dynctl import polynomials
+from dynctl.polynomials import (FORM_KERNELS, IntPoly, bareiss_determinant, form_compose,
+                                form_mul, form_shape, resultant_from_coeffs, solve_exact,
+                                sylvester_matrix)
 
 T = ("t",)
 RS = ("r", "s")
@@ -194,17 +196,78 @@ def test_form_mul_and_compose_ints():
     assert form_mul([1, 1], [1, 1]) == [1, 2, 1]
 
 
-@given(st.lists(st.integers(-50, 50), min_size=1, max_size=7),
-       st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+def horner(coeffs, a, b):
+    """Reference value of sum c_i a^i b^(d-i): dense Horner in a, with the
+    powers of b folded in on the way down, starting at b itself."""
+    val = coeffs[-1]
+    if len(coeffs) == 1:
+        return val
+    bpow = b
+    for i in range(len(coeffs) - 2, 0, -1):
+        val = val * a + coeffs[i] * bpow
+        bpow = bpow * b
+    return val * a + coeffs[0] * bpow
+
+
+def kernel_eval(coeffs, a, b):
+    return FORM_KERNELS[form_shape(coeffs)](coeffs, a, b)
+
+
+# Sparse forms of degree <= 8: zero is drawn as often as a nonzero coefficient.
+SPARSE_COEFF = st.one_of(st.just(0), st.integers(-50, 50))
+SPARSE_COEFFS = st.lists(SPARSE_COEFF, min_size=1, max_size=9)
+# Coordinates from 0 up to ~3000 bits.
+COORD = st.one_of(st.just(0), st.integers(-10**6, 10**6), st.integers(-2**3000, 2**3000))
+
+
+@given(SPARSE_COEFFS, COORD, COORD)
+@example([0, 0, 0, 0], 5, 7)  # all-zero form
+@example([0, 0, 0, 0, 0, 9, 0, 0, 0], 3, -2)  # single term
+@example([4, 0, -4, 0, 1], 2**3000 - 1, 2**2999 + 1)  # the denominator of pell(2)
+@example([1, 2, 3], 1, 0)  # b = 0: the point at infinity
+@example([1, 2, 3], 0, 1)  # a = 0
 def test_form_eval_matches_monomial_sum(coeffs, a, b):
     d = len(coeffs) - 1
-    assert form_eval(coeffs, a, b) == sum(c * a**i * b ** (d - i) for i, c in enumerate(coeffs))
+    want = sum(c * a**i * b ** (d - i) for i, c in enumerate(coeffs))
+    assert horner(coeffs, a, b) == want
+    assert kernel_eval(coeffs, a, b) == want
+
+
+@given(st.integers(0, 8).flatmap(
+           lambda d: st.tuples(*[st.lists(SPARSE_COEFF, min_size=d + 1, max_size=d + 1)] * 2)),
+       COORD, COORD)
+def test_two_form_kernel_is_two_one_form_kernels(forms, a, b):
+    f, g = forms
+    assert FORM_KERNELS[form_shape(f, g)](f, g, a, b) == (kernel_eval(f, a, b),
+                                                          kernel_eval(g, a, b))
+
+
+def test_kernel_compiles_at_high_degree():
+    # One statement per term: a dense degree-400 form nests no expression.
+    rng = random.Random(400)
+    f = [rng.randint(-9, 9) for _ in range(401)]
+    g = [0] * 400 + [1]
+    assert FORM_KERNELS[form_shape(f, g)](f, g, 3, -2) == (horner(f, 3, -2), horner(g, 3, -2))
+
+
+def test_form_shape_masks_the_nonzero_coefficients():
+    assert form_shape([0, 0, 0, 0, 1], [4, 0, -4, 0, 1]) == (4, 0b10000, 0b10101)
+    assert form_shape([0, 0, 0]) == (2, 0)
+    assert form_shape([tpoly(), tpoly(0, 1)]) == (1, 0b10)
+
+
+def test_kernel_squares_even_powers():
+    # x^8 + y^8 needs a^8 and b^8 only: three squarings each.
+    src = polynomials._kernel_source(form_shape([1, 0, 0, 0, 0, 0, 0, 0, 1]))
+    assert "a2 = a1 * a1" in src and "a4 = a2 * a2" in src and "a8 = a4 * a4" in src
+    assert "b8 = b4 * b4" in src and "a3" not in src and "b3" not in src
 
 
 def test_form_eval_over_a_ring_without_int_one():
     # Coefficients and coordinates in Z[t]: the powers of b start at b itself.
     t = IntPoly.var("t", T)
     coeffs = [tpoly(1, 1), IntPoly.const(0, T), tpoly(0, 0, 3)]  # (1+t) Y^2 + 3t^2 X^2
-    got = form_eval(coeffs, t, t + 2)
+    got = kernel_eval(coeffs, t, t + 2)
     assert got == tpoly(1, 1) * (t + 2) ** 2 + tpoly(0, 0, 3) * t**2
-    assert form_eval([tpoly(5)], t, t) == tpoly(5)
+    assert got == horner(coeffs, t, t + 2)
+    assert kernel_eval([tpoly(5)], t, t) == tpoly(5)
