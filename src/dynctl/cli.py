@@ -25,7 +25,7 @@ from .orbits import (DEFAULT_HEIGHT_BUDGET_BITS, DEFAULT_N_CAP, OrbitPolicy, cou
                      density_of_integral_preimages, empirical_max_iterate, scan_orbit)
 from .parallel import default_workers
 from .parsing import parse_map, resolve_map_text
-from .points import SIntSpec, format_point, parse_point
+from .points import SIntSpec, check_n_cap, format_point, parse_point
 from .reports import emit_csv, emit_json, emit_report_csv, error_json
 
 # Every module's identity checks, by name; `verify` runs exactly this set and
@@ -358,10 +358,13 @@ _FLAG_MINIMUMS = (("ncap", "--ncap", 0),
 
 
 def _validate_numeric_flags(args) -> None:
+    """The minimums, and the iteration cap's N_CAP_LIMIT, before any work."""
     for attr, flag, low in _FLAG_MINIMUMS:
         value = getattr(args, attr, None)
         if value is not None and value < low:
             raise ValueError(f"{flag} must be >= {low}, got {value}")
+    if getattr(args, "ncap", None) is not None:
+        check_n_cap(args.ncap)
 
 
 def main(argv: list[str] | None = None) -> int:

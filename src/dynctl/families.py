@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,8 +21,8 @@ from .errors import (DegenerateFamilyError, DegenerateMapError, DegreeDropError,
 from .maps import RationalMapQ, evaluate, make_map, second_iterate_is_polynomial
 from .orbits import OrbitPolicy, count_s_integral, scan_orbit
 from .parallel import map_chunks
-from .points import (EMPTY_S, ProjPointQ, SIntSpec, check_b_values, enumerate_points,
-                     is_s_integral, normalize, tally_by_height)
+from .points import (EMPTY_S, ProjPointQ, SIntSpec, by_population, check_b_values,
+                     enumerate_points, is_s_integral, normalize, tally_by_height)
 from .polynomials import FORM_KERNELS, IntPoly, form_compose, form_shape, resultant_from_coeffs
 from .reports import CheckResult, VerificationReport
 
@@ -90,7 +90,6 @@ class FamilySpec:
     num_coeffs: tuple[IntPoly, ...]
     den_coeffs: tuple[IntPoly, ...]
     name: str = ""
-    _compiled: CompiledFamily | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def arity(self) -> int:
@@ -137,16 +136,14 @@ class FamilySpec:
         m = math.comb(d * deg + self.arity, self.arity)
         return (2 * d) ** 3 * m * m
 
-    @property
+    @functools.cached_property
     def compiled(self) -> CompiledFamily:
-        """Coefficients and, within budget, symbolic resultant as term lists, computed on first use."""
-        if self._compiled is None:
-            res = None
-            if self.symbolic_resultant_cost() <= SYMBOLIC_RESULTANT_BUDGET:
-                res = _terms(self.symbolic_resultant())
-            object.__setattr__(self, "_compiled", CompiledFamily(
-                tuple(map(_terms, self.num_coeffs)), tuple(map(_terms, self.den_coeffs)), res))
-        return self._compiled
+        """Coefficients and, within budget, symbolic resultant as term lists."""
+        res = None
+        if self.symbolic_resultant_cost() <= SYMBOLIC_RESULTANT_BUDGET:
+            res = _terms(self.symbolic_resultant())
+        return CompiledFamily(tuple(map(_terms, self.num_coeffs)),
+                              tuple(map(_terms, self.den_coeffs)), res)
 
 
 def specialize(family: FamilySpec, params: Sequence[Fraction | int]) -> RationalMapQ:
@@ -421,7 +418,7 @@ def pell_checks(d_param: int = 2, count: int = 10) -> VerificationReport:
 
 @dataclass(frozen=True)
 class BasepointSpec:
-    """Basepoint family: an integer-coefficient rational function of the parameter.
+    """Basepoint family: an integer-coefficient rational function of one variable.
 
     The numerator and denominator as binary forms of one degree, with their
     evaluation shape, are built on the first evaluation and cached.
@@ -429,22 +426,21 @@ class BasepointSpec:
 
     num: IntPoly
     den: IntPoly
-    _forms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def degree(self) -> int:
         return max(self.num.total_degree(), self.den.total_degree())
 
-    def eval_at_param(self, p: ProjPointQ, var: str) -> ProjPointQ | None:
-        """Homogeneous evaluation at a parameter point of P^1; None if (0, 0).
+    @functools.cached_property
+    def _forms(self) -> tuple:
+        """(shape, numerator form, denominator form), both forms of degree max(degree, 0)."""
+        e = max(self.degree, 0)
+        num = tuple(self.num.coefficient((i,)) for i in range(e + 1))
+        den = tuple(self.den.coefficient((i,)) for i in range(e + 1))
+        return form_shape(num, den), num, den
 
-        var is the parameter's name; the forms are built in it on the first call.
-        """
-        if self._forms is None:
-            e = max(self.num.degree_in(var), self.den.degree_in(var), 0)
-            num = tuple(self.num.coefficient((i,)) for i in range(e + 1))
-            den = tuple(self.den.coefficient((i,)) for i in range(e + 1))
-            object.__setattr__(self, "_forms", (form_shape(num, den), num, den))
+    def eval_at_param(self, p: ProjPointQ) -> ProjPointQ | None:
+        """Homogeneous evaluation at a parameter point of P^1; None if (0, 0)."""
         shape, num, den = self._forms
         n_val, d_val = FORM_KERNELS[shape](num, den, p.a, p.b)
         if n_val == 0 and d_val == 0:
@@ -460,8 +456,8 @@ class AvgReport:
     population: tuple[int, ...]
     excluded: tuple[int, ...]
     totals: tuple[int, ...]
-    averages: tuple[float, ...]
-    truncated_fractions: tuple[float, ...]
+    averages: tuple[float | None, ...]
+    truncated_fractions: tuple[float | None, ...]
 
 
 def _orbit_count_for_param(task, s: SIntSpec, policy: OrbitPolicy):
@@ -489,7 +485,6 @@ def avg_experiment(map_or_family: RationalMapQ | FamilySpec, beta: BasepointSpec
     constant = isinstance(map_or_family, RationalMapQ)
     if constant and second_iterate_is_polynomial(map_or_family):
         raise ValueError("constant-family averages need a map whose second iterate is not a polynomial")
-    var = "t" if constant else map_or_family.param_names[0]
     if not constant and map_or_family.arity != 1:
         raise ValueError("avg_experiment sweeps one-parameter families; use three_param_avg for arity 3")
 
@@ -504,7 +499,7 @@ def avg_experiment(map_or_family: RationalMapQ | FamilySpec, beta: BasepointSpec
             if m is None:
                 excluded_h.append(h)
                 continue
-        base = beta.eval_at_param(p, var)
+        base = beta.eval_at_param(p)
         if base is None:
             excluded_h.append(h)
             continue
@@ -515,9 +510,8 @@ def avg_experiment(map_or_family: RationalMapQ | FamilySpec, beta: BasepointSpec
 
     population, totals, truncated = tally_by_height(bs, results, (operator.add, operator.add))
     excluded = tally_by_height(bs, [(h,) for h in excluded_h], ())[0]
-    averages = tuple(t / n for t, n in zip(totals, population))
-    truncated_fractions = tuple(t / n for t, n in zip(truncated, population))
-    return AvgReport(bs, population, excluded, totals, averages, truncated_fractions)
+    return AvgReport(bs, population, excluded, totals,
+                     *by_population(population, totals, truncated))
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +534,8 @@ class ThreeParamReport:
     b_values: tuple[int, ...]
     population: tuple[int, ...]
     totals: tuple[int, ...]
-    averages: tuple[float, ...]
-    truncated_fractions: tuple[float, ...]
+    averages: tuple[float | None, ...]
+    truncated_fractions: tuple[float | None, ...]
     cells: tuple[dict[str, CellTally], ...]
 
     @property
@@ -624,6 +618,7 @@ def three_param_avg(n1: int, n2: int, n3: int, b_values: Sequence[int],
     results = map_chunks(worker, triples, workers)
 
     population, totals, truncated = tally_by_height(bs, results, (operator.add, operator.add))
+    averages, truncated_fractions = by_population(population, totals, truncated)
     cells = [{} for _ in bs]
     for name in ("open", "t_zero", "s_zero", "r_zero"):
         in_cell = ((h, count, count) for h, count, _, cell in results if cell == name)
@@ -634,8 +629,8 @@ def three_param_avg(n1: int, n2: int, n3: int, b_values: Sequence[int],
         b_values=bs,
         population=population,
         totals=totals,
-        averages=tuple(t / n for t, n in zip(totals, population)),
-        truncated_fractions=tuple(t / n for t, n in zip(truncated, population)),
+        averages=averages,
+        truncated_fractions=truncated_fractions,
         cells=tuple(cells),
     )
 

@@ -7,17 +7,19 @@ so every height in this module is an integer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateFamilyError, SizeBudgetExceededError
-from .points import check_b_values, is_prime, tally_by_height
-from .polynomials import FORM_KERNELS, form_compose, form_mul, form_shape, resultant_from_coeffs
+from .points import (OrbitRecord, Truncation, by_population, check_b_values, is_prime,
+                     tally_by_height, walk_orbit)
+from .polynomials import FORM_KERNELS, form_compose, form_mul, form_shape
 from .reports import CheckResult, VerificationReport
 
 MAX_PRIME = 97
@@ -382,42 +384,11 @@ class FFMap:
     num_forms: tuple[FFPoly, ...]
     den_forms: tuple[FFPoly, ...]
     res: FFPoly
-    _shape: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
-    @property
+    @functools.cached_property
     def shape(self) -> tuple[int, ...]:
-        """polynomials.form_shape of the pair, computed on first use."""
-        if self._shape is None:
-            object.__setattr__(self, "_shape", form_shape(self.num_forms, self.den_forms))
-        return self._shape
-
-
-def make_ff_map(num_coeffs: Sequence[FFRat], den_coeffs: Sequence[FFRat]) -> FFMap:
-    """Clear coefficient denominators, reduce pair content, and validate the resultant."""
-    if len(num_coeffs) != len(den_coeffs):
-        raise ValueError("coefficient sequences must have equal length")
-    d = len(num_coeffs) - 1
-    if d < 1:
-        raise ValueError("map degree must be >= 1")
-    p = num_coeffs[0].p
-    common = FFPoly.const(p, 1)
-    for c in list(num_coeffs) + list(den_coeffs):
-        g = common.gcd(c.den)
-        common = common * c.den.exact_div(g)
-    nf = [c.num * common.exact_div(c.den) for c in num_coeffs]
-    df = [c.num * common.exact_div(c.den) for c in den_coeffs]
-    content = FFPoly(p, ())
-    for c in nf + df:
-        content = content.gcd(c)
-    if content.is_zero():
-        raise ValueError("zero map")
-    if not content.is_constant():
-        nf = [c.exact_div(content) for c in nf]
-        df = [c.exact_div(content) for c in df]
-    res = resultant_from_coeffs(nf, df, d)
-    if res.is_zero():
-        raise DegenerateFamilyError("the defining forms share a root over F_p(t)-bar (Res = 0)")
-    return FFMap(p, d, tuple(nf), tuple(df), res)
+        """polynomials.form_shape of the pair."""
+        return form_shape(self.num_forms, self.den_forms)
 
 
 def evaluate_ff(m: FFMap, point: FFPointK) -> FFPointK:
@@ -536,17 +507,21 @@ def _xp_gcd(a: list[FFRat], b: list[FFRat]) -> list[FFRat]:
 
 
 def ff_family_map(d: int, f: FFRat) -> FFMap:
-    """Just the family map, without the check bundle (sweeps call this)."""
+    """Just the family map, without the check bundle (sweeps call this).
+
+    With f = u/v (reduced, v monic) the cleared forms are F = (u+v) X^d and
+    G = v X^(d-1) Y + u Y^d, of unit content as gcd(u, v) = 1, and
+    Res(F, G) = ((u+v) u)^d: F is (u+v) times the d-fold root [0 : 1], where G is u.
+    """
     if d < 2:
         raise ValueError("family degree must be >= 2")
     p = f.p
-    one = FFRat.constant(p, 1)
-    zero = FFRat.constant(p, 0)
-    if (f + one).is_zero() or f.is_zero():
+    u, v = f.num, f.den
+    w = u + v
+    if w.is_zero() or u.is_zero():
         raise DegenerateFamilyError("f in {0, -1} degenerates the family (Res = 0)")
-    num = [zero] * d + [f + one]
-    den = [f] + [zero] * (d - 2) + [one, zero]
-    return make_ff_map(num, den)
+    zero = FFPoly(p, ())
+    return FFMap(p, d, (zero,) * d + (w,), (u,) + (zero,) * (d - 2) + (v, zero), (w * u) ** d)
 
 
 def ff_family(d: int, f: FFRat) -> tuple[FFMap, FFFamilyChecks]:
@@ -632,20 +607,12 @@ DEFAULT_FF_HEIGHT_BUDGET = 512  # heights here are degrees; ~5 doubling steps fr
 FF_ENUMERATION_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class FFOrbitRecord:
-    points: tuple[FFPointK, ...]
-    integral_indices: tuple[int, ...]
-    cycle_entry: tuple[int, int] | None
-    completed: bool
-
-
 def ff_scan_orbit(m: FFMap, b: FFPointK, s: Sequence[FFPoly],
                   n_cap: int = DEFAULT_FF_N_CAP,
-                  height_budget: int = DEFAULT_FF_HEIGHT_BUDGET) -> FFOrbitRecord:
-    """Iterate until a cycle closes, n_cap is reached, or a degree passes height_budget.
+                  height_budget: int = DEFAULT_FF_HEIGHT_BUDGET) -> OrbitRecord:
+    """points.walk_orbit of b under m, cut where a degree passes height_budget.
 
-    Before evaluating a point P the scan applies the certified lower bound
+    Before evaluating a point P the walk applies the certified lower bound
     h(phi(P)) >= d*h(P) - C with C = (2d-1)*D, where D is the largest
     coefficient degree of F and G. Proof: A*F + B*G = Res*X^(2d-1) and
     A'*F + B'*G = Res*Y^(2d-1) with cofactors of degree d-1 whose
@@ -653,32 +620,19 @@ def ff_scan_orbit(m: FFMap, b: FFPointK, s: Sequence[FFPoly],
     most C. At coprime (z0, z1) of height h one right-hand side has degree
     deg Res + (2d-1)*h, so max(deg F(z), deg G(z)) >= d*h + deg Res - C.
     The gcd that evaluate_ff divides out divides Res, so h(phi(P)) >= d*h - C.
-    The cut leaves the record as evaluating would: see the comment below.
+
+    Every stored point but b has height <= height_budget. So a next point
+    certified above cut = max(height_budget, h(b)), that is d*h(P) - C > cut
+    or h(P) > (cut + C) // d, is not yet stored and is over the budget:
+    evaluating it would only end the walk with the same record. A point
+    evaluated is kept only if its height is within height_budget.
     """
     d = m.degree
     c = (2 * d - 1) * max(poly.degree() for poly in m.num_forms + m.den_forms)
-    # Every stored point but b has height <= height_budget. So a next point
-    # certified above max(height_budget, h(b)) is not in `seen` and is over
-    # the budget: the loop would evaluate it only to break, with this record.
     cut = max(height_budget, ff_height(b))
-    points = [b]
-    seen = {b: 0}
-    cycle_entry = None
-    completed = False
-    while len(points) <= n_cap:
-        if d * ff_height(points[-1]) - c > cut:
-            break
-        nxt = evaluate_ff(m, points[-1])
-        if nxt in seen:
-            cycle_entry = (seen[nxt], len(points) - seen[nxt])
-            completed = True
-            break
-        if ff_height(nxt) > height_budget:
-            break
-        seen[nxt] = len(points)
-        points.append(nxt)
-    integral = tuple(i for i, pt in enumerate(points) if ff_is_s_integral(pt, s))
-    return FFOrbitRecord(tuple(points), integral, cycle_entry, completed)
+    return walk_orbit(functools.partial(evaluate_ff, m), ff_height, b, n_cap,
+                      (cut + c) // d, height_budget,
+                      lambda pt: ff_is_s_integral(pt, s))
 
 
 def enumerate_ff_elements(p: int, bound: int, include_constants: bool = False) -> list[FFRat]:
@@ -725,8 +679,8 @@ class FFAvgReport:
     b_values: tuple[int, ...]
     population: tuple[int, ...]
     totals: tuple[int, ...]
-    averages: tuple[float, ...]
-    truncated_fractions: tuple[float, ...]
+    averages: tuple[float | None, ...]
+    truncated_fractions: tuple[float | None, ...]
 
 
 def ff_orbit_avg(p: int, d: int, beta_coeffs: Sequence[int], s: Sequence[FFPoly],
@@ -758,15 +712,10 @@ def ff_orbit_avg(p: int, d: int, beta_coeffs: Sequence[int], s: Sequence[FFPoly]
         m = ff_family_map(d, f)
         rec = ff_scan_orbit(m, ff_point_from_rat(beta_kernel(beta, f, 1)), s,
                             n_cap=n_cap, height_budget=height_budget)
-        rows.append((f.height(), len(rec.integral_indices), not rec.completed))
+        rows.append((f.height(), len(rec.integral_indices),
+                     rec.truncation is not Truncation.COMPLETED))
     population, totals, truncated = tally_by_height(bs, rows, (operator.add, operator.add))
-    return FFAvgReport(
-        b_values=bs,
-        population=population,
-        totals=totals,
-        averages=tuple(t / n for t, n in zip(totals, population)),
-        truncated_fractions=tuple(t / n for t, n in zip(truncated, population)),
-    )
+    return FFAvgReport(bs, population, totals, *by_population(population, totals, truncated))
 
 
 def ff_family_verification(seed: int = 0) -> VerificationReport:

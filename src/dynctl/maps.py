@@ -6,6 +6,7 @@ certificates, polynomial detection, and coefficient height.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -28,18 +29,15 @@ class BinaryForm:
 
     degree: int
     coeffs: tuple[int, ...]
-    _shape: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.coeffs) != self.degree + 1:
             raise ValueError("coefficient count must be degree + 1")
 
-    @property
+    @functools.cached_property
     def shape(self) -> tuple[int, ...]:
-        """polynomials.form_shape of the form, computed on first use."""
-        if self._shape is None:
-            object.__setattr__(self, "_shape", form_shape(self.coeffs))
-        return self._shape
+        """polynomials.form_shape of the form."""
+        return form_shape(self.coeffs)
 
     def __call__(self, a: int, b: int) -> int:
         return FORM_KERNELS[self.shape](self.coeffs, a, b)
@@ -77,8 +75,6 @@ class RationalMapQ:
     numerator: BinaryForm
     denominator: BinaryForm
     _res: int | None = field(default=None, repr=False, compare=False)
-    _cert: "CofactorCertificate | None" = field(default=None, repr=False, compare=False)
-    _shape: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def degree(self) -> int:
@@ -91,20 +87,15 @@ class RationalMapQ:
             object.__setattr__(self, "_res", r)
         return self._res
 
-    @property
+    @functools.cached_property
     def certificate(self) -> "CofactorCertificate":
-        """The verified cofactor certificate, solved by cofactors() on first use."""
-        if self._cert is None:
-            object.__setattr__(self, "_cert", cofactors(self))
-        return self._cert
+        """The verified cofactor certificate, solved by cofactors()."""
+        return cofactors(self)
 
-    @property
+    @functools.cached_property
     def shape(self) -> tuple[int, ...]:
-        """polynomials.form_shape of (F, G), computed on first use."""
-        if self._shape is None:
-            object.__setattr__(self, "_shape",
-                               form_shape(self.numerator.coeffs, self.denominator.coeffs))
-        return self._shape
+        """polynomials.form_shape of (F, G)."""
+        return form_shape(self.numerator.coeffs, self.denominator.coeffs)
 
 
 def _canonical_pair(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:

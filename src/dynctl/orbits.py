@@ -2,33 +2,20 @@
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import operator
 from dataclasses import dataclass
 
 from .canonical import _require_degree_two, is_preperiodic
-from .errors import SizeBudgetExceededError
 from .maps import RationalMapQ, evaluate, is_polynomial, map_height, second_iterate_is_polynomial
 from .parallel import map_chunks
-from .points import (ProjPointQ, SIntSpec, check_b_values, enumerate_points, is_s_integral,
-                     strip_s_part, tally_by_height)
-
-
-class Truncation(enum.Enum):
-    COMPLETED = "completed"
-    HEIGHT_BUDGET = "height_budget"
-    ITERATION_CAP = "iteration_cap"
+from .points import (OrbitRecord, ProjPointQ, SIntSpec, Truncation, check_b_values,
+                     enumerate_points, is_s_integral, strip_s_part, tally_by_height, walk_orbit)
 
 
 DEFAULT_N_CAP = 16
 DEFAULT_HEIGHT_BUDGET_BITS = 10**6
-# scan_orbit refuses an iteration cap above this before iterating: only the
-# cap bounds a degree-1 orbit, whose heights grow too slowly to meet the
-# height budget. The largest README, acceptance, golden, test and bench cap,
-# 50, has 2000x headroom.
-N_CAP_LIMIT = 10**5
 
 
 @dataclass(frozen=True)
@@ -39,56 +26,26 @@ class OrbitPolicy:
     height_budget_bits: int = DEFAULT_HEIGHT_BUDGET_BITS
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
-    """The computed prefix of an orbit: points[n] = phi^n(b) over the distinct prefix.
-
-    When cycle_entry = (index, period) is present the orbit is fully known and
-    the stored distinct points carry the whole infinite orbit's integral count.
-    """
-
-    points: tuple[ProjPointQ, ...]
-    integral_indices: tuple[int, ...]
-    cycle_entry: tuple[int, int] | None
-    truncation: Truncation
+def _bits(p: ProjPointQ) -> int:
+    return max(abs(p.a), abs(p.b)).bit_length()
 
 
 def scan_orbit(m: RationalMapQ, b: ProjPointQ, s: SIntSpec,
                n_cap: int = DEFAULT_N_CAP,
                height_budget_bits: int = DEFAULT_HEIGHT_BUDGET_BITS) -> OrbitRecord:
-    """Iterate until a cycle closes, n_cap is reached, or coordinates outgrow the budget.
+    """points.walk_orbit of b under m, cut before a point whose coordinates outgrow the budget.
 
-    The budget cut fires before computing a point whose size bound
-    (d * bits + coefficient slack) already exceeds the budget, so the scan
-    never pays for a point it would discard. Truncation is data, not an
-    error; counts on truncated records are lower bounds. A cap above
-    N_CAP_LIMIT is refused before the first evaluation.
+    The walk stops before evaluating a point P of bits(P) bits when
+    d * bits(P) + slack > budget, slack = bits(H(phi)) + bits(d+1) + 1, so
+    the scan never pays for a point it would discard. The post check never
+    fires: |F(a, b)|, |G(a, b)| <= (d+1) H(phi) max(|a|, |b|)^d, so each
+    coordinate of the image has at most d * bits(P) + slack - 1 bits.
     """
-    if n_cap > N_CAP_LIMIT:
-        raise SizeBudgetExceededError(
-            f"an iteration cap of {n_cap} keeps up to {n_cap + 1} orbit points, "
-            f"over the limit of {N_CAP_LIMIT + 1}"
-        )
     d = m.degree
     slack = map_height(m).bit_length() + (d + 1).bit_length() + 1
-    points = [b]
-    seen = {b: 0}
-    truncation = Truncation.ITERATION_CAP
-    cycle_entry = None
-    while len(points) <= n_cap:
-        cur = points[-1]
-        if d * max(abs(cur.a), abs(cur.b)).bit_length() + slack > height_budget_bits:
-            truncation = Truncation.HEIGHT_BUDGET
-            break
-        nxt = evaluate(m, cur)
-        if nxt in seen:
-            cycle_entry = (seen[nxt], len(points) - seen[nxt])
-            truncation = Truncation.COMPLETED
-            break
-        seen[nxt] = len(points)
-        points.append(nxt)
-    integral = tuple(i for i, p in enumerate(points) if is_s_integral(p, s))
-    return OrbitRecord(tuple(points), integral, cycle_entry, truncation)
+    return walk_orbit(functools.partial(evaluate, m), _bits, b, n_cap,
+                      (height_budget_bits - slack) // d, height_budget_bits,
+                      lambda p: is_s_integral(p, s))
 
 
 def count_s_integral(record: OrbitRecord) -> tuple[int, bool]:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import enum
 import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import BothZeroError, ParseError, SizeBudgetExceededError
 
@@ -16,6 +17,11 @@ LN2 = math.log(2)
 # this many (B > 4471). The largest bound of any README, acceptance or bench
 # input, B = 400, visits 320401: 124x headroom.
 ENUMERATION_LIMIT = 4 * 10**7
+# walk_orbit refuses an iteration cap above this before the first step: only
+# the cap bounds a degree-1 orbit, whose heights grow too slowly to meet the
+# height budget. The largest README, acceptance, golden, test and bench cap,
+# 50, has 2000x headroom.
+N_CAP_LIMIT = 10**5
 
 
 def log_of_int(n: int) -> float:
@@ -212,6 +218,79 @@ def tally_by_height(b_values: tuple[int, ...], rows: Iterable[Sequence],
     for i in range(1, last):
         buckets[i] = [fold(x, y) for fold, x, y in zip(columns, buckets[i - 1], buckets[i])]
     return [tuple(column) for column in zip(*buckets)]
+
+
+def by_population(population: Sequence[int], *columns: Sequence[int]) -> tuple[tuple, ...]:
+    """Each column divided by the population, bound by bound: the averages and
+    truncated fractions of avg, avg3 and ffavg. None (null in JSON, an empty
+    CSV cell) where the population is 0."""
+    return tuple(tuple(x / n if n else None for x, n in zip(column, population))
+                 for column in columns)
+
+
+class Truncation(enum.Enum):
+    COMPLETED = "completed"
+    HEIGHT_BUDGET = "height_budget"
+    ITERATION_CAP = "iteration_cap"
+
+
+@dataclass(frozen=True)
+class OrbitRecord:
+    """The computed prefix of an orbit: points[n] = phi^n(b) over the distinct prefix.
+
+    When cycle_entry = (index, period) is present the orbit is fully known and
+    the stored distinct points carry the whole infinite orbit's integral count.
+    """
+
+    points: tuple[Any, ...]
+    integral_indices: tuple[int, ...]
+    cycle_entry: tuple[int, int] | None
+    truncation: Truncation
+
+
+def check_n_cap(n_cap: int) -> None:
+    """Refuse an iteration cap above N_CAP_LIMIT."""
+    if n_cap > N_CAP_LIMIT:
+        raise SizeBudgetExceededError(
+            f"an iteration cap of {n_cap} keeps up to {n_cap + 1} orbit points, "
+            f"over the limit of {N_CAP_LIMIT + 1}"
+        )
+
+
+def walk_orbit(step: Callable[[Any], Any], size: Callable[[Any], int], b: Any, n_cap: int,
+               pre_limit: int, post_limit: int, integral: Callable[[Any], bool]) -> OrbitRecord:
+    """The orbit of b under step, over Q or F_p(t): the one orbit loop of dynctl.
+
+    The walk ends when a cycle closes (COMPLETED), when n_cap steps are kept
+    (ITERATION_CAP), or at the height budget (HEIGHT_BUDGET): before stepping
+    from a point whose size is over pre_limit, or, after a step that closes
+    no cycle, before keeping a point whose size is over post_limit. size runs
+    once per point. Truncation is data, not an error; counts on truncated
+    records are lower bounds. A cap above N_CAP_LIMIT is refused first.
+    """
+    check_n_cap(n_cap)
+    points = [b]
+    seen = {b: 0}
+    truncation = Truncation.ITERATION_CAP
+    cycle_entry = None
+    h = size(b)
+    while len(points) <= n_cap:
+        if h > pre_limit:
+            truncation = Truncation.HEIGHT_BUDGET
+            break
+        nxt = step(points[-1])
+        if nxt in seen:
+            cycle_entry = (seen[nxt], len(points) - seen[nxt])
+            truncation = Truncation.COMPLETED
+            break
+        h = size(nxt)
+        if h > post_limit:
+            truncation = Truncation.HEIGHT_BUDGET
+            break
+        seen[nxt] = len(points)
+        points.append(nxt)
+    indices = tuple(i for i, p in enumerate(points) if integral(p))
+    return OrbitRecord(tuple(points), indices, cycle_entry, truncation)
 
 
 def format_point(p: ProjPointQ) -> str:

@@ -193,6 +193,31 @@ def test_numeric_flag_below_minimum_rejected(flag, value, capsys):
     assert flag in payload["message"]
 
 
+@pytest.mark.parametrize("args", [
+    ["nmax", "--map", "pell(2)", "--s", "", "--b", "3", "--ncap", "100001"],
+    ["ffavg", "--p", "2", "--d", "2", "--beta-coeffs", "0,0,0,0,1", "--s", "", "--b", "1",
+     "--ncap", "100001"],
+    ["nmax", "--config", "ncap.cfg", "--map", "pell(2)", "--s", "", "--b", "3"],
+], ids=["nmax", "ffavg", "nmax-config"])
+def test_ncap_over_its_limit_is_refused_before_any_work(args, tmp_path, monkeypatch, capsys):
+    import dynctl.funcfield as funcfield_mod
+    import dynctl.orbits as orbits_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the cap was checked")
+
+    monkeypatch.setattr(orbits_mod, "enumerate_points", no_work)
+    monkeypatch.setattr(funcfield_mod, "enumerate_ff_elements", no_work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ncap.cfg").write_text("ncap=100001\n")
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "SizeBudgetExceededError"
+    assert " 100002 " in payload["message"]
+
+
 def test_numeric_flag_from_config_rejected(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("ncap=-1\n")
@@ -354,6 +379,33 @@ def test_avg_family_case(capsys):
     payload = json.loads(out)
     assert payload["excluded"] == [2, 2]  # t = -1 and t = infinity
     assert payload["averages"][1] <= payload["averages"][0] + 1e-12
+
+
+@pytest.mark.parametrize("param", ["t", "f"])
+def test_avg_over_an_empty_population_reports_null(param, capsys):
+    # x^2 + c has a polynomial second iterate at every c, so every parameter
+    # is excluded; the averages of an empty population are null, not an error.
+    args = ["avg", "--map", f"x^2+{param}", "--beta", "t", "--s", "", "--b", "1,2"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["population"] == [0, 0] and payload["excluded"] == [4, 8]
+    assert payload["averages"] == [None, None]
+    assert payload["truncated_fractions"] == [None, None]
+    code, out, err = run_cli(args + ["--format", "csv"], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines()[2:] == ["1,0,0,,", "2,0,0,,"]
+
+
+def test_avg_over_a_family_in_f_matches_the_family_in_t(capsys):
+    args = ["--beta", "t", "--s", "", "--b", "2,3", "--height-budget-bits", "10000"]
+    code_f, out_f, err_f = run_cli(["avg", "--map", "(x-f)/(x^3+1)", *args], capsys)
+    code_t, out_t, _ = run_cli(["avg", "--map", "(x-t)/(x^3+1)", *args], capsys)
+    assert code_f == code_t == 0 and err_f == ""
+    payload_f, payload_t = json.loads(out_f), json.loads(out_t)
+    assert payload_f.pop("map") == "(x-f)/(x^3+1)"
+    assert payload_t.pop("map") == "(x-t)/(x^3+1)"
+    assert payload_f == payload_t
 
 
 def test_canheight_rejects_family_expression(capsys):

@@ -18,9 +18,10 @@ from dynctl.families import (SYMBOLIC_RESULTANT_BUDGET, AvgReport, BasepointSpec
 from dynctl import families as families_mod
 from dynctl import maps as maps_mod
 from dynctl.maps import evaluate, make_map
-from dynctl.orbits import OrbitPolicy, Truncation, scan_orbit
+from dynctl.orbits import OrbitPolicy, scan_orbit
 from dynctl.parsing import parse_map
-from dynctl.points import EMPTY_S, ProjPointQ, enumerate_points, is_s_integral, normalize
+from dynctl.points import (EMPTY_S, ProjPointQ, Truncation, enumerate_points, is_s_integral,
+                           normalize)
 from dynctl.polynomials import IntPoly, resultant_from_coeffs
 
 SWEEP_POLICY = OrbitPolicy(n_cap=16, height_budget_bits=10**4)

@@ -4,13 +4,43 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynctl.errors import DegenerateFamilyError, SizeBudgetExceededError
-from dynctl.funcfield import (DEFAULT_FF_N_CAP, FFPoly, FFRat, enumerate_ff_elements, evaluate_ff,
-                              ff_family, ff_family_map, ff_family_verification, ff_height,
-                              ff_infinity, ff_is_s_integral, ff_orbit_avg, ff_point_from_rat,
-                              ff_scan_orbit, format_ffpoly, is_irreducible, make_ff_map,
+from dynctl.funcfield import (DEFAULT_FF_N_CAP, FFMap, FFPoly, FFRat, enumerate_ff_elements,
+                              evaluate_ff, ff_family, ff_family_map, ff_family_verification,
+                              ff_height, ff_infinity, ff_is_s_integral, ff_orbit_avg,
+                              ff_point_from_rat, ff_scan_orbit, format_ffpoly, is_irreducible,
                               normalize_ff_point, parse_ffpoly, validate_s_set)
-from dynctl.polynomials import FORM_KERNELS, form_shape
+from dynctl.points import Truncation
+from dynctl.polynomials import FORM_KERNELS, form_shape, resultant_from_coeffs
 from test_polynomials import horner
+
+
+def make_ff_map(num_coeffs, den_coeffs):
+    """Reference map builder: clear coefficient denominators, reduce pair content,
+    and take the resultant as a Bareiss determinant."""
+    if len(num_coeffs) != len(den_coeffs):
+        raise ValueError("coefficient sequences must have equal length")
+    d = len(num_coeffs) - 1
+    if d < 1:
+        raise ValueError("map degree must be >= 1")
+    p = num_coeffs[0].p
+    common = FFPoly.const(p, 1)
+    for c in list(num_coeffs) + list(den_coeffs):
+        g = common.gcd(c.den)
+        common = common * c.den.exact_div(g)
+    nf = [c.num * common.exact_div(c.den) for c in num_coeffs]
+    df = [c.num * common.exact_div(c.den) for c in den_coeffs]
+    content = FFPoly(p, ())
+    for c in nf + df:
+        content = content.gcd(c)
+    if content.is_zero():
+        raise ValueError("zero map")
+    if not content.is_constant():
+        nf = [c.exact_div(content) for c in nf]
+        df = [c.exact_div(content) for c in df]
+    res = resultant_from_coeffs(nf, df, d)
+    if res.is_zero():
+        raise DegenerateFamilyError("the defining forms share a root over F_p(t)-bar (Res = 0)")
+    return FFMap(p, d, tuple(nf), tuple(df), res)
 
 
 def _naive_mul(p, a, b):
@@ -305,13 +335,34 @@ def test_ff_fixed_points_random_f():
     assert ff_family_verification(seed=1).ok
 
 
+# (p, largest height of f, family degrees) for the closed-form family map test.
+FAMILY_MAP_CASES = ((2, 2, (2, 3, 4)), (3, 2, (2, 3, 4)), (3, 1, (5, 6, 7)),
+                    (5, 1, (2, 3, 4, 5, 6)), (7, 1, (2, 3, 5)))
+
+
+@pytest.mark.parametrize("p, height, degrees", FAMILY_MAP_CASES,
+                         ids=[f"p{p}-h{h}" for p, h, _ in FAMILY_MAP_CASES])
+def test_ff_family_map_matches_the_generic_construction(p, height, degrees):
+    # Every f up to the height, constants included: forms and resultant equal
+    # make_ff_map's on (f+1) x^d / (x^(d-1) + f), and f in {0, -1} is refused.
+    one, zero = FFRat.constant(p, 1), FFRat.constant(p, 0)
+    for f in enumerate_ff_elements(p, height, include_constants=True):
+        for d in degrees:
+            if f.is_zero() or (f + one).is_zero():
+                with pytest.raises(DegenerateFamilyError):
+                    ff_family_map(d, f)
+                continue
+            want = make_ff_map([zero] * d + [f + one], [f] + [zero] * (d - 2) + [one, zero])
+            assert ff_family_map(d, f) == want, (f, d)
+
+
 def test_ff_scan_orbit_fixed_point():
     p = 2
     f = FFRat.from_poly(FFPoly.t_var(p))
     m = ff_family_map(2, f)
     one_pt = normalize_ff_point(FFPoly.const(p, 1), FFPoly.const(p, 1))
     rec = ff_scan_orbit(m, one_pt, [])
-    assert rec.completed
+    assert rec.truncation is Truncation.COMPLETED
     assert rec.points == (one_pt,)
     assert rec.integral_indices == (0,)
 
@@ -321,18 +372,19 @@ def _reference_scan(m, b, s, n_cap, height_budget):
     points = [b]
     seen = {b: 0}
     cycle_entry = None
-    completed = False
+    truncation = Truncation.ITERATION_CAP
     while len(points) <= n_cap:
         nxt = evaluate_ff(m, points[-1])
         if nxt in seen:
             cycle_entry = (seen[nxt], len(points) - seen[nxt])
-            completed = True
+            truncation = Truncation.COMPLETED
             break
         if ff_height(nxt) > height_budget:
+            truncation = Truncation.HEIGHT_BUDGET
             break
         seen[nxt] = len(points)
         points.append(nxt)
-    return tuple(points), cycle_entry, completed
+    return tuple(points), cycle_entry, truncation
 
 
 def _random_ffpoly(rng, p, max_degree):
@@ -381,7 +433,7 @@ def test_ff_scan_orbit_matches_evaluate_then_discard():
         above += ff_height(b) > budget
         rec = ff_scan_orbit(m, b, [], height_budget=budget)
         want = _reference_scan(m, b, [], DEFAULT_FF_N_CAP, budget)
-        assert (rec.points, rec.cycle_entry, rec.completed) == want, (m, b, budget)
+        assert (rec.points, rec.cycle_entry, rec.truncation) == want, (m, b, budget)
     assert above > 100
 
 
@@ -404,7 +456,8 @@ def test_ff_scan_orbit_fixed_basepoint_above_budget():
     b = normalize_ff_point(u, v)
     assert evaluate_ff(m, b) == b and ff_height(b) == 3
     rec = ff_scan_orbit(m, b, [], height_budget=1)
-    assert rec.completed and rec.cycle_entry == (0, 1) and rec.points == (b,)
+    assert rec.truncation is Truncation.COMPLETED
+    assert rec.cycle_entry == (0, 1) and rec.points == (b,)
 
 
 def test_ff_scan_orbit_identity_keeps_a_basepoint_above_budget():
@@ -416,7 +469,8 @@ def test_ff_scan_orbit_identity_keeps_a_basepoint_above_budget():
     identity = make_ff_map([zero, one], [one, zero])
     b = normalize_ff_point(t**5 + t, FFPoly.const(p, 1))
     rec = ff_scan_orbit(identity, b, [], height_budget=2)
-    assert rec.completed and rec.cycle_entry == (0, 1) and rec.points == (b,)
+    assert rec.truncation is Truncation.COMPLETED
+    assert rec.cycle_entry == (0, 1) and rec.points == (b,)
 
 
 def test_enumerate_ff_elements_b1():

@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
 from dynctl.errors import SizeBudgetExceededError
 from dynctl.families import pell_map, specialize, three_param_family
-from dynctl.maps import make_map
-from dynctl.orbits import (Truncation, count_s_integral, density_of_integral_preimages,
+from dynctl.maps import evaluate, make_map, map_height, random_coprime_pair, random_map
+from dynctl.orbits import (DEFAULT_N_CAP, count_s_integral, density_of_integral_preimages,
                            empirical_max_iterate, scan_orbit)
-from dynctl.points import EMPTY_S, ProjPointQ, SIntSpec, normalize
+from dynctl.points import (EMPTY_S, N_CAP_LIMIT, ProjPointQ, SIntSpec, Truncation, is_s_integral,
+                           normalize)
 
 X_SQUARED = make_map([0, 0, 1], [1, 0, 0])
 PELL_2 = pell_map(2)
@@ -146,10 +149,57 @@ def test_nmax_deterministic_across_workers():
 
 
 def test_scan_orbit_cap_limit_is_inclusive():
-    from dynctl import orbits
-
     m = make_map([0, 1], [1, 1])  # x/(x+1): 1/n -> 1/(n+1), a degree-1 wandering orbit
-    rec = scan_orbit(m, ProjPointQ(1, 1), EMPTY_S, n_cap=orbits.N_CAP_LIMIT)
-    assert len(rec.points) == orbits.N_CAP_LIMIT + 1
+    rec = scan_orbit(m, ProjPointQ(1, 1), EMPTY_S, n_cap=N_CAP_LIMIT)
+    assert len(rec.points) == N_CAP_LIMIT + 1
     with pytest.raises(SizeBudgetExceededError):
-        scan_orbit(m, ProjPointQ(1, 1), EMPTY_S, n_cap=orbits.N_CAP_LIMIT + 1)
+        scan_orbit(m, ProjPointQ(1, 1), EMPTY_S, n_cap=N_CAP_LIMIT + 1)
+
+
+def _bits(p):
+    return max(abs(p.a), abs(p.b)).bit_length()
+
+
+def _reference_scan(m, b, s, n_cap, height_budget_bits):
+    """The Q scan as one plain loop: cut before a point P with
+    d*bits(P) + slack > budget, else evaluate and keep the image, whose
+    coordinates must have at most d*bits(P) + slack - 1 bits."""
+    d = m.degree
+    slack = map_height(m).bit_length() + (d + 1).bit_length() + 1
+    points = [b]
+    seen = {b: 0}
+    cycle_entry = None
+    truncation = Truncation.ITERATION_CAP
+    while len(points) <= n_cap:
+        bound = d * _bits(points[-1]) + slack
+        if bound > height_budget_bits:
+            truncation = Truncation.HEIGHT_BUDGET
+            break
+        nxt = evaluate(m, points[-1])
+        if nxt in seen:
+            cycle_entry = (seen[nxt], len(points) - seen[nxt])
+            truncation = Truncation.COMPLETED
+            break
+        assert _bits(nxt) <= bound - 1
+        seen[nxt] = len(points)
+        points.append(nxt)
+    integral = tuple(i for i, p in enumerate(points) if is_s_integral(p, s))
+    return tuple(points), integral, cycle_entry, truncation
+
+
+def test_scan_orbit_matches_evaluate_then_keep():
+    # 2400 fixed-seed cases over maps of degree 1-4; over Q the walk's post
+    # check never fires, so every evaluated point that closes no cycle is kept.
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(300):
+        m = random_map(rng, rng.randint(1, 4))
+        for _ in range(8):
+            b = normalize(*random_coprime_pair(rng))
+            s = SIntSpec(rng.choice(((), (2,), (2, 3))))
+            budget, n_cap = rng.randint(1, 200), rng.randint(0, DEFAULT_N_CAP)
+            rec = scan_orbit(m, b, s, n_cap=n_cap, height_budget_bits=budget)
+            want = _reference_scan(m, b, s, n_cap, budget)
+            assert (rec.points, rec.integral_indices, rec.cycle_entry, rec.truncation) == want
+            seen.add(rec.truncation)
+    assert seen == set(Truncation)
