@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SizeBudgetExceededError
-from .maps import RationalMapQ, evaluate, map_height
+from .maps import RationalMapQ, evaluate
 from .points import ProjPointQ, enumerate_points, log_of_int
 
 # Reaching radius <= tol costs d^n ~ c/tol iterations, whose coordinates hold
@@ -32,11 +32,11 @@ def transition_constants(m: RationalMapQ) -> tuple[int, int]:
     coefficient, |R| * H(P)^D <= 2d * M * H(P)^(D-d) * max(|F|,|G|)(a,b),
     and the gcd divided out in evaluation divides R, so L = 2d * M.
 
-    The certificate is the one cached on the map, so sweeps over basepoints
-    solve it once per map.
+    H(phi), the certificate and M are cached on the map, so sweeps over
+    basepoints compute them once per map.
     """
     d = m.degree
-    return (d + 1) * map_height(m), 2 * d * m.certificate.max_coefficient()
+    return (d + 1) * m.height, 2 * d * m.certificate.max_coefficient
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,8 @@ def canonical_height(m: RationalMapQ, p: ProjPointQ, tol: float) -> CanonicalHei
     if not tol > 0:  # also rejects NaN
         raise ValueError("tol must be positive")
     d = m.degree
-    c = max(log_of_int(map_height(m)) + math.log(d + 1),
-            math.log(2 * d) + log_of_int(m.certificate.max_coefficient()))
+    c = max(log_of_int(m.height) + math.log(d + 1),
+            math.log(2 * d) + log_of_int(m.certificate.max_coefficient))
     n = 0
     scale = d - 1
     while c / (d**n * scale) > tol:

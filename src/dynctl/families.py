@@ -463,7 +463,8 @@ class AvgReport:
 def _orbit_count_for_param(task, s: SIntSpec, policy: OrbitPolicy):
     """(height, map, basepoint) -> (height, count, truncated) for the sweep pool."""
     h, m, b = task
-    rec = scan_orbit(m, b, s, n_cap=policy.n_cap, height_budget_bits=policy.height_budget_bits)
+    rec = scan_orbit(m, b, s, n_cap=policy.n_cap, height_budget_bits=policy.height_budget_bits,
+                     count_only=True)
     count, exact = count_s_integral(rec)
     return h, count, not exact
 
@@ -578,7 +579,7 @@ def _three_param_orbit_count(triple: tuple[int, int, int], exponents: tuple[int,
         n1, n2, n3 = exponents
         base = ProjPointQ(r**n1 * s**n2 * t**n3, 1)
     rec = scan_orbit(m, base, s_spec, n_cap=policy.n_cap,
-                     height_budget_bits=policy.height_budget_bits)
+                     height_budget_bits=policy.height_budget_bits, count_only=True)
     count, exact = count_s_integral(rec)
     return h, count, not exact, cell
 

@@ -609,7 +609,8 @@ FF_ENUMERATION_LIMIT = 10**6
 
 def ff_scan_orbit(m: FFMap, b: FFPointK, s: Sequence[FFPoly],
                   n_cap: int = DEFAULT_FF_N_CAP,
-                  height_budget: int = DEFAULT_FF_HEIGHT_BUDGET) -> OrbitRecord:
+                  height_budget: int = DEFAULT_FF_HEIGHT_BUDGET,
+                  count_only: bool = False) -> OrbitRecord:
     """points.walk_orbit of b under m, cut where a degree passes height_budget.
 
     Before evaluating a point P the walk applies the certified lower bound
@@ -626,13 +627,27 @@ def ff_scan_orbit(m: FFMap, b: FFPointK, s: Sequence[FFPoly],
     or h(P) > (cut + C) // d, is not yet stored and is over the budget:
     evaluating it would only end the walk with the same record. A point
     evaluated is kept only if its height is within height_budget.
+
+    A count_only scan with S = {} of a degree-2 map with G = Y (vX + uY),
+    v != 0 (the ffavg family, f = u/v), also stops, as CERTIFIED_TAIL, before
+    stepping from a point of height over max(deg Res + deg u, C). Where
+    G(z) != 0, h(P) <= deg G(z) + deg u: vz0 and uz1 cancel in degree only
+    when deg z0 = deg z1 + deg u - deg v. An integral phi(P) needs
+    deg G(z) <= deg Res, as G(z) / gcd is a unit and the gcd divides Res; and
+    h(phi(P)) >= 2h - C > h past C, so heights rise strictly and no cycle
+    closes. The record then has the whole orbit's integral points.
     """
     d = m.degree
     c = (2 * d - 1) * max(poly.degree() for poly in m.num_forms + m.den_forms)
-    cut = max(height_budget, ff_height(b))
+    pre_limit = (max(height_budget, ff_height(b)) + c) // d
+    tail_limit = pre_limit
+    if count_only and not s and d == 2:
+        u, v, y2 = m.den_forms
+        if y2.is_zero() and not v.is_zero():
+            tail_limit = max(m.res.degree() + max(u.degree(), 0), c)
     return walk_orbit(functools.partial(evaluate_ff, m), ff_height, b, n_cap,
-                      (cut + c) // d, height_budget,
-                      lambda pt: ff_is_s_integral(pt, s))
+                      pre_limit, height_budget, lambda pt: ff_is_s_integral(pt, s),
+                      tail_limit)
 
 
 def enumerate_ff_elements(p: int, bound: int, include_constants: bool = False) -> list[FFRat]:
@@ -711,7 +726,7 @@ def ff_orbit_avg(p: int, d: int, beta_coeffs: Sequence[int], s: Sequence[FFPoly]
     for f in enumerate_ff_elements(p, bs[-1]):
         m = ff_family_map(d, f)
         rec = ff_scan_orbit(m, ff_point_from_rat(beta_kernel(beta, f, 1)), s,
-                            n_cap=n_cap, height_budget=height_budget)
+                            n_cap=n_cap, height_budget=height_budget, count_only=True)
         rows.append((f.height(), len(rec.integral_indices),
                      rec.truncation is not Truncation.COMPLETED))
     population, totals, truncated = tally_by_height(bs, rows, (operator.add, operator.add))

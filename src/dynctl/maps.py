@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
@@ -18,6 +19,12 @@ from .polynomials import (FORM_KERNELS, form_compose, form_mul, form_shape, resu
 
 # Composed coefficients are refused past this many bits; read at call time.
 COEFF_BITS = 10**6
+# Denominator forms g, by ascending coefficients, mapped to k such that
+# |g(a, b)| >= H^2 / k at every coprime (a, b) where g(a, b) != 0, with
+# H = max(|a|, |b|): a^2 + b^2 >= H^2; b (a^2 + b^2) too, as |b| >= 1 there;
+# a^3 + b^3 = (a + b)(a^2 - ab + b^2) with |a + b| >= 1 and
+# a^2 - ab + b^2 >= 3 H^2 / 4 (k = 4 is the cube-sum bound verify checks).
+TAIL_FORMS = {(1, 0, 1): 1, (1, 0, 1, 0): 1, (1, 0, 0, 1): 4}
 
 
 @dataclass(frozen=True)
@@ -67,9 +74,9 @@ class RationalMapQ:
     The stored pair is content-reduced and sign-canonicalized (the first
     nonzero coefficient, scanning numerator then denominator from the leading
     coefficient down, is positive). Constructed via make_map or compose.
-    The resultant, the cofactor certificate and the evaluation shape of the
-    pair are cached on the map (the certificate and the shape are computed on
-    first use), and all three travel with it when pickled.
+    The resultant, the cofactor certificate, the evaluation shape of the
+    pair and the orbit scan's constants are cached on the map (all but the
+    resultant are computed on first use), and travel with it when pickled.
     """
 
     numerator: BinaryForm
@@ -96,6 +103,24 @@ class RationalMapQ:
     def shape(self) -> tuple[int, ...]:
         """polynomials.form_shape of (F, G)."""
         return form_shape(self.numerator.coeffs, self.denominator.coeffs)
+
+    @functools.cached_property
+    def height(self) -> int:
+        """map_height of the map."""
+        return map_height(self)
+
+    @functools.cached_property
+    def step_bits(self) -> int:
+        """bits(H(phi)) + bits(d+1) + 1: each coordinate of phi(P) has fewer than
+        d * bits(P) + step_bits bits, as |F(a, b)|, |G(a, b)| <= (d+1) H(phi) H(P)^d."""
+        return self.height.bit_length() + (self.degree + 1).bit_length() + 1
+
+    @functools.cached_property
+    def tail_bits(self) -> int | None:
+        """bits(tail_threshold(m)): a point with more bits is above the threshold;
+        None when the map has no threshold."""
+        t = tail_threshold(self)
+        return None if t is None else t.bit_length()
 
 
 def _canonical_pair(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -159,7 +184,9 @@ class CofactorCertificate:
         want2 = _monomial_form(self.exponent, 0, self.r)
         return lhs1 == want1 and lhs2 == want2
 
+    @functools.cached_property
     def max_coefficient(self) -> int:
+        """The largest |c| over the four cofactors."""
         return max(abs(c) for form in (self.p1, self.q1, self.p2, self.q2) for c in form.coeffs)
 
 
@@ -267,6 +294,64 @@ def second_iterate_is_polynomial(m: RationalMapQ) -> bool:
 def map_height(m: RationalMapQ) -> int:
     """Projective height H(phi) of the (2d+2)-tuple of coefficients: the largest |c|."""
     return max(abs(c) for c in m.numerator.coeffs + m.denominator.coeffs)
+
+
+def denominator_bound(m: RationalMapQ) -> tuple[Fraction, int] | None:
+    """(kappa, e) with |G(a, b)| >= kappa * H(a, b)^e at every coprime (a, b)
+    where G(a, b) != 0, for G = c * g with g in TAIL_FORMS; None for any other G."""
+    g = m.denominator.coeffs
+    c = g[0]
+    for form, k in TAIL_FORMS.items():
+        if c and g == tuple(c * x for x in form):
+            return Fraction(abs(c), k), 2
+    return None
+
+
+def hadamard_loss(m: RationalMapQ) -> int:
+    """L' >= L, the constant of H(P)^d <= L * H(phi(P)), without a cofactor solve.
+
+    L = 2d * M for M the largest cofactor coefficient (canonical.transition_constants),
+    and each cofactor coefficient is a (2d-1)-minor of the Sylvester matrix,
+    whose columns are d shifts of F and d of G. Hadamard's inequality bounds
+    it by the product of the kept column norms, so with NF = |F|^2 and
+    NG = |G|^2, M^2 <= NF^d * NG^d / min(NF, NG) and L' = 2d * (isqrt(...) + 1).
+    """
+    d = m.degree
+    nf = sum(c * c for c in m.numerator.coeffs)
+    ng = sum(c * c for c in m.denominator.coeffs)
+    return 2 * d * (math.isqrt(nf**d * ng**d // min(nf, ng)) + 1)
+
+
+def _root_floor(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0 and k >= 1, by integer Newton steps from above."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def tail_threshold(m: RationalMapQ) -> int | None:
+    """The least T with kappa * T^e > |Res| and T^(d-1) > hadamard_loss(m), for
+    (kappa, e) = denominator_bound(m); None when there is no such bound.
+
+    From an orbit point P with H(P) > T no later point is integral (S = {})
+    and no cycle closes. If phi(P) is integral then G(a, b) / g = +-1 for the
+    gcd g, which divides Res, so kappa * H(P)^e <= |G(a, b)| <= |Res|: so
+    phi(P) is not. And H(P)^d <= L * H(phi(P)) with H(P)^(d-1) > L' >= L
+    gives H(phi(P)) > H(P), so heights rise strictly from P on: no later
+    point repeats one, since a repeat would put P on a cycle.
+    """
+    bound = denominator_bound(m)
+    if bound is None:
+        return None
+    kappa, e = bound
+    trap = _root_floor(abs(m.resultant) * kappa.denominator // kappa.numerator, e) + 1
+    growth = _root_floor(hadamard_loss(m), m.degree - 1) + 1
+    return max(trap, growth)
 
 
 def random_map(rng, degree: int, coeff_bound: int = 9) -> RationalMapQ:

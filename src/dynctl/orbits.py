@@ -8,10 +8,11 @@ import operator
 from dataclasses import dataclass
 
 from .canonical import _require_degree_two, is_preperiodic
-from .maps import RationalMapQ, evaluate, is_polynomial, map_height, second_iterate_is_polynomial
+from .maps import RationalMapQ, evaluate, is_polynomial, second_iterate_is_polynomial
 from .parallel import map_chunks
 from .points import (OrbitRecord, ProjPointQ, SIntSpec, Truncation, check_b_values,
                      enumerate_points, is_s_integral, strip_s_part, tally_by_height, walk_orbit)
+from .polynomials import FORM_KERNELS
 
 
 DEFAULT_N_CAP = 16
@@ -32,20 +33,26 @@ def _bits(p: ProjPointQ) -> int:
 
 def scan_orbit(m: RationalMapQ, b: ProjPointQ, s: SIntSpec,
                n_cap: int = DEFAULT_N_CAP,
-               height_budget_bits: int = DEFAULT_HEIGHT_BUDGET_BITS) -> OrbitRecord:
+               height_budget_bits: int = DEFAULT_HEIGHT_BUDGET_BITS,
+               count_only: bool = False) -> OrbitRecord:
     """points.walk_orbit of b under m, cut before a point whose coordinates outgrow the budget.
 
     The walk stops before evaluating a point P of bits(P) bits when
-    d * bits(P) + slack > budget, slack = bits(H(phi)) + bits(d+1) + 1, so
-    the scan never pays for a point it would discard. The post check never
-    fires: |F(a, b)|, |G(a, b)| <= (d+1) H(phi) max(|a|, |b|)^d, so each
-    coordinate of the image has at most d * bits(P) + slack - 1 bits.
+    d * bits(P) + m.step_bits > budget, so the scan never pays for a point
+    it would discard. The post check never fires: each coordinate of the
+    image has at most d * bits(P) + m.step_bits - 1 bits.
+
+    A count_only scan with S = {} also stops, as CERTIFIED_TAIL, before
+    stepping from a point above maps.tail_threshold, where one exists: the
+    record then has the whole orbit's integral points and largest integral
+    index, and still counts as truncated. Scans that report every point
+    (orbit, verify) keep the whole record.
     """
-    d = m.degree
-    slack = map_height(m).bit_length() + (d + 1).bit_length() + 1
+    pre_limit = (height_budget_bits - m.step_bits) // m.degree
+    tail_limit = m.tail_bits if count_only and not s.primes else None
     return walk_orbit(functools.partial(evaluate, m), _bits, b, n_cap,
-                      (height_budget_bits - slack) // d, height_budget_bits,
-                      lambda p: is_s_integral(p, s))
+                      pre_limit, height_budget_bits, lambda p: is_s_integral(p, s),
+                      pre_limit if tail_limit is None else tail_limit)
 
 
 def count_s_integral(record: OrbitRecord) -> tuple[int, bool]:
@@ -62,7 +69,8 @@ def _max_integral_index(b: ProjPointQ, m: RationalMapQ, s: SIntSpec,
     """-2 for preperiodic b, else the largest integral index of the scanned prefix."""
     if is_preperiodic(m, b):
         return -2
-    rec = scan_orbit(m, b, s, n_cap=n_cap, height_budget_bits=height_budget_bits)
+    rec = scan_orbit(m, b, s, n_cap=n_cap, height_budget_bits=height_budget_bits,
+                     count_only=True)
     return max(rec.integral_indices, default=-1)
 
 
@@ -129,16 +137,15 @@ class DensityReport:
 
 def _density_point(p: ProjPointQ, f: RationalMapQ, s: SIntSpec,
                    check_trap: bool, res: int) -> tuple[int, bool, bool, bool]:
-    h = max(abs(p.a), abs(p.b))
-    hit = is_s_integral(evaluate(f, p), s)
-    in_trap = False
-    violation = False
-    if check_trap:
-        g_val = f.denominator(p.a, p.b)
-        if g_val != 0:
-            in_trap = res % strip_s_part(g_val, s) == 0
-        violation = hit and not in_trap
-    return h, hit, in_trap, violation
+    """(H(p), hit, in trap, trap violation), from one evaluation of F and G at p.
+
+    f(p) = [F/g : G/g] with g = gcd(F(a, b), G(a, b)), so p is a hit when
+    G(a, b) != 0 and G(a, b)/g is an S-unit, as evaluate would find.
+    """
+    fa, gb = FORM_KERNELS[f.shape](f.numerator.coeffs, f.denominator.coeffs, p.a, p.b)
+    hit = gb != 0 and strip_s_part(gb // math.gcd(fa, gb), s) == 1
+    in_trap = check_trap and gb != 0 and res % strip_s_part(gb, s) == 0
+    return max(abs(p.a), abs(p.b)), hit, in_trap, check_trap and hit and not in_trap
 
 
 def density_of_integral_preimages(f: RationalMapQ, s: SIntSpec,

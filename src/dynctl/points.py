@@ -135,6 +135,8 @@ EMPTY_S = SIntSpec()
 def strip_s_part(n: int, s: SIntSpec) -> int:
     """Divide out of n every power of every prime in S; n must be nonzero."""
     n = abs(n)
+    if not s.primes:
+        return n
     for p in s:
         while n % p == 0:
             n //= p
@@ -146,6 +148,8 @@ def is_s_integral(p: ProjPointQ, s: SIntSpec) -> bool:
 
     The point at infinity is never S-integral: it is not an element of Q.
     """
+    if not s.primes:
+        return p.b == 1
     if p.b == 0:
         return False
     return strip_s_part(p.b, s) == 1
@@ -232,6 +236,7 @@ class Truncation(enum.Enum):
     COMPLETED = "completed"
     HEIGHT_BUDGET = "height_budget"
     ITERATION_CAP = "iteration_cap"
+    CERTIFIED_TAIL = "certified_tail"
 
 
 @dataclass(frozen=True)
@@ -258,25 +263,32 @@ def check_n_cap(n_cap: int) -> None:
 
 
 def walk_orbit(step: Callable[[Any], Any], size: Callable[[Any], int], b: Any, n_cap: int,
-               pre_limit: int, post_limit: int, integral: Callable[[Any], bool]) -> OrbitRecord:
+               pre_limit: int, post_limit: int, integral: Callable[[Any], bool],
+               tail_limit: int) -> OrbitRecord:
     """The orbit of b under step, over Q or F_p(t): the one orbit loop of dynctl.
 
     The walk ends when a cycle closes (COMPLETED), when n_cap steps are kept
     (ITERATION_CAP), or at the height budget (HEIGHT_BUDGET): before stepping
     from a point whose size is over pre_limit, or, after a step that closes
-    no cycle, before keeping a point whose size is over post_limit. size runs
-    once per point. Truncation is data, not an error; counts on truncated
-    records are lower bounds. A cap above N_CAP_LIMIT is refused first.
+    no cycle, before keeping a point whose size is over post_limit. Else it
+    ends before stepping from a point whose size is over tail_limit
+    (CERTIFIED_TAIL): the caller vouches that past that size no later point
+    is integral and no cycle closes, so the record holds the whole orbit's
+    integral points; a tail_limit >= pre_limit never cuts. size runs once
+    per point. Truncation is data, not an error; counts on records other
+    than COMPLETED are lower bounds. A cap above N_CAP_LIMIT is refused first.
     """
     check_n_cap(n_cap)
     points = [b]
     seen = {b: 0}
     truncation = Truncation.ITERATION_CAP
     cycle_entry = None
+    limit = min(pre_limit, tail_limit)
     h = size(b)
     while len(points) <= n_cap:
-        if h > pre_limit:
-            truncation = Truncation.HEIGHT_BUDGET
+        if h > limit:
+            truncation = (Truncation.HEIGHT_BUDGET if h > pre_limit
+                          else Truncation.CERTIFIED_TAIL)
             break
         nxt = step(points[-1])
         if nxt in seen:

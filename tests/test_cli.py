@@ -24,6 +24,24 @@ def test_orbit_subcommand_json(capsys):
     assert payload["exact"] is False
 
 
+def test_orbit_keeps_the_whole_record_where_a_count_would_cut(capsys):
+    # A count-only scan of this orbit stops at the basepoint (certified tail);
+    # orbit prints every point up to the budget instead.
+    from dynctl.orbits import scan_orbit
+    from dynctl.parsing import parse_map
+    from dynctl.points import EMPTY_S, ProjPointQ, Truncation
+
+    m = parse_map("(x-1)/(x^3+1)").to_rational_map()
+    cut = scan_orbit(m, ProjPointQ(10**6, 1), EMPTY_S, n_cap=4, count_only=True)
+    assert cut.truncation is Truncation.CERTIFIED_TAIL and len(cut.points) == 1
+    code, out, _ = run_cli(["orbit", "--map", "(x-1)/(x^3+1)", "--point", "1000000",
+                            "--s", "", "--ncap", "4"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["truncation"] == "iteration_cap" and len(payload["points"]) == 5
+    assert payload["integral_indices"] == [0] and payload["exact"] is False
+
+
 def test_orbit_csv_schema(capsys):
     code, out, _ = run_cli(
         ["orbit", "--map", "x^2", "--point", "0", "--format", "csv"], capsys

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dynctl.errors import DegenerateFamilyError, SizeBudgetExceededError
 from dynctl.funcfield import (DEFAULT_FF_N_CAP, FFMap, FFPoly, FFRat, enumerate_ff_elements,
@@ -571,3 +571,58 @@ def test_ffrat_plus_int_matches_plus_constant(p, data):
     c = data.draw(st.integers(-2 * p, 2 * p))
     f = FFRat.make(num, den)
     assert f + c == f + FFRat.constant(p, c)
+
+
+# ---------------------------------------------------------------------------
+# The certified tail cut of count-only scans
+# ---------------------------------------------------------------------------
+
+
+@given(st.sampled_from((2, 3, 5)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_ff_count_only_scan_agrees_with_the_whole_scan(p, data):
+    # The d = 2 family at random f = u/v from beta(f) for random beta, or from
+    # a random point; the cut is taken at the first point of height over
+    # max(deg Res + deg u, C), and only there.
+    u = FFPoly(p, data.draw(st.lists(st.integers(0, p - 1), max_size=4))
+               + [data.draw(st.integers(1, p - 1))])
+    v = FFPoly(p, data.draw(st.lists(st.integers(0, p - 1), max_size=3)) + [1])
+    f = FFRat.make(u, v)
+    assume(not (f + FFRat.constant(p, 1)).is_zero())
+    m = ff_family_map(2, f)
+    if data.draw(st.booleans()):
+        beta = (data.draw(st.lists(st.integers(0, p - 1), min_size=4, max_size=6))
+                + [data.draw(st.integers(1, p - 1))])
+        value = FORM_KERNELS[form_shape(beta)](beta, f, 1)
+        b = normalize_ff_point(value.num, value.den)
+    else:
+        b = _random_ff_point(random.Random(data.draw(st.integers(0, 2**32))), p)
+    n_cap, budget = data.draw(st.integers(0, DEFAULT_FF_N_CAP)), data.draw(st.integers(0, 48))
+    full = ff_scan_orbit(m, b, [], n_cap=n_cap, height_budget=budget)
+    cut = ff_scan_orbit(m, b, [], n_cap=n_cap, height_budget=budget, count_only=True)
+    assert len(cut.integral_indices) == len(full.integral_indices)
+    assert max(cut.integral_indices, default=-1) == max(full.integral_indices, default=-1)
+    assert (cut.truncation is Truncation.COMPLETED) == (full.truncation is Truncation.COMPLETED)
+    assert cut.points == full.points[:len(cut.points)]
+    u, v = f.num, f.den
+    tail = max(2 * ((u + v).degree() + u.degree()) + max(u.degree(), 0),
+               3 * max(u.degree(), v.degree(), (u + v).degree()))
+    above = [ff_height(pt) > tail for pt in cut.points]
+    if cut.truncation is Truncation.CERTIFIED_TAIL:
+        assert above[-1] and not any(above[:-1])
+    else:
+        assert cut == full and not any(above[:-1])
+
+
+def test_ff_count_only_scan_needs_the_family_shape_and_empty_s():
+    # With S nonempty, at d = 3, or for a G not of the form Y (vX + uY), the
+    # count-only scan keeps the whole record.
+    p = 2
+    t = FFPoly.t_var(p)
+    f = FFRat.from_poly(t * t * t + t)
+    b = normalize_ff_point(t**5 + t, t + FFPoly.const(p, 1))
+    for m, s in ((ff_family_map(2, f), [t]), (ff_family_map(3, f), []),
+                 (_random_ff_map(random.Random(5), p, 2), [])):
+        assert ff_scan_orbit(m, b, s, count_only=True) == ff_scan_orbit(m, b, s)
+    cut = ff_scan_orbit(ff_family_map(2, f), b, [], count_only=True)
+    assert cut.truncation is Truncation.CERTIFIED_TAIL

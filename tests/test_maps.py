@@ -8,9 +8,10 @@ from hypothesis import assume, given, settings, strategies as st
 from dynctl import canonical, maps
 from dynctl.canonical import canonical_height
 from dynctl.errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
-from dynctl.maps import (cofactor_certificates_check, cofactors, compose, evaluate,
-                         is_polynomial, iterate, make_map, map_height, random_coprime_pair,
-                         random_map, second_iterate_is_polynomial)
+from dynctl.maps import (TAIL_FORMS, cofactor_certificates_check, cofactors, compose,
+                         denominator_bound, evaluate, hadamard_loss, is_polynomial, iterate,
+                         make_map, map_height, random_coprime_pair, random_map,
+                         second_iterate_is_polynomial, tail_threshold)
 from dynctl.points import INFINITY, ProjPointQ, normalize
 from dynctl.parallel import map_chunks
 from dynctl.polynomials import FORM_KERNELS, resultant_from_coeffs
@@ -293,3 +294,75 @@ def test_iterate_matches_sympy(m, n):
     got = iterate(m, n)
     assert got.degree == m.degree**n
     assert (got.numerator.coeffs, got.denominator.coeffs) == _canonical(pair, m.degree**n, x, y)
+
+
+# ---------------------------------------------------------------------------
+# The certified tail threshold
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def tail_maps(draw, bound=9):
+    """A valid map F / (c * g) with g in TAIL_FORMS, F and c random in [-bound, bound]."""
+    form = draw(st.sampled_from(sorted(TAIL_FORMS)))
+    c = draw(st.integers(-bound, bound).filter(bool))
+    num = draw(st.lists(st.integers(-bound, bound), min_size=len(form), max_size=len(form)))
+    try:
+        return make_map(num, [c * x for x in form])
+    except (DegenerateMapError, DegreeDropError):
+        assume(False)
+
+
+def _coprime_box(bound):
+    return [(a, b) for a in range(-bound, bound + 1) for b in range(-bound, bound + 1)
+            if math.gcd(a, b) == 1]
+
+
+@given(tail_maps())
+@settings(max_examples=60, deadline=None)
+def test_denominator_bound_holds_on_a_box(m):
+    # |G(a, b)| >= kappa * H^e wherever G(a, b) != 0, by brute force over |a|, |b| <= 25;
+    # make_map's content division and sign fix leave G = c * g with c of either sign.
+    kappa, e = denominator_bound(m)
+    assert e >= 1
+    for a, b in _coprime_box(25):
+        g = m.denominator(a, b)
+        assert g == 0 or abs(g) >= kappa * max(abs(a), abs(b)) ** e
+
+
+def test_denominator_bound_is_none_without_an_elementary_bound():
+    assert denominator_bound(PELL_2) is None  # (X^2 - 2Y^2)^2 has irrational roots
+    assert denominator_bound(X_SQUARED) is None  # Y^2
+    assert denominator_bound(make_map([0, 0, 1], [2, 0, 3])) is None  # 2Y^2 + 3X^2
+    assert tail_threshold(PELL_2) is None and PELL_2.tail_bits is None
+
+
+@given(_maps(max_degree=4, bound=9))
+@settings(max_examples=80, deadline=None)
+def test_hadamard_loss_bounds_the_cofactor_constant(m):
+    assert hadamard_loss(m) >= canonical.transition_constants(m)[1]
+
+
+def _least(ok):
+    """The least T >= 0 with ok(T), for ok monotone, by doubling and bisection."""
+    hi = 1
+    while not ok(hi):
+        hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@given(tail_maps(bound=40))
+@settings(max_examples=100, deadline=None)
+def test_tail_threshold_is_the_least_certified_height(m):
+    kappa, e = denominator_bound(m)
+    res, loss, d = abs(m.resultant), hadamard_loss(m), m.degree
+    want = _least(lambda t: kappa * t**e > res and t ** (d - 1) > loss)
+    assert tail_threshold(m) == want
+    assert 1 << (m.tail_bits - 1) <= want < 1 << m.tail_bits

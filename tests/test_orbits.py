@@ -1,10 +1,13 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from dynctl.errors import SizeBudgetExceededError
-from dynctl.families import pell_map, specialize, three_param_family
-from dynctl.maps import evaluate, make_map, map_height, random_coprime_pair, random_map
+from dynctl.errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
+from dynctl.families import phi_t_family, pell_map, specialize, three_param_family
+from dynctl.maps import (TAIL_FORMS, evaluate, make_map, map_height, random_coprime_pair,
+                         random_map, tail_threshold)
 from dynctl.orbits import (DEFAULT_N_CAP, count_s_integral, density_of_integral_preimages,
                            empirical_max_iterate, scan_orbit)
 from dynctl.points import (EMPTY_S, N_CAP_LIMIT, ProjPointQ, SIntSpec, Truncation, is_s_integral,
@@ -202,4 +205,80 @@ def test_scan_orbit_matches_evaluate_then_keep():
             want = _reference_scan(m, b, s, n_cap, budget)
             assert (rec.points, rec.integral_indices, rec.cycle_entry, rec.truncation) == want
             seen.add(rec.truncation)
-    assert seen == set(Truncation)
+    # A whole-record scan (count_only=False) never takes the certified tail cut.
+    assert seen == set(Truncation) - {Truncation.CERTIFIED_TAIL}
+
+
+# ---------------------------------------------------------------------------
+# The certified tail cut of count-only scans
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _sweep_maps(draw):
+    """A map with a tail threshold, as the sweeps meet them, and a basepoint:
+    the three_param open cell at r^6 s^6 t^6 or a random point, its s = 0 and
+    r = 0 slices at 0 or a random point, phi_t, or c*F/g for g in TAIL_FORMS."""
+    kind = draw(st.sampled_from(("open", "s_zero", "r_zero", "phi_t", "form")))
+    small = st.integers(-12, 12)
+    r, s, t = draw(small), draw(small), draw(small)
+    try:
+        if kind == "open":
+            m = specialize(three_param_family(), (r, s, t))
+            base = ProjPointQ(r**6 * s**6 * t**6, 1)
+        elif kind == "s_zero":
+            m, base = make_map([t, 0, 0], [1, 0, 1]), ProjPointQ(0, 1)
+        elif kind == "r_zero":
+            m, base = make_map([t, s, 0], [1, 0, 1]), ProjPointQ(0, 1)
+        elif kind == "phi_t":
+            m, base = specialize(phi_t_family(), (t,)), ProjPointQ(t, 1)
+        else:
+            form = draw(st.sampled_from(sorted(TAIL_FORMS)))
+            num = draw(st.lists(small, min_size=len(form), max_size=len(form)))
+            m, base = make_map(num, [r * x for x in form]), ProjPointQ(s, 1)
+    except (DegenerateMapError, DegreeDropError):
+        assume(False)
+    if draw(st.booleans()):
+        base = normalize(draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 10**3)))
+    return m, base
+
+
+@given(_sweep_maps(), st.integers(0, DEFAULT_N_CAP), st.integers(1, 3000))
+@settings(max_examples=300, deadline=None)
+def test_count_only_scan_agrees_with_the_whole_scan(case, n_cap, budget):
+    m, b = case
+    full = scan_orbit(m, b, EMPTY_S, n_cap=n_cap, height_budget_bits=budget)
+    cut = scan_orbit(m, b, EMPTY_S, n_cap=n_cap, height_budget_bits=budget, count_only=True)
+    assert count_s_integral(cut) == count_s_integral(full)
+    assert max(cut.integral_indices, default=-1) == max(full.integral_indices, default=-1)
+    assert cut.points == full.points[:len(cut.points)]
+    # The cut is taken at the first point over the threshold, and only there.
+    above = [_bits(p) > tail_threshold(m).bit_length() for p in cut.points]
+    if cut.truncation is Truncation.CERTIFIED_TAIL:
+        assert above[-1] and not any(above[:-1])
+    else:
+        assert cut == full and not any(above[:-1])
+
+
+def test_count_only_scan_stops_at_the_open_cell_basepoint():
+    # The avg3 open cell at B = 2: every basepoint r^6 s^6 t^6 but +-1 is above
+    # the threshold, so its count-only scan keeps the basepoint alone.
+    fam = three_param_family()
+    for r, s, t in itertools.product((-2, -1, 1, 2), repeat=3):
+        m = specialize(fam, (r, s, t))
+        b = ProjPointQ(r**6 * s**6 * t**6, 1)
+        cut = scan_orbit(m, b, EMPTY_S, height_budget_bits=10000, count_only=True)
+        full = scan_orbit(m, b, EMPTY_S, height_budget_bits=10000)
+        assert count_s_integral(cut) == count_s_integral(full)
+        if b.a > 1:
+            assert cut.truncation is Truncation.CERTIFIED_TAIL and cut.points == (b,)
+            assert count_s_integral(cut) == (1, False)
+
+
+def test_count_only_scan_with_s_or_without_a_threshold_keeps_the_whole_record():
+    m = specialize(three_param_family(), (2, 3, 5))
+    b = ProjPointQ(2**6 * 3**6 * 5**6, 1)
+    s = SIntSpec([2])
+    assert scan_orbit(m, b, s, count_only=True) == scan_orbit(m, b, s)
+    b = normalize(3, 2)
+    assert scan_orbit(PELL_2, b, EMPTY_S, count_only=True) == scan_orbit(PELL_2, b, EMPTY_S)
