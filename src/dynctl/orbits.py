@@ -11,7 +11,8 @@ from .canonical import _require_degree_two, is_preperiodic
 from .maps import RationalMapQ, evaluate, is_polynomial, second_iterate_is_polynomial
 from .parallel import map_chunks
 from .points import (OrbitRecord, ProjPointQ, SIntSpec, Truncation, check_b_values,
-                     enumerate_points, is_s_integral, strip_s_part, tally_by_height, walk_orbit)
+                     check_enumeration_bound, coprime_row, enumerate_points, is_s_integral,
+                     strip_s_part, tally_by_height, walk_orbit)
 from .polynomials import FORM_KERNELS
 
 
@@ -148,21 +149,37 @@ def _density_point(p: ProjPointQ, f: RationalMapQ, s: SIntSpec,
     return max(abs(p.a), abs(p.b)), hit, in_trap, check_trap and hit and not in_trap
 
 
+def _density_row(b: int, f: RationalMapQ, s: SIntSpec, check_trap: bool, res: int,
+                 bs: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The (totals, hits, trap hits, violations) columns of points.coprime_row(b, bs[-1])
+    alone, cumulative over the bounds bs: one pool task of the density sweep."""
+    rows = (_density_point(p, f, s, check_trap, res) for p in coprime_row(b, bs[-1]))
+    return tally_by_height(bs, rows, (operator.add,) * 3)
+
+
 def density_of_integral_preimages(f: RationalMapQ, s: SIntSpec,
                                   b_values: tuple[int, ...],
                                   workers: int = 1) -> DensityReport:
     """Exact enumeration of T(f, S) up to each height bound.
+
+    The rows b = 0..B of points.coprime_row go to the workers, and each
+    worker tallies its own rows; the columns of all rows are summed entry
+    by entry. Every fold is a sum over disjoint rows, so the report does
+    not depend on row order or worker count. A bound refused by
+    check_enumeration_bound is refused before any row is visited.
 
     When f has a genuine denominator, every hit [a : b] is cross-checked
     against the divisor trap: the non-S part of G(a, b) must divide the
     resultant. The trap is a cross-check only; counting is by enumeration.
     """
     bs = check_b_values(b_values)
+    check_enumeration_bound(bs[-1])
     check_trap = not is_polynomial(f)
-    res = abs(f.resultant)
-    worker = functools.partial(_density_point, f=f, s=s, check_trap=check_trap, res=res)
-    results = map_chunks(worker, enumerate_points(bs[-1]), workers)
-    totals, hits, trap_hits, violations = tally_by_height(bs, results, (operator.add,) * 3)
+    worker = functools.partial(_density_row, f=f, s=s, check_trap=check_trap,
+                               res=abs(f.resultant), bs=bs)
+    rows = map_chunks(worker, range(bs[-1] + 1), workers)
+    totals, hits, trap_hits, violations = (tuple(map(sum, zip(*column)))
+                                           for column in zip(*rows))
     ratios = tuple(n / total for n, total in zip(hits, totals))
     return DensityReport(bs, hits, totals, ratios, check_trap, violations[-1],
                          trap_hits if check_trap else None)

@@ -13,9 +13,9 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from .errors import BothZeroError, ParseError, SizeBudgetExceededError
 
 LN2 = math.log(2)
-# enumerate_points(B) visits (2B+1)*B + 1 candidates and refuses more than
-# this many (B > 4471). The largest bound of any README, acceptance or bench
-# input, B = 400, visits 320401: 124x headroom.
+# Enumerating H <= B visits (2B+1)*B + 1 candidates; check_enumeration_bound
+# refuses more than this many (B > 4471). The largest bound of any README,
+# acceptance or bench input, B = 400, visits 320401: 124x headroom.
 ENUMERATION_LIMIT = 4 * 10**7
 # walk_orbit refuses an iteration cap above this before the first step: only
 # the cap bounds a degree-1 orbit, whose heights grow too slowly to meet the
@@ -155,27 +155,39 @@ def is_s_integral(p: ProjPointQ, s: SIntSpec) -> bool:
     return strip_s_part(p.b, s) == 1
 
 
-def enumerate_points(bound: int) -> list[ProjPointQ]:
-    """All points of P^1(Q) with H <= bound, ordered by (H, a, b).
-
-    Brute force over coprime pairs: b in 1..bound, |a| <= bound, gcd filter,
-    plus the point at infinity (H = 1). A bound whose candidates number more
-    than ENUMERATION_LIMIT is refused before any is visited.
-    """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+def check_enumeration_bound(bound: int) -> None:
+    """Refuse a height bound whose (2B+1)*B + 1 candidate points number more
+    than ENUMERATION_LIMIT, before any of them is visited."""
     candidates = (2 * bound + 1) * bound + 1
     if candidates > ENUMERATION_LIMIT:
         raise SizeBudgetExceededError(
             f"enumerating H <= {bound} visits {candidates} candidate points, "
             f"over the limit of {ENUMERATION_LIMIT}"
         )
+
+
+def coprime_row(b: int, bound: int) -> list[ProjPointQ]:
+    """Row b of the points with H <= bound, for 0 <= b <= bound, in increasing a.
+
+    Row 0 is the point at infinity; row b >= 1 is the [a : b] with
+    |a| <= bound and gcd(a, b) = 1. The rows 0..bound partition the points.
+    """
+    if b == 0:
+        return [INFINITY]
     gcd = math.gcd
-    out = [INFINITY]
-    for b in range(1, bound + 1):
-        for a in range(-bound, bound + 1):
-            if gcd(abs(a), b) == 1:
-                out.append(ProjPointQ(a, b))
+    return [ProjPointQ(a, b) for a in range(-bound, bound + 1) if gcd(a, b) == 1]
+
+
+def enumerate_points(bound: int) -> list[ProjPointQ]:
+    """All points of P^1(Q) with H <= bound, ordered by (H, a, b).
+
+    The coprime rows 0..bound, sorted. A bound refused by
+    check_enumeration_bound is refused before any point is visited.
+    """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    check_enumeration_bound(bound)
+    out = [p for b in range(bound + 1) for p in coprime_row(b, bound)]
     out.sort(key=lambda p: (max(abs(p.a), abs(p.b)), p.a, p.b))
     return out
 

@@ -134,6 +134,25 @@ def test_enumeration_over_its_limit_is_refused_before_it_starts(args, estimate, 
     assert f" {estimate} " in payload["message"]
 
 
+def test_density_over_the_enumeration_limit_starts_no_pool(monkeypatch, capsys):
+    import dynctl.orbits as orbits_mod
+    from dynctl.errors import SizeBudgetExceededError
+    from dynctl.points import enumerate_points
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("map_chunks ran for a bound over the enumeration limit")
+
+    monkeypatch.setattr(orbits_mod, "map_chunks", no_pool)
+    code, out, err = run_cli(["density", "--map", "(x-1)/(x^3+1)", "--s", "", "--b", "4472",
+                              "--workers", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    with pytest.raises(SizeBudgetExceededError) as refused:
+        enumerate_points(4472)
+    assert json.loads(err) == {"error": "SizeBudgetExceededError",
+                               "message": str(refused.value)}
+
+
 @pytest.mark.parametrize("args, count", [
     (["avg3", "--b", "5,1000"], "8012006001"),
     (["avg3", "--n1", "1000000000", "--b", "5"], "3000000036"),

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dynctl.errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
 from dynctl.families import phi_t_family, pell_map, specialize, three_param_family
-from dynctl.maps import (TAIL_FORMS, evaluate, make_map, map_height, random_coprime_pair,
-                         random_map, tail_threshold)
+from dynctl.maps import (TAIL_FORMS, evaluate, is_polynomial, make_map, map_height,
+                         random_coprime_pair, random_map, tail_threshold)
 from dynctl.orbits import (DEFAULT_N_CAP, count_s_integral, density_of_integral_preimages,
                            empirical_max_iterate, scan_orbit)
-from dynctl.points import (EMPTY_S, N_CAP_LIMIT, ProjPointQ, SIntSpec, Truncation, is_s_integral,
-                           normalize)
+from dynctl.parallel import map_chunks
+from dynctl.points import (EMPTY_S, N_CAP_LIMIT, ProjPointQ, SIntSpec, Truncation, count_points,
+                           enumerate_points, is_s_integral, normalize, strip_s_part,
+                           tally_by_height)
 
 X_SQUARED = make_map([0, 0, 1], [1, 0, 0])
 PELL_2 = pell_map(2)
@@ -130,6 +133,60 @@ def test_density_pell_includes_pell_points():
 def test_density_rejects_bad_bounds():
     with pytest.raises(ValueError):
         density_of_integral_preimages(PHI_1, EMPTY_S, (10, 10))
+
+
+def _brute_density(f, s, bs):
+    """(totals, hits, trap hits, violations) by bound, one evaluate per enumerated point."""
+    check_trap = not is_polynomial(f)
+    res = abs(f.resultant)
+    rows = []
+    for p in enumerate_points(bs[-1]):
+        hit = is_s_integral(evaluate(f, p), s)
+        g = f.denominator(p.a, p.b)
+        in_trap = check_trap and g != 0 and res % strip_s_part(g, s) == 0
+        rows.append((max(abs(p.a), abs(p.b)), hit, in_trap, check_trap and hit and not in_trap))
+    return tally_by_height(bs, rows, (operator.add,) * 3)
+
+
+@st.composite
+def _density_maps(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    degree = draw(st.integers(2, 3))
+    if not draw(st.booleans()):
+        return random_map(rng, degree)
+    num = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((-2, -1, 1, 3))]
+    return make_map(num, [rng.randint(1, 4)] + [0] * degree)
+
+
+@given(_density_maps(), st.sampled_from((EMPTY_S, SIntSpec([2, 3]))),
+       st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True),
+       st.sampled_from((1, 2)))
+@settings(max_examples=40, deadline=None)
+def test_density_rows_match_brute_force(f, s, bounds, workers):
+    bs = tuple(sorted(bounds))
+    report = density_of_integral_preimages(f, s, bs, workers=workers)
+    totals, hits, trap_hits, violations = _brute_density(f, s, bs)
+    assert report.totals == totals == tuple(count_points(b) for b in bs)
+    assert report.hits == hits
+    assert report.trap_checked is not is_polynomial(f)
+    assert report.trap_hits == (trap_hits if report.trap_checked else None)
+    assert report.trap_violations == violations[-1] == 0
+
+
+def test_density_sends_one_task_per_row(monkeypatch):
+    import dynctl.orbits as orbits_mod
+
+    sizes = []
+
+    def recording_map_chunks(fn, items, workers=1):
+        items = list(items)
+        sizes.append(len(items))
+        return map_chunks(fn, items, workers)
+
+    monkeypatch.setattr(orbits_mod, "map_chunks", recording_map_chunks)
+    report = density_of_integral_preimages(PHI_1, EMPTY_S, (50,), workers=2)
+    assert report.totals == (3096,) == (count_points(50),)
+    assert sizes == [51]
 
 
 def test_completed_count_independent_of_cap():

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from dynctl.errors import BothZeroError, ParseError, SizeBudgetExceededError
 from dynctl.points import (EMPTY_S, INFINITY, ProjPointQ, SIntSpec, check_b_values,
-                           count_points, enumerate_points, format_point, is_prime,
-                           is_s_integral, log_of_int, normalize, parse_point, tally_by_height)
+                           check_enumeration_bound, coprime_row, count_points, enumerate_points,
+                           format_point, is_prime, is_s_integral, log_of_int, normalize,
+                           parse_point, tally_by_height)
 
 nonzero_pairs = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)).filter(
     lambda ab: ab != (0, 0)
@@ -183,5 +184,19 @@ def test_enumeration_limit_is_checked_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(points_mod, "ENUMERATION_LIMIT", 7 * 3 + 1)  # (2B+1)*B + 1 at B = 3
     assert len(enumerate_points(3)) == count_points(3)
-    with pytest.raises(SizeBudgetExceededError, match="visits 37 candidate points"):
-        enumerate_points(4)
+    check_enumeration_bound(3)
+    for refuse in (enumerate_points, check_enumeration_bound):
+        with pytest.raises(SizeBudgetExceededError, match="visits 37 candidate points"):
+            refuse(4)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 7, 12])
+def test_coprime_rows_partition_the_points(bound):
+    rows = [coprime_row(b, bound) for b in range(bound + 1)]
+    assert rows[0] == [INFINITY]
+    for b, row in enumerate(rows[1:], 1):
+        assert [p.a for p in row] == sorted(p.a for p in row)
+        assert all(p.b == b and normalize(p.a, p.b) == p for p in row)
+    points = {p for row in rows for p in row}
+    assert len(points) == sum(map(len, rows)) == count_points(bound)
+    assert all(max(abs(p.a), abs(p.b)) <= bound for p in points)
