@@ -18,38 +18,23 @@ from . import families as families_mod
 from . import funcfield as funcfield_mod
 from . import maps as maps_mod
 from .canonical import canonical_height, is_preperiodic
-from .errors import DynctlError
+from .errors import DynctlError, SizeBudgetExceededError
 from .families import BasepointSpec, avg_experiment, three_param_avg
 from .funcfield import ff_orbit_avg, parse_ffpoly, validate_s_set
-from .orbits import (DEFAULT_HEIGHT_BUDGET_BITS, DEFAULT_N_CAP, OrbitPolicy, count_s_integral,
-                     density_of_integral_preimages, empirical_max_iterate, scan_orbit)
+from .orbits import (DEFAULT_HEIGHT_BUDGET_BITS, DEFAULT_N_CAP, HEIGHT_BUDGET_BITS_LIMIT,
+                     OrbitPolicy, count_s_integral, density_of_integral_preimages,
+                     empirical_max_iterate, scan_orbit)
 from .parallel import default_workers
 from .parsing import parse_map, resolve_map_text
 from .points import SIntSpec, check_n_cap, format_point, parse_point
-from .reports import emit_csv, emit_json, emit_report_csv, error_json
+from .reports import emit_csv, emit_json, error_json, report_rows
 
-# Every module's identity checks, by name; `verify` runs exactly this set and
-# the registry-completeness test keeps it in sync with the modules.
-VERIFY_REGISTRY: tuple[str, ...] = (
-    "cofactor_certificates",
-    "transition_constants_sweep",
-    "phi_t_identities",
-    "cube_sum_bound",
-    "phi_t_preimage_height_bound",
-    "pell_solutions",
-    "three_param_slice_bounds",
-    "resultant_specialization",
-    "ff_family_checks",
-)
-
+# `verify` runs every module's VERIFICATION_CHECKS, in this module order.
 _CHECK_MODULES = (maps_mod, canonical_mod, families_mod, funcfield_mod)
 
 
 def registered_checks() -> dict[str, object]:
-    out: dict[str, object] = {}
-    for mod in _CHECK_MODULES:
-        out.update(mod.VERIFICATION_CHECKS)
-    return out
+    return {name: fn for mod in _CHECK_MODULES for name, fn in mod.VERIFICATION_CHECKS.items()}
 
 
 def _parse_s(text: str) -> SIntSpec:
@@ -66,104 +51,65 @@ def _policy(args) -> OrbitPolicy:
     return OrbitPolicy(n_cap=args.ncap, height_budget_bits=args.height_budget_bits)
 
 
-def _write(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _map_from_args(args) -> "maps_mod.RationalMapQ":
     return parse_map(resolve_map_text(args.map)).to_rational_map()
 
 
-def cmd_orbit(args) -> int:
+# Each cmd_* returns (payload, rows): the JSON dict, and the CSV rows under the
+# schema named after the subcommand (None where it writes JSON only). A sweep's
+# JSON is the run's context, then the report's fields in declaration order,
+# then derived values; its CSV has one row per height bound.
+
+def cmd_orbit(args) -> tuple[dict, list | None]:
     m = _map_from_args(args)
     point = parse_point(args.point)
     s = _parse_s(args.s)
     rec = scan_orbit(m, point, s, n_cap=args.ncap, height_budget_bits=args.height_budget_bits)
     count, exact = count_s_integral(rec)
-    if args.format == "csv":
-        integral = set(rec.integral_indices)
-        rows = [(n, format_point(p), int(n in integral)) for n, p in enumerate(rec.points)]
-        _write(args, emit_csv("orbit", rows))
-    else:
-        _write(args, emit_json({
-            "map": args.map,
-            "point": format_point(point),
-            "s": [p for p in s],
+    integral = set(rec.integral_indices)
+    rows = [(n, format_point(p), int(n in integral)) for n, p in enumerate(rec.points)]
+    return {"map": args.map, "point": format_point(point), "s": list(s),
             "points": [format_point(p) for p in rec.points],
             "integral_indices": list(rec.integral_indices),
             "cycle_entry": list(rec.cycle_entry) if rec.cycle_entry else None,
-            "truncation": rec.truncation.value,
-            "count": count,
-            "exact": exact,
-        }))
-    return 0
+            "truncation": rec.truncation.value, "count": count, "exact": exact}, rows
 
 
-def cmd_canheight(args) -> int:
+def cmd_canheight(args) -> tuple[dict, list | None]:
     m = _map_from_args(args)
     point = parse_point(args.point)
     est = canonical_height(m, point, args.tol)
-    _write(args, emit_json({
-        "map": args.map,
-        "point": format_point(point),
-        "value": est.value,
-        "radius": est.radius,
-        "iterations": est.iterations_used,
-    }))
-    return 0
+    return {"map": args.map, "point": format_point(point), "value": est.value,
+            "radius": est.radius, "iterations": est.iterations_used}, None
 
 
-def cmd_preper(args) -> int:
+def cmd_preper(args) -> tuple[dict, list | None]:
     m = _map_from_args(args)
     point = parse_point(args.point)
-    _write(args, emit_json({
-        "map": args.map,
-        "point": format_point(point),
-        "preperiodic": is_preperiodic(m, point),
-    }))
-    return 0
+    return {"map": args.map, "point": format_point(point),
+            "preperiodic": is_preperiodic(m, point)}, None
 
 
-def cmd_nmax(args) -> int:
+def cmd_nmax(args) -> tuple[dict, list | None]:
     m = _map_from_args(args)
     s = _parse_s(args.s)
     n_emp, witness = empirical_max_iterate(m, s, args.b, n_cap=args.ncap,
                                            height_budget_bits=args.height_budget_bits,
                                            workers=args.workers)
-    _write(args, emit_json({
-        "map": args.map,
-        "s": [p for p in s],
-        "b": args.b,
-        "n_emp": n_emp,
-        "witness": format_point(witness) if witness else None,
-    }))
-    return 0
+    return {"map": args.map, "s": list(s), "b": args.b, "n_emp": n_emp,
+            "witness": format_point(witness) if witness else None}, None
 
 
-def _emit_report(args, kind: str, context: dict, report, **derived) -> None:
-    """A sweep report as CSV rows per height bound, or as JSON: the run's
-    context, then the report's fields in declaration order, then derived values."""
-    if args.format == "csv":
-        _write(args, emit_report_csv(kind, report))
-    else:
-        _write(args, emit_json({**context, **asdict(report), **derived}))
-
-
-def cmd_density(args) -> int:
+def cmd_density(args) -> tuple[dict, list | None]:
     m = _map_from_args(args)
     s = _parse_s(args.s)
     report = density_of_integral_preimages(m, s, _parse_b_values(args.b),
                                            workers=args.workers)
-    _emit_report(args, "density", {"map": args.map, "s": list(s)}, report,
-                 loglog_slope=report.loglog_slope())
-    return 0
+    return ({"map": args.map, "s": list(s), **asdict(report),
+             "loglog_slope": report.loglog_slope()}, report_rows("density", report))
 
 
-def cmd_avg(args) -> int:
+def cmd_avg(args) -> tuple[dict, list | None]:
     expr = parse_map(resolve_map_text(args.map))
     beta_expr = parse_map(args.beta)
     if beta_expr.x_degree > 0:
@@ -174,18 +120,17 @@ def cmd_avg(args) -> int:
     s = _parse_s(args.s)
     report = avg_experiment(target, beta, s, _parse_b_values(args.b),
                             policy=_policy(args), workers=args.workers)
-    _emit_report(args, "avg", {"map": args.map, "beta": args.beta, "s": list(s)}, report)
-    return 0
+    return ({"map": args.map, "beta": args.beta, "s": list(s), **asdict(report)},
+            report_rows("avg", report))
 
 
-def cmd_avg3(args) -> int:
+def cmd_avg3(args) -> tuple[dict, list | None]:
     report = three_param_avg(args.n1, args.n2, args.n3, _parse_b_values(args.b),
                              policy=_policy(args), workers=args.workers)
-    _emit_report(args, "avg3", {}, report)
-    return 0
+    return asdict(report), report_rows("avg3", report)
 
 
-def cmd_ffavg(args) -> int:
+def cmd_ffavg(args) -> tuple[dict, list | None]:
     s_polys = []
     if args.s.strip():
         s_polys = [parse_ffpoly(args.p, chunk) for chunk in args.s.split(",")]
@@ -193,25 +138,17 @@ def cmd_ffavg(args) -> int:
     beta = [int(c) for c in args.beta_coeffs.split(",")]
     report = ff_orbit_avg(args.p, args.d, beta, s_polys, _parse_b_values(args.b),
                           n_cap=args.ncap)
-    _emit_report(args, "ffavg", {"p": args.p, "d": args.d, "beta_coeffs": beta}, report)
-    return 0
+    return ({"p": args.p, "d": args.d, "beta_coeffs": beta, **asdict(report)},
+            report_rows("ffavg", report))
 
 
-def cmd_verify(args) -> int:
-    checks = registered_checks()
+def cmd_verify(args) -> tuple[dict, list | None]:
     results = []
-    for name in VERIFY_REGISTRY:
-        fn = checks[name]
-        kwargs = {}
-        if "seed" in inspect.signature(fn).parameters:
-            kwargs["seed"] = args.seed
+    for fn in registered_checks().values():
+        kwargs = {"seed": args.seed} if "seed" in inspect.signature(fn).parameters else {}
         results.extend(fn(**kwargs).checks)
-    all_ok = all(c.ok for c in results)
-    if args.format == "csv":
-        _write(args, emit_csv("verify", [(c.name, int(c.ok), c.detail) for c in results]))
-    else:
-        _write(args, emit_json({"ok": all_ok, "checks": [asdict(c) for c in results]}))
-    return 0 if all_ok else 1
+    return ({"ok": all(c.ok for c in results), "checks": [asdict(c) for c in results]},
+            [(c.name, int(c.ok), c.detail) for c in results])
 
 
 class UsageError(DynctlError):
@@ -358,13 +295,17 @@ _FLAG_MINIMUMS = (("ncap", "--ncap", 0),
 
 
 def _validate_numeric_flags(args) -> None:
-    """The minimums, and the iteration cap's N_CAP_LIMIT, before any work."""
+    """The minimums, N_CAP_LIMIT and HEIGHT_BUDGET_BITS_LIMIT, before any work."""
     for attr, flag, low in _FLAG_MINIMUMS:
         value = getattr(args, attr, None)
         if value is not None and value < low:
             raise ValueError(f"{flag} must be >= {low}, got {value}")
     if getattr(args, "ncap", None) is not None:
         check_n_cap(args.ncap)
+    budget = getattr(args, "height_budget_bits", None)
+    if budget is not None and budget > HEIGHT_BUDGET_BITS_LIMIT:
+        raise SizeBudgetExceededError(f"a height budget of {budget} bits is over the limit "
+                                      f"of {HEIGHT_BUDGET_BITS_LIMIT}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -377,7 +318,14 @@ def main(argv: list[str] | None = None) -> int:
             _apply_config(args.config, subparsers[args.subcommand], subparsers)
             args = parser.parse_args(argv)
         _validate_numeric_flags(args)
-        return args.fn(args)
+        payload, rows = args.fn(args)
+        text = emit_csv(args.subcommand, rows) if args.format == "csv" else emit_json(payload)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0 if payload.get("ok", True) else 1
     except Exception as exc:
         # Every failure, expected or not, ends as one JSON object on stderr;
         # usage errors keep argparse's exit status 2.

@@ -605,6 +605,11 @@ DEFAULT_FF_HEIGHT_BUDGET = 512  # heights here are degrees; ~5 doubling steps fr
 # The largest README, acceptance and bench input, p = 2 and B = 4, visits
 # 992: 1008x headroom.
 FF_ENUMERATION_LIMIT = 10**6
+# ff_orbit_avg refuses a family degree above this, as parsing.MAX_DEGREE bounds
+# Q maps: each family map holds length-d forms and ((u+v) u)^d. The largest
+# README, golden, test or bench degree is 7; at this limit, p = 2 and B = 4
+# take ~1.2 s.
+FF_DEGREE_LIMIT = 64
 
 
 def ff_scan_orbit(m: FFMap, b: FFPointK, s: Sequence[FFPoly],
@@ -711,6 +716,9 @@ def ff_orbit_avg(p: int, d: int, beta_coeffs: Sequence[int], s: Sequence[FFPoly]
         raise ValueError(f"p must be a prime <= {MAX_PRIME}")
     if d < 2:
         raise ValueError("d must be >= 2")
+    if d > FF_DEGREE_LIMIT:
+        raise SizeBudgetExceededError(f"a family degree of {d} is over the limit of "
+                                      f"{FF_DEGREE_LIMIT}")
     beta = [c % p for c in beta_coeffs]
     while beta and beta[-1] == 0:
         beta.pop()

@@ -49,9 +49,6 @@ class BinaryForm:
     def __call__(self, a: int, b: int) -> int:
         return FORM_KERNELS[self.shape](self.coeffs, a, b)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
         return BinaryForm(self.degree + other.degree, tuple(form_mul(self.coeffs, other.coeffs)))
 

@@ -18,6 +18,12 @@ from .polynomials import FORM_KERNELS
 
 DEFAULT_N_CAP = 16
 DEFAULT_HEIGHT_BUDGET_BITS = 10**6
+# The CLI refuses a --height-budget-bits above this before any work. The cost
+# of a step climbs steeply with its coordinates' bits: one orbit of
+# x^4/(x^2-2)^2 from 3/2 takes ~1.1 s at the default, ~18 s at this limit and
+# over a minute at 10^7. The default is the largest budget of any README,
+# golden, test or bench input: 2x headroom.
+HEIGHT_BUDGET_BITS_LIMIT = 2 * 10**6
 
 
 @dataclass(frozen=True)

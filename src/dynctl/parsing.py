@@ -249,10 +249,6 @@ class MapExpression:
     x_degree: int
     params: tuple[str, ...]
 
-    @property
-    def arity(self) -> int:
-        return len(self.params)
-
     def is_constant_map(self) -> bool:
         return not self.params
 

@@ -119,15 +119,6 @@ class SIntSpec:
     def __iter__(self) -> Iterator[int]:
         return iter(sorted(self.primes))
 
-    def __contains__(self, p: int) -> bool:
-        return p in self.primes
-
-    def __le__(self, other: "SIntSpec") -> bool:
-        return self.primes <= other.primes
-
-    def __str__(self) -> str:
-        return ",".join(str(p) for p in self)
-
 
 EMPTY_S = SIntSpec()
 

@@ -112,9 +112,6 @@ class IntPoly:
             other = IntPoly.const(other, self.vars)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPoly(self.vars, {e: c * other for e, c in self.terms.items()})

@@ -71,10 +71,10 @@ def emit_csv(kind: str, rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-def emit_report_csv(kind: str, report) -> str:
-    """A sweep report as CSV: one row per height bound, columns from CSV_SCHEMAS[kind]."""
+def report_rows(kind: str, report) -> list[tuple]:
+    """A sweep report's CSV rows: one per height bound, columns from CSV_SCHEMAS[kind]."""
     _, columns = CSV_SCHEMAS[kind]
-    return emit_csv(kind, zip(*(getattr(report, CSV_FIELDS[c]) for c in columns)))
+    return list(zip(*(getattr(report, CSV_FIELDS[c]) for c in columns)))
 
 
 def emit_json(payload: dict) -> str:

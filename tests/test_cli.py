@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dynctl.cli import VERIFY_REGISTRY, main, registered_checks
+from dynctl.cli import main
 
 
 def run_cli(args, capsys):
@@ -157,7 +157,9 @@ def test_density_over_the_enumeration_limit_starts_no_pool(monkeypatch, capsys):
     (["avg3", "--b", "5,1000"], "8012006001"),
     (["avg3", "--n1", "1000000000", "--b", "5"], "3000000036"),
     (["orbit", "--map", "x+1", "--point", "0", "--ncap", "1000000000"], "1000000001"),
-], ids=["avg3-box", "avg3-exponent", "orbit-ncap"])
+    (["orbit", "--map", "x^2", "--point", "2", "--height-budget-bits", "1000000000"],
+     "1000000000"),
+], ids=["avg3-box", "avg3-exponent", "orbit-ncap", "orbit-height-budget"])
 def test_avg3_and_orbit_over_their_limits_are_refused_before_any_work(args, count,
                                                                        monkeypatch, capsys):
     import dynctl.families as families_mod
@@ -364,10 +366,6 @@ def test_avg_deterministic_across_workers(capsys):
     assert out1 == out2
 
 
-def test_verify_registry_completeness():
-    assert set(VERIFY_REGISTRY) == set(registered_checks())
-
-
 def test_verify_exit_zero(capsys):
     code, out, _ = run_cli(["verify", "--format", "json", "--seed", "1"], capsys)
     assert code == 0
@@ -503,7 +501,6 @@ def test_verify_csv_schema(monkeypatch, capsys):
         }
 
     monkeypatch.setattr(cli_mod, "registered_checks", fake_checks)
-    monkeypatch.setattr(cli_mod, "VERIFY_REGISTRY", ("passes", "fails"))
     code, out, _ = run_cli(["verify", "--format", "csv", "--seed", "4"], capsys)
     assert code == 1
     lines = out.splitlines()

@@ -505,6 +505,19 @@ def test_ff_orbit_avg_beta_degree_validation():
         ff_orbit_avg(2, 2, [0, 0, 0, 1], [], (1, 2))  # degree 3 is not > (2d-1)/(d-1)
 
 
+def test_ff_orbit_avg_refuses_a_degree_over_its_limit_before_any_work(monkeypatch):
+    import dynctl.funcfield as funcfield_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the degree was checked")
+
+    monkeypatch.setattr(funcfield_mod, "enumerate_ff_elements", no_work)
+    monkeypatch.setattr(funcfield_mod, "ff_family_map", no_work)
+    limit = funcfield_mod.FF_DEGREE_LIMIT
+    with pytest.raises(SizeBudgetExceededError, match=f"degree of {limit + 1} is over"):
+        ff_orbit_avg(2, limit + 1, [0, 0, 0, 1], [], (1,))
+
+
 def test_ff_orbit_avg_nonincreasing():
     report = ff_orbit_avg(2, 2, [0, 0, 0, 0, 1], [], (1, 2, 3))
     assert all(a2 <= a1 for a1, a2 in zip(report.averages, report.averages[1:]))

@@ -1,4 +1,5 @@
-"""Byte identity of CLI reports: sha256 of the JSON and CSV bytes on stdout.
+"""Byte identity of CLI reports: sha256 of the JSON and CSV bytes, on stdout
+and in the file that --out writes.
 
 The digests were recorded before the Q and F_p(t) sweeps were moved onto a
 shared form core and a shared report path, so a refactor that changes one
@@ -57,12 +58,20 @@ GOLDEN = {
                        "fb64e4ccec09497ccb2cc2116c846a7db6a215295a1bc6bf731c9d8159fc69bc"),
     "preper_json": (["preper", "--map", "x^2-1", "--point", "0"],
                     "788cab7d61699a57b36d98ffa75f5e39401cd4b06b0415c2576e8545380f3189"),
+    "verify_json": (["verify", "--seed", "0"],
+                    "dd41f88db36530a2d85668328a79784c10a4a43a6f3efb97a9912bfd22967d60"),
+    "verify_csv": (["verify", "--seed", "0", "--format", "csv"],
+                   "b00b249db48ada6a8a582f395b290db31c22fb1e99cfcfa08f049cc259364796"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_report_bytes_unchanged(case, capsys):
+def test_report_bytes_unchanged(case, tmp_path, capsys):
     argv, digest = GOLDEN[case]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    target = tmp_path / "report"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
