@@ -5,14 +5,15 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 
 from .canonical import _require_degree_two, is_preperiodic
 from .maps import RationalMapQ, evaluate, is_polynomial, second_iterate_is_polynomial
 from .parallel import map_chunks
 from .points import (OrbitRecord, ProjPointQ, SIntSpec, Truncation, check_b_values,
-                     check_enumeration_bound, coprime_row, enumerate_points, is_s_integral,
-                     strip_s_part, tally_by_height, walk_orbit)
+                     check_enumeration_bound, check_n_cap, coprime_row, enumerate_points,
+                     is_s_integral, strip_s_part, tally_by_height, walk_orbit)
 from .polynomials import FORM_KERNELS
 
 
@@ -55,11 +56,19 @@ def scan_orbit(m: RationalMapQ, b: ProjPointQ, s: SIntSpec,
     index, and still counts as truncated. Scans that report every point
     (orbit, verify) keep the whole record.
     """
-    pre_limit = (height_budget_bits - m.step_bits) // m.degree
-    tail_limit = m.tail_bits if count_only and not s.primes else None
+    pre_limit, tail_limit = _scan_limits(m, s, height_budget_bits, count_only)
     return walk_orbit(functools.partial(evaluate, m), _bits, b, n_cap,
                       pre_limit, height_budget_bits, lambda p: is_s_integral(p, s),
-                      pre_limit if tail_limit is None else tail_limit)
+                      tail_limit)
+
+
+def _scan_limits(m: RationalMapQ, s: SIntSpec, height_budget_bits: int,
+                 count_only: bool) -> tuple[int, int]:
+    """scan_orbit's (pre_limit, tail_limit) for walk_orbit: a point steps only
+    if its bits are at most both."""
+    pre_limit = (height_budget_bits - m.step_bits) // m.degree
+    tail_limit = m.tail_bits if count_only and not s.primes else None
+    return pre_limit, pre_limit if tail_limit is None else tail_limit
 
 
 def count_s_integral(record: OrbitRecord) -> tuple[int, bool]:
@@ -71,13 +80,13 @@ def count_s_integral(record: OrbitRecord) -> tuple[int, bool]:
     return len(record.integral_indices), record.truncation is Truncation.COMPLETED
 
 
-def _max_integral_index(b: ProjPointQ, m: RationalMapQ, s: SIntSpec,
-                        n_cap: int, height_budget_bits: int) -> int:
-    """-2 for preperiodic b, else the largest integral index of the scanned prefix."""
-    if is_preperiodic(m, b):
+def _image_top(c: ProjPointQ, m: RationalMapQ, s: SIntSpec, n_cap: int,
+               height_budget_bits: int) -> int:
+    """-2 for preperiodic c, else the largest integral index of c's scanned
+    prefix with one step fewer than n_cap: one pool task of nmax."""
+    if is_preperiodic(m, c):
         return -2
-    rec = scan_orbit(m, b, s, n_cap=n_cap, height_budget_bits=height_budget_bits,
-                     count_only=True)
+    rec = scan_orbit(m, c, s, n_cap - 1, height_budget_bits, count_only=True)
     return max(rec.integral_indices, default=-1)
 
 
@@ -91,17 +100,41 @@ def empirical_max_iterate(m: RationalMapQ, s: SIntSpec, bound: int,
     filter is the exact preperiodicity decision, so a degree-1 map is refused
     before any point is enumerated. The reduction keeps the first witness in
     enumeration order, so worker count never changes output.
+
+    The basepoints are grouped by their first image c = phi(b), and the pool
+    gets one task per distinct c (_image_top). This is exact: b is
+    preperiodic exactly when c is, and a wandering b never recurs, so after
+    index 0 the scan of b is the scan of c with one step fewer under the
+    same limits. Index i of c's orbit is index i + 1 of b's, provided b
+    steps (n_cap >= 1 and b's bits within scan_orbit's limits) and c is
+    kept (its bits within the budget); else b's scan is b alone.
     """
     if second_iterate_is_polynomial(m):
         raise ValueError("the second iterate is a polynomial; the uniform-iterate bound needs phi^2 not in Q[x]")
     _require_degree_two(m)
+    check_n_cap(n_cap)
     points = enumerate_points(bound)
-    worker = functools.partial(_max_integral_index, m=m, s=s, n_cap=n_cap,
+    limit = min(_scan_limits(m, s, height_budget_bits, True)) if n_cap >= 1 else -1
+    slot_of: dict[ProjPointQ, int] = {}
+    # slots[i] is the task slot of points[i]'s image, or ~slot when points[i] does not step.
+    slots = array("q")
+    for b in points:
+        c = evaluate(m, b)
+        slot = slot_of.setdefault(c, len(slot_of))
+        slots.append(slot if _bits(b) <= limit and _bits(c) <= height_budget_bits else ~slot)
+    worker = functools.partial(_image_top, m=m, s=s, n_cap=n_cap,
                                height_budget_bits=height_budget_bits)
-    tops = map_chunks(worker, points, workers)
+    tops = map_chunks(worker, slot_of, workers)
     best = -1
     witness: ProjPointQ | None = None
-    for b, top in zip(points, tops):
+    for b, slot in zip(points, slots):
+        top = tops[slot if slot >= 0 else ~slot]
+        if top == -2:
+            continue
+        if slot < 0 or top < 0:
+            top = 0 if is_s_integral(b, s) else -1
+        else:
+            top += 1
         if top > best:
             best = top
             witness = b

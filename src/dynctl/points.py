@@ -63,7 +63,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ProjPointQ:
     """A point [a : b] of P^1(Q) in normalized coordinates.
 

@@ -54,6 +54,24 @@ GOLDEN = {
     "nmax_json": (["nmax", "--map", "pell(2)", "--s", "", "--b", "5",
                    "--height-budget-bits", "10000"],
                   "e92faa58648384ef156c986d975c965c1afa808c2d5137e370e5af3b9e712024"),
+    # Recorded before nmax grouped its basepoints by first image: a map with
+    # phi(2/x) = phi(x), a cap of 1 and of 0 with S = {2, 3} and {}, a map
+    # whose basepoints share no image (through the pool), and pell(3).
+    "nmax_inversion_json": (["nmax", "--map", "(x^2+2)/x", "--s", "", "--b", "40",
+                             "--height-budget-bits", "4000"],
+                            "6da6d707379e14afd7cd8299a11e8f49da5e2a13ffff8e1613c32f31ee6f2e37"),
+    "nmax_ncap1_json": (["nmax", "--map", "(x^2+1)/(x^2-3)", "--s", "2,3", "--b", "40",
+                         "--ncap", "1"],
+                        "8cbb862fcc5b08d4ae68b3d8fddb950e07c028e160b1c7cd2936b2447fb186ea"),
+    "nmax_ncap0_json": (["nmax", "--map", "(x^2+1)/(x^2-3)", "--s", "", "--b", "40",
+                         "--ncap", "0"],
+                        "b5d9e4e9088b678be600be8d161eaa6baee76b340270177102553ee0ade62dc7"),
+    "nmax_no_shared_image_json": (["nmax", "--map", "(x^3+2)/(x^2+x+3)", "--s", "2", "--b", "30",
+                                   "--height-budget-bits", "4000", "--workers", "2"],
+                                  "e570114e57d9cb212c8be378e9a4aa8b7d881b961d328b0889facf1e754262e6"),
+    "nmax_pell3_json": (["nmax", "--map", "pell(3)", "--s", "3", "--b", "30",
+                         "--height-budget-bits", "300"],
+                        "b3f45591b71de8d8063fa8fec22277d24278e3fb24c85ecbb5c9da4974b7e66c"),
     "canheight_json": (["canheight", "--map", "x^2", "--point", "2", "--tol", "1e-6"],
                        "fb64e4ccec09497ccb2cc2116c846a7db6a215295a1bc6bf731c9d8159fc69bc"),
     "preper_json": (["preper", "--map", "x^2-1", "--point", "0"],

@@ -5,10 +5,12 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dynctl.canonical import is_preperiodic
 from dynctl.errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
 from dynctl.families import phi_t_family, pell_map, specialize, three_param_family
-from dynctl.maps import (TAIL_FORMS, evaluate, is_polynomial, make_map, map_height,
-                         random_coprime_pair, random_map, tail_threshold)
+from dynctl.maps import (TAIL_FORMS, compose, evaluate, is_polynomial, make_map, map_height,
+                         random_coprime_pair, random_map, second_iterate_is_polynomial,
+                         tail_threshold)
 from dynctl.orbits import (DEFAULT_N_CAP, count_s_integral, density_of_integral_preimages,
                            empirical_max_iterate, scan_orbit)
 from dynctl.parallel import map_chunks
@@ -206,6 +208,57 @@ def test_nmax_deterministic_across_workers():
     serial = empirical_max_iterate(PELL_2, EMPTY_S, 8, height_budget_bits=10**4, workers=1)
     pooled = empirical_max_iterate(PELL_2, EMPTY_S, 8, height_budget_bits=10**4, workers=3)
     assert serial == pooled
+
+
+def _nmax_oracle(m, s, bound, n_cap, height_budget_bits):
+    """nmax one basepoint at a time: the preperiodicity filter, then b's own scan."""
+    best, witness = -1, None
+    for b in enumerate_points(bound):
+        if is_preperiodic(m, b):
+            continue
+        rec = scan_orbit(m, b, s, n_cap=n_cap, height_budget_bits=height_budget_bits,
+                         count_only=True)
+        top = max(rec.integral_indices, default=-1)
+        if top > best:
+            best, witness = top, b
+    return best, witness
+
+
+@st.composite
+def _nmax_maps(draw):
+    """A random map, an even map g(x^2), a map g(x + c/x) invariant under
+    x -> c/x, or c*F/g for g in TAIL_FORMS (whose count-only scans cut)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("random", "even", "inversion", "tail")))
+    try:
+        if kind == "random":
+            m = random_map(rng, rng.randint(2, 3))
+        elif kind == "even":
+            g = random_map(rng, rng.randint(1, 2))
+            spread = lambda coeffs: [x for c in coeffs for x in (c, 0)][:-1]
+            m = make_map(spread(g.numerator.coeffs), spread(g.denominator.coeffs))
+        elif kind == "inversion":
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            m = compose(random_map(rng, rng.randint(1, 2)), make_map([c, 0, 1], [0, 1, 0]))
+        else:
+            form = rng.choice(sorted(TAIL_FORMS))
+            num = [rng.randint(-9, 9) for _ in form]
+            m = make_map(num, [rng.choice((-2, -1, 1, 3)) * x for x in form])
+    except (DegenerateMapError, DegreeDropError):
+        assume(False)
+    assume(m.degree >= 2 and not second_iterate_is_polynomial(m))
+    return m
+
+
+@given(_nmax_maps(), st.sampled_from((EMPTY_S, SIntSpec([2]), SIntSpec([2, 3]))),
+       st.integers(1, 12), st.sampled_from((0, 1, 2, 16)),
+       st.sampled_from((1, 40, 400, 10000)))
+@settings(max_examples=80, deadline=None)
+def test_grouped_nmax_matches_one_scan_per_basepoint(m, s, bound, n_cap, budget):
+    want = _nmax_oracle(m, s, bound, n_cap, budget)
+    for workers in (1, 2):
+        assert empirical_max_iterate(m, s, bound, n_cap=n_cap, height_budget_bits=budget,
+                                     workers=workers) == want
 
 
 def test_scan_orbit_cap_limit_is_inclusive():

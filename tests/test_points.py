@@ -1,5 +1,6 @@
 import math
 import operator
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -39,6 +40,18 @@ def test_normalize_idempotent(ab):
 def test_normalize_scaling_invariance(ab, k):
     a, b = ab
     assert normalize(k * a, k * b) == normalize(a, b)
+
+
+@given(nonzero_pairs, st.integers(0, 3000))
+def test_point_survives_pickle_equal_and_with_equal_hash(ab, bits):
+    # The fork pool pickles points to and from its workers, one and in lists.
+    p = normalize(ab[0] << bits, ab[1])
+    back = pickle.loads(pickle.dumps(p))
+    assert back == p and hash(back) == hash(p)
+    points = [p, INFINITY, ProjPointQ(0, 1), normalize(-ab[1], ab[0] or 1)]
+    back = pickle.loads(pickle.dumps(points))
+    assert back == points and [hash(q) for q in back] == [hash(q) for q in points]
+    assert not hasattr(p, "__dict__")
 
 
 def test_height_one_characterization():
