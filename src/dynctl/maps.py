@@ -331,24 +331,36 @@ def _root_floor(n: int, k: int) -> int:
         x = y
 
 
-def tail_threshold(m: RationalMapQ) -> int | None:
-    """The least T with kappa * T^e > |Res| and T^(d-1) > hadamard_loss(m), for
-    (kappa, e) = denominator_bound(m); None when there is no such bound.
+def trap_height(m: RationalMapQ) -> int | None:
+    """The largest H with kappa * H^e <= |Res|, for (kappa, e) = denominator_bound(m);
+    None when there is no such bound.
 
-    From an orbit point P with H(P) > T no later point is integral (S = {})
-    and no cycle closes. If phi(P) is integral then G(a, b) / g = +-1 for the
-    gcd g, which divides Res, so kappa * H(P)^e <= |G(a, b)| <= |Res|: so
-    phi(P) is not. And H(P)^d <= L * H(phi(P)) with H(P)^(d-1) > L' >= L
-    gives H(phi(P)) > H(P), so heights rise strictly from P on: no later
-    point repeats one, since a repeat would put P on a cycle.
+    The divisor trap with S = {}: if phi([a : b]) is integral, or if G(a, b)
+    divides Res, then 0 < |G(a, b)| <= |Res|, so kappa * H(a, b)^e <= |Res|
+    and H(a, b) <= trap_height(m).
     """
     bound = denominator_bound(m)
     if bound is None:
         return None
     kappa, e = bound
-    trap = _root_floor(abs(m.resultant) * kappa.denominator // kappa.numerator, e) + 1
+    return _root_floor(abs(m.resultant) * kappa.denominator // kappa.numerator, e)
+
+
+def tail_threshold(m: RationalMapQ) -> int | None:
+    """The least T with kappa * T^e > |Res| and T^(d-1) > hadamard_loss(m), for
+    (kappa, e) = denominator_bound(m); None when there is no such bound.
+
+    From an orbit point P with H(P) > T no later point is integral (S = {})
+    and no cycle closes. P lies above trap_height(m), so phi(P) is not
+    integral. And H(P)^d <= L * H(phi(P)) with H(P)^(d-1) > L' >= L
+    gives H(phi(P)) > H(P), so heights rise strictly from P on: no later
+    point repeats one, since a repeat would put P on a cycle.
+    """
+    trap = trap_height(m)
+    if trap is None:
+        return None
     growth = _root_floor(hadamard_loss(m), m.degree - 1) + 1
-    return max(trap, growth)
+    return max(trap + 1, growth)
 
 
 def random_map(rng, degree: int, coeff_bound: int = 9) -> RationalMapQ:

@@ -9,11 +9,12 @@ from array import array
 from dataclasses import dataclass
 
 from .canonical import _require_degree_two, is_preperiodic
-from .maps import RationalMapQ, evaluate, is_polynomial, second_iterate_is_polynomial
+from .maps import (RationalMapQ, evaluate, is_polynomial, second_iterate_is_polynomial,
+                   trap_height)
 from .parallel import map_chunks
 from .points import (OrbitRecord, ProjPointQ, SIntSpec, Truncation, check_b_values,
-                     check_enumeration_bound, check_n_cap, coprime_row, enumerate_points,
-                     is_s_integral, strip_s_part, tally_by_height, walk_orbit)
+                     check_enumeration_bound, check_n_cap, coprime_count, coprime_row,
+                     enumerate_points, is_s_integral, strip_s_part, tally_by_height, walk_orbit)
 from .polynomials import FORM_KERNELS
 
 
@@ -107,7 +108,9 @@ def empirical_max_iterate(m: RationalMapQ, s: SIntSpec, bound: int,
     index 0 the scan of b is the scan of c with one step fewer under the
     same limits. Index i of c's orbit is index i + 1 of b's, provided b
     steps (n_cap >= 1 and b's bits within scan_orbit's limits) and c is
-    kept (its bits within the budget); else b's scan is b alone.
+    kept (its bits within the budget); else b's scan is b alone. A b that
+    cannot step is not evaluated: its task is keyed on b itself, whose
+    preperiodicity is c's.
     """
     if second_iterate_is_polynomial(m):
         raise ValueError("the second iterate is a polynomial; the uniform-iterate bound needs phi^2 not in Q[x]")
@@ -116,12 +119,16 @@ def empirical_max_iterate(m: RationalMapQ, s: SIntSpec, bound: int,
     points = enumerate_points(bound)
     limit = min(_scan_limits(m, s, height_budget_bits, True)) if n_cap >= 1 else -1
     slot_of: dict[ProjPointQ, int] = {}
-    # slots[i] is the task slot of points[i]'s image, or ~slot when points[i] does not step.
+    # slots[i] is the task slot of points[i]'s image, or ~slot when points[i] does not
+    # step; one that cannot step keys its slot on itself and is not evaluated.
     slots = array("q")
     for b in points:
+        if _bits(b) > limit:
+            slots.append(~slot_of.setdefault(b, len(slot_of)))
+            continue
         c = evaluate(m, b)
         slot = slot_of.setdefault(c, len(slot_of))
-        slots.append(slot if _bits(b) <= limit and _bits(c) <= height_budget_bits else ~slot)
+        slots.append(slot if _bits(c) <= height_budget_bits else ~slot)
     worker = functools.partial(_image_top, m=m, s=s, n_cap=n_cap,
                                height_budget_bits=height_budget_bits)
     tops = map_chunks(worker, slot_of, workers)
@@ -147,7 +154,9 @@ class DensityReport:
 
     trap_hits counts points whose denominator-form value divides the resultant
     (after stripping S); it is the O(B) envelope the divisor-trap argument
-    bounds, and always contains the actual hits.
+    bounds, and always contains the actual hits. totals are counted in closed
+    form; with S = {} and a maps.trap_height only the points of the box
+    H <= trap_height are evaluated, since every hit and trap hit lies there.
     """
 
     b_values: tuple[int, ...]
@@ -189,17 +198,24 @@ def _density_point(p: ProjPointQ, f: RationalMapQ, s: SIntSpec,
 
 
 def _density_row(b: int, f: RationalMapQ, s: SIntSpec, check_trap: bool, res: int,
-                 bs: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The (totals, hits, trap hits, violations) columns of points.coprime_row(b, bs[-1])
-    alone, cumulative over the bounds bs: one pool task of the density sweep."""
-    rows = (_density_point(p, f, s, check_trap, res) for p in coprime_row(b, bs[-1]))
-    return tally_by_height(bs, rows, (operator.add,) * 3)
+                 bs: tuple[int, ...], reach: int) -> list[tuple[int, ...]]:
+    """The (totals, hits, trap hits, violations) columns of row b of the points
+    with H <= bs[-1], cumulative over the bounds bs: one pool task of the density sweep.
+
+    The totals are points.coprime_count of the row at each bound b may enter.
+    Only the points of coprime_row(b, reach) are evaluated, and none when
+    b > reach: the caller vouches that no hit or trap hit lies above reach.
+    """
+    totals = tuple(coprime_count(b, bound) if b <= bound else 0 for bound in bs)
+    box = coprime_row(b, reach) if max(b, 1) <= reach else ()
+    rows = (_density_point(p, f, s, check_trap, res) for p in box)
+    return [totals, *tally_by_height(bs, rows, (operator.add,) * 3)[1:]]
 
 
 def density_of_integral_preimages(f: RationalMapQ, s: SIntSpec,
                                   b_values: tuple[int, ...],
                                   workers: int = 1) -> DensityReport:
-    """Exact enumeration of T(f, S) up to each height bound.
+    """Exact counts of T(f, S) up to each height bound, through the divisor trap.
 
     The rows b = 0..B of points.coprime_row go to the workers, and each
     worker tallies its own rows; the columns of all rows are summed entry
@@ -207,15 +223,22 @@ def density_of_integral_preimages(f: RationalMapQ, s: SIntSpec,
     not depend on row order or worker count. A bound refused by
     check_enumeration_bound is refused before any row is visited.
 
-    When f has a genuine denominator, every hit [a : b] is cross-checked
-    against the divisor trap: the non-S part of G(a, b) must divide the
-    resultant. The trap is a cross-check only; counting is by enumeration.
+    Each row's totals are counted in closed form, and its points are
+    evaluated only up to a reach. With S = {} and a maps.trap_height, every
+    hit and every trap hit has 0 < |G(a, b)| <= |Res|, so it lies in the box
+    H <= trap_height(f), and the reach is that height (at most B). Otherwise
+    (S nonempty, no denominator bound, or a polynomial map) the reach is B
+    and every point is evaluated. When f has a genuine denominator, every
+    evaluated hit [a : b] is cross-checked against the divisor trap: the
+    non-S part of G(a, b) must divide the resultant.
     """
     bs = check_b_values(b_values)
     check_enumeration_bound(bs[-1])
     check_trap = not is_polynomial(f)
+    trap = None if s.primes else trap_height(f)
     worker = functools.partial(_density_row, f=f, s=s, check_trap=check_trap,
-                               res=abs(f.resultant), bs=bs)
+                               res=abs(f.resultant), bs=bs,
+                               reach=bs[-1] if trap is None else min(trap, bs[-1]))
     rows = map_chunks(worker, range(bs[-1] + 1), workers)
     totals, hits, trap_hits, violations = (tuple(map(sum, zip(*column)))
                                            for column in zip(*rows))

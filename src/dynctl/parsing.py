@@ -25,6 +25,10 @@ MAX_EXPONENT = 64
 MAX_DEGREE = 64  # total degree of any polynomial the parser builds
 MAX_COEFF_BITS = 100_000
 MAX_TERM_PAIRS = 100_000  # term products in one polynomial multiplication
+# Open parentheses and unary signs around any one token. Each level costs the
+# recursive-descent parser up to four Python frames, so this keeps a parse far
+# inside the default recursion limit of 1000.
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([xtrsf])|(\*\*|[-+*/^()]))")
 
@@ -147,6 +151,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -157,6 +162,12 @@ class _Parser:
             raise ParseError("unexpected end of expression", len(self.text))
         self.i += 1
         return tok
+
+    def nest(self, tok: _Token) -> None:
+        """Enter one more level of nesting at tok, refused past MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", tok.pos)
 
     def parse(self) -> _Rat:
         value = self.expr()
@@ -210,8 +221,11 @@ class _Parser:
         pos = tok.pos if tok else len(self.text)
         if tok is not None and tok.kind == "op" and tok.text in "+-":
             self.take()
+            self.nest(tok)
             sign = -1 if tok.text == "-" else 1
-            return sign * self.atom_exponent()
+            value = sign * self.atom_exponent()
+            self.depth -= 1
+            return value
         value = self.atom()
         as_int = value.as_int()
         if as_int is None:
@@ -228,13 +242,17 @@ class _Parser:
         if tok.kind == "sym":
             return _Rat.sym(tok.text)
         if tok.kind == "op" and tok.text == "(":
+            self.nest(tok)
             value = self.expr()
             closing = self.take()
             if closing.kind != "op" or closing.text != ")":
                 raise ParseError("expected ')'", closing.pos)
+            self.depth -= 1
             return value
         if tok.kind == "op" and tok.text in "+-":
+            self.nest(tok)
             inner = self.atom()
+            self.depth -= 1
             return inner if tok.text == "+" else _Rat.const(0).sub(inner, tok.pos)
         raise ParseError(f"unexpected {tok.text!r}", tok.pos)
 

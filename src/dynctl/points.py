@@ -169,6 +169,28 @@ def coprime_row(b: int, bound: int) -> list[ProjPointQ]:
     return [ProjPointQ(a, b) for a in range(-bound, bound + 1) if gcd(a, b) == 1]
 
 
+def coprime_count(b: int, bound: int) -> int:
+    """len(coprime_row(b, bound)) without building the row.
+
+    1 for row 0 and 2 * bound + 1 for row 1. Above, a = 0 is not coprime to
+    b and a, -a pair up, so the count is 2 * sum of mu(k) * floor(bound / k)
+    over the divisors k of rad(b), by inclusion-exclusion over b's primes.
+    """
+    if b < 2:
+        return 1 if b == 0 else 2 * bound + 1
+    terms = [(1, 1)]  # (k, mu(k)) over the squarefree k built from b's primes so far
+    p = 2
+    while p * p <= b:
+        if b % p == 0:
+            terms += [(k * p, -mu) for k, mu in terms]
+            while b % p == 0:
+                b //= p
+        p += 1
+    if b > 1:
+        terms += [(k * b, -mu) for k, mu in terms]
+    return 2 * sum(mu * (bound // k) for k, mu in terms)
+
+
 def enumerate_points(bound: int) -> list[ProjPointQ]:
     """All points of P^1(Q) with H <= bound, ordered by (H, a, b).
 
@@ -184,12 +206,9 @@ def enumerate_points(bound: int) -> list[ProjPointQ]:
 
 
 def count_points(bound: int) -> int:
-    """|{P : H(P) <= bound}| without materializing the points."""
-    gcd = math.gcd
-    total = 1
-    for b in range(1, bound + 1):
-        total += sum(1 for a in range(-bound, bound + 1) if gcd(abs(a), b) == 1)
-    return total
+    """|{P : H(P) <= bound}| without materializing the points: the coprime_count
+    of each row 0..bound."""
+    return sum(coprime_count(b, bound) for b in range(bound + 1))
 
 
 def check_b_values(b_values: Iterable[int]) -> tuple[int, ...]:

@@ -542,3 +542,15 @@ def test_oversized_map_is_one_json_parse_error(expr, monkeypatch, capsys):
     assert out == ""
     payload = json.loads(err)
     assert payload["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("expr", ["(" * 20000 + "x" + ")" * 20000, "-" * 20000 + "x"])
+def test_deeply_nested_map_is_one_json_parse_error(expr, capsys):
+    from dynctl.parsing import MAX_NESTING
+
+    code, out, err = run_cli(["orbit", f"--map={expr}", "--point", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "ParseError"
+    assert payload["message"].startswith(f"nesting deeper than {MAX_NESTING} (at position")

@@ -11,7 +11,7 @@ from dynctl.errors import DegenerateMapError, DegreeDropError, SizeBudgetExceede
 from dynctl.maps import (TAIL_FORMS, cofactor_certificates_check, cofactors, compose,
                          denominator_bound, evaluate, hadamard_loss, is_polynomial, iterate,
                          make_map, map_height, random_coprime_pair, random_map,
-                         second_iterate_is_polynomial, tail_threshold)
+                         second_iterate_is_polynomial, tail_threshold, trap_height)
 from dynctl.points import INFINITY, ProjPointQ, normalize
 from dynctl.parallel import map_chunks
 from dynctl.polynomials import FORM_KERNELS, resultant_from_coeffs
@@ -366,3 +366,27 @@ def test_tail_threshold_is_the_least_certified_height(m):
     want = _least(lambda t: kappa * t**e > res and t ** (d - 1) > loss)
     assert tail_threshold(m) == want
     assert 1 << (m.tail_bits - 1) <= want < 1 << m.tail_bits
+
+
+@given(tail_maps(bound=40))
+@settings(max_examples=100, deadline=None)
+def test_trap_height_is_the_largest_trapped_height(m):
+    kappa, e = denominator_bound(m)
+    res = abs(m.resultant)
+    assert trap_height(m) == _least(lambda t: kappa * (t + 1) ** e > res)
+    assert tail_threshold(m) >= trap_height(m) + 1
+
+
+@given(tail_maps())
+@settings(max_examples=60, deadline=None)
+def test_trap_box_holds_every_divisor_of_the_resultant(m):
+    # Every coprime (a, b) with |a|, |b| <= 25 and 0 < |G(a, b)| <= |Res| has
+    # H <= trap_height: the hits and trap hits of density, with S = {}.
+    res, trap = abs(m.resultant), trap_height(m)
+    for a, b in _coprime_box(25):
+        assert not 0 < abs(m.denominator(a, b)) <= res or max(abs(a), abs(b)) <= trap
+
+
+def test_trap_height_is_none_without_a_denominator_bound():
+    assert trap_height(PELL_2) is None and trap_height(X_SQUARED) is None
+    assert trap_height(PHI_1) == 2  # |Res| = 2, kappa = 1/4, e = 2: H^2 <= 8

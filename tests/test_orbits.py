@@ -10,7 +10,7 @@ from dynctl.errors import DegenerateMapError, DegreeDropError, SizeBudgetExceede
 from dynctl.families import phi_t_family, pell_map, specialize, three_param_family
 from dynctl.maps import (TAIL_FORMS, compose, evaluate, is_polynomial, make_map, map_height,
                          random_coprime_pair, random_map, second_iterate_is_polynomial,
-                         tail_threshold)
+                         tail_threshold, trap_height)
 from dynctl.orbits import (DEFAULT_N_CAP, count_s_integral, density_of_integral_preimages,
                            empirical_max_iterate, scan_orbit)
 from dynctl.parallel import map_chunks
@@ -152,12 +152,23 @@ def _brute_density(f, s, bs):
 
 @st.composite
 def _density_maps(draw):
+    """A random map, a polynomial map, or F / (c * g) with g in TAIL_FORMS, whose
+    trap_height lets the rows with S = {} evaluate only inside the trap box
+    (small coefficients keep |Res|, and so the box, below most bounds)."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     degree = draw(st.integers(2, 3))
-    if not draw(st.booleans()):
+    kind = draw(st.sampled_from(("random", "polynomial", "trap")))
+    if kind == "random":
         return random_map(rng, degree)
-    num = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((-2, -1, 1, 3))]
-    return make_map(num, [rng.randint(1, 4)] + [0] * degree)
+    if kind == "polynomial":
+        num = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((-2, -1, 1, 3))]
+        return make_map(num, [rng.randint(1, 4)] + [0] * degree)
+    form = rng.choice(sorted(TAIL_FORMS))
+    c = rng.choice((-3, -2, -1, 1, 2, 3))
+    try:
+        return make_map([rng.randint(-3, 3) for _ in form], [c * x for x in form])
+    except (DegenerateMapError, DegreeDropError):
+        assume(False)
 
 
 @given(_density_maps(), st.sampled_from((EMPTY_S, SIntSpec([2, 3]))),
@@ -189,6 +200,39 @@ def test_density_sends_one_task_per_row(monkeypatch):
     report = density_of_integral_preimages(PHI_1, EMPTY_S, (50,), workers=2)
     assert report.totals == (3096,) == (count_points(50),)
     assert sizes == [51]
+
+
+def test_density_evaluates_only_inside_the_trap_box(monkeypatch):
+    import dynctl.orbits as orbits_mod
+
+    heights = []
+    real_point = orbits_mod._density_point
+
+    def recording_point(p, *args):
+        heights.append(max(abs(p.a), abs(p.b)))
+        return real_point(p, *args)
+
+    monkeypatch.setattr(orbits_mod, "_density_point", recording_point)
+    report = density_of_integral_preimages(PHI_1, EMPTY_S, (50,))
+    assert trap_height(PHI_1) == 2
+    assert heights and max(heights) <= 2 and len(heights) <= count_points(2)
+    assert report.totals == (count_points(50),) and report.hits == (3,)
+    heights.clear()
+    density_of_integral_preimages(PHI_1, SIntSpec([2]), (50,))
+    assert len(heights) == count_points(50)  # S nonempty: the reach is B
+
+
+@pytest.mark.parametrize("t", [2, 3, 5])
+def test_density_counts_a_hit_on_the_edge_of_the_trap_box(t):
+    # (x^2 - x + t + 1)/(x^2 + 1) has |Res| = t^2 + 1, so trap_height = t, and
+    # phi(t) = 1: the box H <= trap_height is tight, with a hit on its edge.
+    f = make_map([t + 1, -1, 1], [1, 0, 1])
+    assert trap_height(f) == t and is_s_integral(evaluate(f, ProjPointQ(t, 1)), EMPTY_S)
+    bs = (t - 1, t, 3 * t)
+    report = density_of_integral_preimages(f, EMPTY_S, bs)
+    totals, hits, trap_hits, _ = _brute_density(f, EMPTY_S, bs)
+    assert (report.totals, report.hits, report.trap_hits) == (totals, hits, trap_hits)
+    assert hits[1] > hits[0]
 
 
 def test_completed_count_independent_of_cap():
@@ -259,6 +303,28 @@ def test_grouped_nmax_matches_one_scan_per_basepoint(m, s, bound, n_cap, budget)
     for workers in (1, 2):
         assert empirical_max_iterate(m, s, bound, n_cap=n_cap, height_budget_bits=budget,
                                      workers=workers) == want
+
+
+@given(_nmax_maps(), st.sampled_from((EMPTY_S, SIntSpec([2]))), st.integers(1, 8),
+       st.sampled_from((0, 1)), st.sampled_from((1, 8, 40)))
+@settings(max_examples=60, deadline=None)
+def test_nmax_evaluates_no_basepoint_that_cannot_step(m, s, bound, n_cap, budget):
+    import dynctl.orbits as orbits_mod
+
+    want = _nmax_oracle(m, s, bound, n_cap, budget)
+    calls = []
+
+    def counting_evaluate(f, p):
+        calls.append(p)
+        return evaluate(f, p)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orbits_mod, "evaluate", counting_evaluate)
+        assert empirical_max_iterate(m, s, bound, n_cap=n_cap, height_budget_bits=budget) == want
+    limit = min(orbits_mod._scan_limits(m, s, budget, True)) if n_cap else -1
+    assert all(orbits_mod._bits(p) <= limit for p in calls)
+    if n_cap == 0:
+        assert calls == []
 
 
 def test_scan_orbit_cap_limit_is_inclusive():

@@ -2,8 +2,8 @@ import pytest
 
 from dynctl.errors import NotRationalError, ParseError
 from dynctl.families import PRESET_EXPRESSIONS, phi_t_family, three_param_family
-from dynctl.parsing import (MAX_DEGREE, MAX_EXPONENT, MAX_LITERAL_DIGITS, parse_map,
-                            resolve_map_text)
+from dynctl.parsing import (MAX_DEGREE, MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING,
+                            parse_map, resolve_map_text)
 
 
 def test_parse_phi_t_family():
@@ -128,3 +128,19 @@ def test_size_limits_accept_their_bounds():
 def test_size_limits_refuse_before_computing(text, message):
     with pytest.raises(ParseError, match=message):
         parse_map(text)
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda n, inner: "(" * n + inner + ")" * n,
+    lambda n, inner: "(-" * n + inner + ")" * n,
+    lambda n, inner: "x+" + "-" * n + inner,
+    lambda n, inner: "x^" + "-" * n + "2",
+    lambda n, inner: "x^(" * n + "2" + ")" * n,
+])
+def test_nesting_limit_accepts_its_bound_and_refuses_past_it(wrap):
+    try:
+        parse_map(wrap(MAX_NESTING, "x"))
+    except NotRationalError:
+        pass  # x^(x^(...)): refused by the grammar, not by the nesting limit
+    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING}"):
+        parse_map(wrap(MAX_NESTING + 1, "x"))

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from dynctl.errors import BothZeroError, ParseError, SizeBudgetExceededError
 from dynctl.points import (EMPTY_S, INFINITY, ProjPointQ, SIntSpec, check_b_values,
-                           check_enumeration_bound, coprime_row, count_points, enumerate_points,
-                           format_point, is_prime, is_s_integral, log_of_int, normalize,
+                           check_enumeration_bound, coprime_count, coprime_row, count_points,
+                           enumerate_points, format_point, is_prime, is_s_integral, log_of_int, normalize,
                            parse_point, tally_by_height)
 
 nonzero_pairs = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)).filter(
@@ -213,3 +213,15 @@ def test_coprime_rows_partition_the_points(bound):
     points = {p for row in rows for p in row}
     assert len(points) == sum(map(len, rows)) == count_points(bound)
     assert all(max(abs(p.a), abs(p.b)) <= bound for p in points)
+
+
+def test_coprime_count_matches_gcd_by_brute_force():
+    # Every row 0 <= b <= B <= 200 against a running count of the a in [-B, B]
+    # with gcd(a, b) = 1; row 0 is the point at infinity alone.
+    for b in range(201):
+        count = 1 if b == 0 else int(math.gcd(0, b) == 1)
+        for bound in range(1, 201):
+            if b:
+                count += (math.gcd(bound, b) == 1) + (math.gcd(-bound, b) == 1)
+            if bound >= b:
+                assert coprime_count(b, bound) == count, (b, bound)
