@@ -9,8 +9,7 @@ from array import array
 from dataclasses import dataclass
 
 from .canonical import _require_degree_two, is_preperiodic
-from .maps import (RationalMapQ, evaluate, is_polynomial, second_iterate_is_polynomial,
-                   trap_height)
+from .maps import RationalMapQ, evaluate, is_polynomial, second_iterate_is_polynomial
 from .parallel import map_chunks
 from .points import (OrbitRecord, ProjPointQ, SIntSpec, Truncation, check_b_values,
                      check_enumeration_bound, check_n_cap, coprime_count, coprime_row,
@@ -155,8 +154,8 @@ class DensityReport:
     trap_hits counts points whose denominator-form value divides the resultant
     (after stripping S); it is the O(B) envelope the divisor-trap argument
     bounds, and always contains the actual hits. totals are counted in closed
-    form; with S = {} and a maps.trap_height only the points of the box
-    H <= trap_height are evaluated, since every hit and trap hit lies there.
+    form; with S = {} only the points with 0 < |G(a, b)| <= |Res| are
+    evaluated in full, since every hit and trap hit is among them.
     """
 
     b_values: tuple[int, ...]
@@ -198,17 +197,21 @@ def _density_point(p: ProjPointQ, f: RationalMapQ, s: SIntSpec,
 
 
 def _density_row(b: int, f: RationalMapQ, s: SIntSpec, check_trap: bool, res: int,
-                 bs: tuple[int, ...], reach: int) -> list[tuple[int, ...]]:
+                 bs: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The (totals, hits, trap hits, violations) columns of row b of the points
     with H <= bs[-1], cumulative over the bounds bs: one pool task of the density sweep.
 
     The totals are points.coprime_count of the row at each bound b may enter.
-    Only the points of coprime_row(b, reach) are evaluated, and none when
-    b > reach: the caller vouches that no hit or trap hit lies above reach.
+    With S = {} only the points with 0 < |G(a, b)| <= res go to
+    _density_point, since every hit and trap hit is among them; with S
+    nonempty every point does.
     """
     totals = tuple(coprime_count(b, bound) if b <= bound else 0 for bound in bs)
-    box = coprime_row(b, reach) if max(b, 1) <= reach else ()
-    rows = (_density_point(p, f, s, check_trap, res) for p in box)
+    points = coprime_row(b, bs[-1])
+    if not s.primes:
+        g = f.denominator
+        points = [p for p in points if 0 < abs(g(p.a, p.b)) <= res]
+    rows = (_density_point(p, f, s, check_trap, res) for p in points)
     return [totals, *tally_by_height(bs, rows, (operator.add,) * 3)[1:]]
 
 
@@ -223,22 +226,21 @@ def density_of_integral_preimages(f: RationalMapQ, s: SIntSpec,
     not depend on row order or worker count. A bound refused by
     check_enumeration_bound is refused before any row is visited.
 
-    Each row's totals are counted in closed form, and its points are
-    evaluated only up to a reach. With S = {} and a maps.trap_height, every
-    hit and every trap hit has 0 < |G(a, b)| <= |Res|, so it lies in the box
-    H <= trap_height(f), and the reach is that height (at most B). Otherwise
-    (S nonempty, no denominator bound, or a polynomial map) the reach is B
-    and every point is evaluated. When f has a genuine denominator, every
+    Each row's totals are counted in closed form. With S = {} a hit has
+    G(a, b) = +-gcd(F(a, b), G(a, b)), and that gcd divides Res, while a trap
+    hit has G(a, b) | Res; so every hit and every trap hit has
+    0 < |G(a, b)| <= |Res|, and only the points that pass this test on G
+    alone are evaluated in full. This holds for any map, polynomial or not,
+    with or without a denominator bound. With S nonempty every point is
+    evaluated in full. When f has a genuine denominator, every
     evaluated hit [a : b] is cross-checked against the divisor trap: the
     non-S part of G(a, b) must divide the resultant.
     """
     bs = check_b_values(b_values)
     check_enumeration_bound(bs[-1])
     check_trap = not is_polynomial(f)
-    trap = None if s.primes else trap_height(f)
     worker = functools.partial(_density_row, f=f, s=s, check_trap=check_trap,
-                               res=abs(f.resultant), bs=bs,
-                               reach=bs[-1] if trap is None else min(trap, bs[-1]))
+                               res=abs(f.resultant), bs=bs)
     rows = map_chunks(worker, range(bs[-1] + 1), workers)
     totals, hits, trap_hits, violations = (tuple(map(sum, zip(*column)))
                                            for column in zip(*rows))

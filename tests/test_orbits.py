@@ -153,8 +153,8 @@ def _brute_density(f, s, bs):
 @st.composite
 def _density_maps(draw):
     """A random map, a polynomial map, or F / (c * g) with g in TAIL_FORMS, whose
-    trap_height lets the rows with S = {} evaluate only inside the trap box
-    (small coefficients keep |Res|, and so the box, below most bounds)."""
+    trap box H <= trap_height holds every point that density evaluates in full
+    with S = {} (small coefficients keep |Res|, and so the box, below most bounds)."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     degree = draw(st.integers(2, 3))
     kind = draw(st.sampled_from(("random", "polynomial", "trap")))
@@ -219,7 +219,30 @@ def test_density_evaluates_only_inside_the_trap_box(monkeypatch):
     assert report.totals == (count_points(50),) and report.hits == (3,)
     heights.clear()
     density_of_integral_preimages(PHI_1, SIntSpec([2]), (50,))
-    assert len(heights) == count_points(50)  # S nonempty: the reach is B
+    assert len(heights) == count_points(50)  # S nonempty: every point
+
+
+def test_density_sieves_on_g_without_a_denominator_bound(monkeypatch):
+    import dynctl.orbits as orbits_mod
+
+    evaluated = []
+    real_point = orbits_mod._density_point
+
+    def recording_point(p, *args):
+        evaluated.append(p)
+        return real_point(p, *args)
+
+    monkeypatch.setattr(orbits_mod, "_density_point", recording_point)
+    # (x^2 + 2)/x: G = XY has no TAIL_FORMS bound, and |Res| = 2.
+    f = make_map([2, 0, 1], [0, 1, 0])
+    assert trap_height(f) is None
+    bs = (10, 30)
+    report = density_of_integral_preimages(f, EMPTY_S, bs)
+    totals, hits, trap_hits, _ = _brute_density(f, EMPTY_S, bs)
+    assert (report.totals, report.hits, report.trap_hits) == (totals, hits, trap_hits)
+    res = abs(f.resultant)
+    assert all(0 < abs(f.denominator(p.a, p.b)) <= res for p in evaluated)
+    assert 0 < len(evaluated) < count_points(30) // 10
 
 
 @pytest.mark.parametrize("t", [2, 3, 5])
