@@ -20,7 +20,7 @@ from . import maps as maps_mod
 from .canonical import canonical_height, is_preperiodic
 from .errors import DynctlError, SizeBudgetExceededError
 from .families import BasepointSpec, avg_experiment, three_param_avg
-from .funcfield import ff_orbit_avg, parse_ffpoly, validate_s_set
+from .funcfield import ff_orbit_avg, parse_ffpoly
 from .orbits import (DEFAULT_HEIGHT_BUDGET_BITS, DEFAULT_N_CAP, HEIGHT_BUDGET_BITS_LIMIT,
                      OrbitPolicy, count_s_integral, density_of_integral_preimages,
                      empirical_max_iterate, scan_orbit)
@@ -134,7 +134,6 @@ def cmd_ffavg(args) -> tuple[dict, list | None]:
     s_polys = []
     if args.s.strip():
         s_polys = [parse_ffpoly(args.p, chunk) for chunk in args.s.split(",")]
-        validate_s_set(s_polys)
     beta = [int(c) for c in args.beta_coeffs.split(",")]
     report = ff_orbit_avg(args.p, args.d, beta, s_polys, _parse_b_values(args.b),
                           n_cap=args.ncap)

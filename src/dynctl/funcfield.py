@@ -19,7 +19,9 @@ from typing import Sequence
 from .errors import DegenerateFamilyError, SizeBudgetExceededError
 from .points import (OrbitRecord, Truncation, by_population, check_b_values, is_prime,
                      tally_by_height, walk_orbit)
-from .polynomials import FORM_KERNELS, form_compose, form_mul, form_shape
+from .parsing import MAX_EXPONENT
+from .polynomials import (FORM_KERNELS, form_compose, form_mul, form_shape,
+                          resultant_from_coeffs)
 from .reports import CheckResult, VerificationReport
 
 MAX_PRIME = 97
@@ -223,6 +225,8 @@ def parse_ffpoly(p: int, text: str) -> FFPoly:
             e = 1
         else:
             raise ValueError(f"bad term {term!r}")
+        if not 0 <= e <= MAX_EXPONENT:
+            raise ValueError(f"exponent {e} outside [0, {MAX_EXPONENT}] in {term!r}")
         coeffs[e] = coeffs.get(e, 0) + c
     out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():
@@ -231,16 +235,24 @@ def parse_ffpoly(p: int, text: str) -> FFPoly:
 
 
 def is_irreducible(f: FFPoly) -> bool:
-    """Trial division by all monic polynomials up to half the degree."""
+    """Ben-Or's test: f of degree d is irreducible iff gcd(t^(p^i) - t, f) = 1 for
+    every i <= d/2, as t^(p^i) - t is the product of the monic irreducibles of
+    degree dividing i. Each t^(p^i) is the p-th power of the last, mod f."""
     d = f.degree()
     if d < 1:
         return False
     p = f.p
-    for k in range(1, d // 2 + 1):
-        for lower in itertools.product(range(p), repeat=k):
-            g = FFPoly(p, list(lower) + [1])
-            if (f % g).is_zero():
-                return False
+    t = FFPoly.t_var(p)
+    x = t
+    for _ in range(d // 2):
+        y = FFPoly.const(p, 1)
+        for bit in bin(p)[2:]:
+            y = y * y % f
+            if bit == "1":
+                y = y * x % f
+        x = y
+        if not (x - t).gcd(f).is_constant():
+            return False
     return True
 
 
@@ -255,12 +267,8 @@ class FFRat:
     def make(cls, num: FFPoly, den: FFPoly) -> "FFRat":
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in F_p(t)")
-        g = num.gcd(den)
-        if not g.is_constant():
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        inv = pow(den.leading(), den.p - 2, den.p)
-        return cls(num * inv, den * inv)
+        point = normalize_ff_point(num, den)
+        return cls(point.z0, point.z1)
 
     @classmethod
     def from_poly(cls, f: FFPoly) -> "FFRat":
@@ -335,10 +343,6 @@ def normalize_ff_point(z0: FFPoly, z1: FFPoly) -> FFPointK:
         z1 = z1.exact_div(g)
     inv = pow(z1.leading(), p - 2, p)
     return FFPointK(z0 * inv, z1 * inv)
-
-
-def ff_point_from_rat(f: FFRat) -> FFPointK:
-    return normalize_ff_point(f.num, f.den)
 
 
 def ff_infinity(p: int) -> FFPointK:
@@ -447,65 +451,6 @@ class FFFamilyChecks:
         ))
 
 
-# x-polynomials with FFRat coefficients, ascending; small helpers.
-
-
-def _xp_trim(c: list[FFRat]) -> list[FFRat]:
-    while c and c[-1].is_zero():
-        c.pop()
-    return c
-
-
-def _xp_add(a: list[FFRat], b: list[FFRat]) -> list[FFRat]:
-    p = (a or b)[0].p
-    out = []
-    for i in range(max(len(a), len(b))):
-        x = a[i] if i < len(a) else FFRat.constant(p, 0)
-        y = b[i] if i < len(b) else FFRat.constant(p, 0)
-        out.append(x + y)
-    return _xp_trim(out)
-
-
-def _xp_mul(a: list[FFRat], b: list[FFRat]) -> list[FFRat]:
-    return _xp_trim(form_mul(a, b)) if a and b else []
-
-
-def _xp_scale(a: list[FFRat], c: FFRat) -> list[FFRat]:
-    return _xp_trim([x * c for x in a])
-
-
-def _xp_deriv(a: list[FFRat]) -> list[FFRat]:
-    if len(a) <= 1:
-        return []
-    return _xp_trim([a[i] * i for i in range(1, len(a))])
-
-
-def _xp_eq(a: list[FFRat], b: list[FFRat]) -> bool:
-    a = _xp_trim(list(a))
-    b = _xp_trim(list(b))
-    return len(a) == len(b) and all(x == y for x, y in zip(a, b))
-
-
-def _xp_gcd(a: list[FFRat], b: list[FFRat]) -> list[FFRat]:
-    """Monic gcd over the field F_p(t)."""
-    a = _xp_trim(list(a))
-    b = _xp_trim(list(b))
-    while b:
-        # long division of a by b
-        r = list(a)
-        lead_inv = FFRat.constant(b[0].p, 1) / b[-1]
-        while len(r) >= len(b) and r:
-            q = r[-1] * lead_inv
-            shift = len(r) - len(b)
-            for j, y in enumerate(b):
-                r[shift + j] = r[shift + j] - q * y
-            r = _xp_trim(r)
-        a, b = b, r
-    if a:
-        a = _xp_scale(a, FFRat.constant(a[0].p, 1) / a[-1])
-    return a
-
-
 def ff_family_map(d: int, f: FFRat) -> FFMap:
     """Just the family map, without the check bundle (sweeps call this).
 
@@ -532,9 +477,16 @@ def ff_family(d: int, f: FFRat) -> tuple[FFMap, FFFamilyChecks]:
     """
     m = ff_family_map(d, f)
     p = f.p
-    one = FFRat.constant(p, 1)
-    zero = FFRat.constant(p, 0)
-    num = [zero] * d + [f + one]
+    u, v = f.num, f.den
+    w = u + v
+    zero = FFPoly(p, ())
+    # The identities run on the cleared forms F = w X^d, G = v X^(d-1) Y + u Y^d,
+    # which are v times the displayed pair; a form's coefficient list, read with
+    # Y = 1, is the x-polynomial.
+    num, den = m.num_forms, m.den_forms
+
+    def degree(form: Sequence[FFPoly]) -> int:
+        return max((i for i, c in enumerate(form) if not c.is_zero()), default=-1)
 
     # (i) 0, 1, infinity are fixed.
     fixed = all(
@@ -546,32 +498,35 @@ def ff_family(d: int, f: FFRat) -> tuple[FFMap, FFFamilyChecks]:
         )
     )
 
-    # (ii) formal derivative (N'D - ND') / D^2 against (f+1) x^(d-2) (x^d + d f x) / D^2.
-    n_poly = num
-    d_poly = [f] + [zero] * (d - 2) + [one]
-    deriv_num = _xp_add(_xp_mul(_xp_deriv(n_poly), d_poly),
-                        _xp_scale(_xp_mul(n_poly, _xp_deriv(d_poly)), FFRat.constant(p, -1)))
-    inner = [zero] * d + [one]            # x^d
-    inner[1] = f * d                      # + d f x
-    expected = _xp_mul(_xp_mul([zero] * (d - 2) + [f + one], [one]), _xp_trim(inner))
-    derivative_matches = _xp_eq(deriv_num, expected)
-    separable = bool(_xp_trim(list(deriv_num)))
+    # (ii) formal derivative F'G - FG' against v^2 times the closed form
+    # (f+1) x^(d-2) (x^d + d f x), that is w x^(d-2) (v x^d + d u x).
+    num_deriv = [c * i for i, c in enumerate(num)][1:]
+    den_deriv = [c * i for i, c in enumerate(den)][1:]
+    deriv_num = [a - b for a, b in zip(form_mul(num_deriv, den), form_mul(num, den_deriv))]
+    expected = [zero] * (2 * d)
+    expected[d - 1] = w * u * d
+    expected[2 * d - 2] = w * v
+    derivative_matches = deriv_num == expected
+    separable = degree(deriv_num) >= 0
 
     # (iv) direct second iterate: degrees, non-polynomiality, scalar vs the displayed pair.
-    d_form = d_poly + [zero]  # the denominator as a degree-d form
-    comp_num, comp_den = form_compose(n_poly, d_form, n_poly, d_form)
-    deg_ok = (len(_xp_trim(list(comp_num))) - 1 == d * d
-              and len(_xp_trim(list(comp_den))) - 1 == d * d - 1)
-    g = _xp_gcd(comp_num, comp_den)
-    not_poly = (len(_xp_trim(list(comp_den))) - 1) - (len(g) - 1) >= 1
-    # displayed pair: (f+1) x^(d^2) over (f+1)^(d-1) x^(d(d-1)) (x^(d-1)+f) + f (x^(d-1)+f)^d
-    disp_num = [zero] * (d * d) + [f + one]
-    term1 = _xp_scale(_xp_mul([zero] * (d * (d - 1)) + [one], d_poly), (f + one) ** (d - 1))
-    term2 = _xp_scale(_xp_pow(d_poly, d), f)
-    disp_den = _xp_add(term1, term2)
-    scalar = (f + one) ** d
-    scalar_matches = (_xp_eq(comp_den, disp_den)
-                      and _xp_eq(comp_num, _xp_scale(disp_num, scalar)))
+    comp_num, comp_den = form_compose(num, den, num, den)
+    deg_ok = degree(comp_num) == d * d and degree(comp_den) == d * d - 1
+    # A nonzero resultant leaves no common factor, so the pair is already reduced.
+    not_poly = (not resultant_from_coeffs(comp_num, comp_den, d * d).is_zero()
+                and degree(comp_den) >= 1)
+    # displayed pair: (f+1) x^(d^2) over (f+1)^(d-1) x^(d(d-1)) (x^(d-1)+f) + f (x^(d-1)+f)^d.
+    # Times v^(d+1), with D = v (x^(d-1) + f): v^d w x^(d^2) over
+    # v w^(d-1) x^(d(d-1)) D + u D^d. The composition is that times (scalar, 1).
+    wd, vd = w ** d, v ** d
+    disp_d = [u] + [zero] * (d - 2) + [v, zero]
+    disp_num = [zero] * (d * d) + [vd * w]
+    disp_den = [v * w ** (d - 1) * a + u * b
+                for a, b in zip([zero] * (d * (d - 1)) + disp_d,
+                                functools.reduce(form_mul, [disp_d] * d))]
+    scalar = FFRat.make(wd, vd)
+    scalar_matches = (comp_den == disp_den
+                      and [vd * c for c in comp_num] == [wd * c for c in disp_num])
 
     checks = FFFamilyChecks(
         fixed_points_ok=fixed,
@@ -584,14 +539,6 @@ def ff_family(d: int, f: FFRat) -> tuple[FFMap, FFFamilyChecks]:
         scalar_matches=scalar_matches,
     )
     return m, checks
-
-
-def _xp_pow(a: list[FFRat], n: int) -> list[FFRat]:
-    p = a[0].p
-    out = [FFRat.constant(p, 1)]
-    for _ in range(n):
-        out = _xp_mul(out, a)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -728,12 +675,15 @@ def ff_orbit_avg(p: int, d: int, beta_coeffs: Sequence[int], s: Sequence[FFPoly]
     validate_s_set(s)
     bs = check_b_values(b_values)
 
-    # beta(f) is the form sum beta_i X^i Y^(deg - i) at (f, 1).
+    # beta(f) is the form B = sum beta_i X^i Y^(deg - i) at (u, v), for f = u/v.
+    # [B(u, v) : v^deg] is already normalized: v^deg is monic, and
+    # B(u, v) = beta_deg u^deg mod v with beta_deg != 0 and gcd(u, v) = 1.
     beta_kernel = FORM_KERNELS[form_shape(beta)]
     rows = []
     for f in enumerate_ff_elements(p, bs[-1]):
         m = ff_family_map(d, f)
-        rec = ff_scan_orbit(m, ff_point_from_rat(beta_kernel(beta, f, 1)), s,
+        basepoint = FFPointK(beta_kernel(beta, f.num, f.den), f.den ** beta_deg)
+        rec = ff_scan_orbit(m, basepoint, s,
                             n_cap=n_cap, height_budget=height_budget, count_only=True)
         rows.append((f.height(), len(rec.integral_indices),
                      rec.truncation is not Truncation.COMPLETED))

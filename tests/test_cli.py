@@ -479,6 +479,20 @@ def test_ffavg_subcommand(capsys):
     assert len(lines) == 4
 
 
+def test_ffavg_checks_p_before_it_tests_s_for_irreducibility(monkeypatch, capsys):
+    import dynctl.funcfield as funcfield_mod
+
+    def no_s_check(f):
+        raise AssertionError("S was tested for irreducibility before p was checked")
+
+    monkeypatch.setattr(funcfield_mod, "is_irreducible", no_s_check)
+    code, out, err = run_cli(["ffavg", "--p", "1000003", "--d", "2", "--beta-coeffs",
+                              "0,0,0,0,1", "--s", "t^4+t+1", "--b", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "p must be a prime <= 97"}
+
+
 def test_canheight_nan_tol_is_one_json_error(capsys):
     code, out, err = run_cli(["canheight", "--map", "x^2", "--point", "2", "--tol", "nan"],
                              capsys)

@@ -1,13 +1,14 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dynctl.errors import DegenerateFamilyError, SizeBudgetExceededError
-from dynctl.funcfield import (DEFAULT_FF_N_CAP, FFMap, FFPoly, FFRat, enumerate_ff_elements,
-                              evaluate_ff, ff_family, ff_family_map, ff_family_verification,
-                              ff_height, ff_infinity, ff_is_s_integral, ff_orbit_avg,
-                              ff_point_from_rat, ff_scan_orbit, format_ffpoly, is_irreducible,
+from dynctl.funcfield import (DEFAULT_FF_N_CAP, FFMap, FFPointK, FFPoly, FFRat,
+                              enumerate_ff_elements, evaluate_ff, ff_family, ff_family_map,
+                              ff_family_verification, ff_height, ff_infinity, ff_is_s_integral,
+                              ff_orbit_avg, ff_scan_orbit, format_ffpoly, is_irreducible,
                               normalize_ff_point, parse_ffpoly, validate_s_set)
 from dynctl.points import Truncation
 from dynctl.polynomials import FORM_KERNELS, form_shape, resultant_from_coeffs
@@ -217,6 +218,16 @@ def test_ff_serialization():
     assert format_ffpoly(FFPoly(3, (0, 0, 2))) == "2*t^2"
 
 
+@pytest.mark.parametrize("text", ["t^2+t+1+t^-1", "t^-1", "t^100000000", "t^65"])
+def test_parse_ffpoly_refuses_exponents_outside_the_grammar(text):
+    with pytest.raises(ValueError, match="exponent"):
+        parse_ffpoly(2, text)
+
+
+def test_parse_ffpoly_takes_the_largest_exponent():
+    assert parse_ffpoly(2, "t^64+1").degree() == 64
+
+
 def test_ff_heights():
     p = 3
     t = FFPoly.t_var(p)
@@ -263,6 +274,37 @@ def test_is_irreducible():
     assert is_irreducible(FFPoly(3, (1, 0, 1)))  # t^2+1 over F_3
 
 
+def _mobius(n):
+    out, k = 1, 2
+    while k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            out = -out
+        k += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p, max_degree", [(2, 8), (3, 5)])
+def test_is_irreducible_counts_match_gauss(p, max_degree):
+    # Gauss: (1/n) sum_{k | n} mu(k) p^(n/k) monic irreducibles of degree n over F_p.
+    for n in range(1, max_degree + 1):
+        expected = sum(_mobius(k) * p ** (n // k) for k in range(1, n + 1) if n % k == 0) // n
+        found = sum(is_irreducible(FFPoly(p, list(lower) + [1]))
+                    for lower in itertools.product(range(p), repeat=n))
+        assert found == expected, (p, n)
+
+
+def test_is_irreducible_at_a_large_prime_and_degree():
+    p = 97
+    t = FFPoly.t_var(p)
+    one = FFPoly.const(p, 1)
+    # t^8 - 5 is irreducible over F_97: 5 is not a square mod 97 and 97 = 1 mod 4.
+    assert is_irreducible(t ** 8 - 5 * one)
+    assert not is_irreducible((t ** 4 + t + one) * (t ** 4 + 3 * one))
+
+
 @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_ff_family_bundle_at_generic_f(p, d):
     f = FFRat.from_poly(FFPoly.t_var(p))
@@ -277,6 +319,26 @@ def test_ff_family_bundle_at_generic_f(p, d):
     assert checks.scalar_matches
     one = FFRat.constant(p, 1)
     assert checks.scalar == (f + one) ** d
+
+
+@pytest.mark.parametrize("p, d", [(3, 2), (3, 3), (5, 4)])
+def test_ff_family_bundle_fails_on_a_wrong_map(p, d, monkeypatch):
+    # u and v swapped in G: the derivative and the second iterate no longer match
+    # the closed forms built from f.
+    import dynctl.funcfield as funcfield_mod
+
+    family_map = funcfield_mod.ff_family_map
+
+    def swapped(d, f):
+        m = family_map(d, f)
+        u, *middle, v, top = m.den_forms
+        return FFMap(m.p, m.degree, m.num_forms, (v, *middle, u, top), m.res)
+
+    monkeypatch.setattr(funcfield_mod, "ff_family_map", swapped)
+    _m, checks = ff_family(d, FFRat.from_poly(FFPoly.t_var(p)))
+    assert not checks.derivative_matches
+    assert not checks.scalar_matches
+    assert not checks.report().ok
 
 
 def test_ff_family_isotrivial_flag():
@@ -325,7 +387,7 @@ def test_ff_height_transition_bound():
         m = ff_family_map(2, f)
         c = max(poly.degree() for poly in m.num_forms + m.den_forms) + m.res.degree()
         for elem in enumerate_ff_elements(p, 3, include_constants=True):
-            pt = ff_point_from_rat(elem)
+            pt = normalize_ff_point(elem.num, elem.den)
             img = evaluate_ff(m, pt)
             drift = ff_height(img) - m.degree * ff_height(pt)
             assert -c <= drift <= c
@@ -498,6 +560,45 @@ def test_ff_orbit_avg_b1_hand_table():
     report = ff_orbit_avg(2, 2, [0, 0, 0, 0, 1], [], (1,))
     assert report.population == (6,)
     assert report.totals == (2,)
+
+
+@given(st.sampled_from((2, 3, 5)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_ff_basepoint_at_u_v_is_the_normalized_ffrat_value(p, data):
+    # beta of degree 4 to 6 with its top coefficient nonzero, f = u/v reduced and
+    # not constant; the FFRat evaluation at (f, 1) is the reference.
+    beta = (data.draw(st.lists(st.integers(0, p - 1), min_size=4, max_size=6))
+            + [data.draw(st.integers(1, p - 1))])
+    u = FFPoly(p, data.draw(st.lists(st.integers(0, p - 1), max_size=5)))
+    v = FFPoly(p, data.draw(st.lists(st.integers(0, p - 1), max_size=4)) + [1])
+    f = FFRat.make(u, v)
+    assume(not f.is_constant())
+    kernel = FORM_KERNELS[form_shape(beta)]
+    value = kernel(beta, f, 1)
+    point = FFPointK(kernel(beta, f.num, f.den), f.den ** (len(beta) - 1))
+    assert point == normalize_ff_point(value.num, value.den)
+
+
+@pytest.mark.parametrize("p, beta", [(2, [1, 0, 1, 1, 1]), (3, [0, 2, 0, 1, 0, 2]),
+                                     (5, [4, 0, 0, 0, 3])])
+def test_ff_orbit_avg_scans_the_normalized_beta_f(p, beta, monkeypatch):
+    import dynctl.funcfield as funcfield_mod
+
+    scan = funcfield_mod.ff_scan_orbit
+    basepoints = []
+
+    def spy(m, b, *args, **kwargs):
+        basepoints.append(b)
+        return scan(m, b, *args, **kwargs)
+
+    monkeypatch.setattr(funcfield_mod, "ff_scan_orbit", spy)
+    ff_orbit_avg(p, 2, beta, [], (1,))
+    kernel = FORM_KERNELS[form_shape(beta)]
+    expected = []
+    for f in enumerate_ff_elements(p, 1):
+        value = kernel(beta, f, 1)
+        expected.append(normalize_ff_point(value.num, value.den))
+    assert basepoints == expected
 
 
 def test_ff_orbit_avg_beta_degree_validation():
