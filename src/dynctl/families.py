@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (DegenerateFamilyError, DegenerateMapError, DegreeDropError,
                      SizeBudgetExceededError)
@@ -23,30 +23,58 @@ from .orbits import OrbitPolicy, count_s_integral, scan_orbit
 from .parallel import map_chunks
 from .points import (EMPTY_S, ProjPointQ, SIntSpec, by_population, check_b_values,
                      enumerate_points, is_s_integral, normalize, tally_by_height)
-from .polynomials import FORM_KERNELS, IntPoly, form_compose, form_shape, resultant_from_coeffs
+from .polynomials import (FORM_KERNELS, IntPoly, _power_lines, form_compose, form_shape,
+                          resultant_from_coeffs)
 from .reports import CheckResult, VerificationReport
 
 T_VAR = ("t",)
 RST_VARS = ("r", "s", "t")
 
-# A polynomial in the family's parameters as (coefficient, exponents) pairs,
-# the exponents ordered like FamilySpec.param_names.
-Terms = tuple[tuple[int, tuple[int, ...]], ...]
+# A family's specializer: params -> (num values, den values, Res or None),
+# the values exact at the parameters and ints when every parameter is an int.
+Specializer = Callable[[Sequence[Fraction | int]], tuple[tuple, tuple, Fraction | int | None]]
 
 
-def _terms(poly: IntPoly) -> Terms:
-    return tuple((c, e) for e, c in poly.terms.items())
-
-
-def _eval_terms(terms: Terms, params: Sequence[Fraction | int]) -> Fraction | int:
-    """Value at exact parameters; an int when every parameter is an int."""
-    total = 0
-    for c, exps in terms:
-        for v, k in zip(params, exps):
+def _sum_lines(name: str, poly: IntPoly, exponents: list[set[int]]) -> list[str]:
+    """Statements binding `name` to poly's value at the parameters p<i>_1, one
+    per term (so no expression nests deeper as the term count grows). Records
+    each power p<i>_<k> the terms read in exponents[i]."""
+    lines = []
+    for exps, c in poly.terms.items():
+        factors = [f"p{i}_{k}" for i, k in enumerate(exps) if k]
+        for i, k in enumerate(exps):
             if k:
-                c *= v**k
-        total += c
-    return total
+                exponents[i].add(k)
+        if c == -1 and factors:
+            term = "-" + " * ".join(factors)
+        elif c == 1 and factors:
+            term = " * ".join(factors)
+        else:
+            # hex, as int-to-decimal-string conversion is capped in length
+            term = " * ".join([hex(c)] + factors)
+        lines.append(f"{name} {'+=' if lines else '='} {term}")
+    return lines or [f"{name} = 0"]
+
+
+def _specializer_source(arity: int, num: Sequence[IntPoly], den: Sequence[IntPoly],
+                        resultant: IntPoly | None) -> str:
+    """Straight-line source of a Specializer for these coefficients and, if
+    given, symbolic resultant. The parameter powers are bound once each, as
+    in polynomials' form kernels; only ring + and * are used."""
+    exponents: list[set[int]] = [set() for _ in range(arity)]
+    body: list[str] = []
+    for prefix, coeffs in (("n", num), ("g", den)):
+        for k, poly in enumerate(coeffs):
+            body += _sum_lines(f"{prefix}{k}", poly, exponents)
+    body += ["r = None"] if resultant is None else _sum_lines("r", resultant, exponents)
+    params = ", ".join(f"p{i}_1" for i in range(arity))
+    lines = [f"[{params}] = params"]
+    for i, exps in enumerate(exponents):
+        lines += _power_lines(f"p{i}_", exps)
+    lines += body
+    lines.append("return (" + ", ".join(f"n{k}" for k in range(len(num))) + "), ("
+                 + ", ".join(f"g{k}" for k in range(len(den))) + "), r")
+    return "def specializer(params):\n" + "".join(f"    {line}\n" for line in lines)
 
 
 # Largest FamilySpec.symbolic_resultant_cost for which specialize evaluates
@@ -63,18 +91,6 @@ SYMBOLIC_RESULTANT_BUDGET = 2 * 10**6
 # and basepoints of at most 72 bits (1388x).
 THREE_PARAM_TRIPLE_LIMIT = 10**6
 THREE_PARAM_BASE_BITS = 10**5
-
-
-@dataclass(frozen=True)
-class CompiledFamily:
-    """A family's coefficients and symbolic resultant as term lists, built once per family.
-
-    `resultant` is None when the symbolic resultant is over budget.
-    """
-
-    num: tuple[Terms, ...]
-    den: tuple[Terms, ...]
-    resultant: Terms | None
 
 
 @dataclass(frozen=True)
@@ -137,13 +153,16 @@ class FamilySpec:
         return (2 * d) ** 3 * m * m
 
     @functools.cached_property
-    def compiled(self) -> CompiledFamily:
-        """Coefficients and, within budget, symbolic resultant as term lists."""
+    def compiled(self) -> Specializer:
+        """The family's Specializer, generated from its coefficients and, within
+        SYMBOLIC_RESULTANT_BUDGET, its symbolic resultant (else Res is None)."""
         res = None
         if self.symbolic_resultant_cost() <= SYMBOLIC_RESULTANT_BUDGET:
-            res = _terms(self.symbolic_resultant())
-        return CompiledFamily(tuple(map(_terms, self.num_coeffs)),
-                              tuple(map(_terms, self.den_coeffs)), res)
+            res = self.symbolic_resultant()
+        source = _specializer_source(self.arity, self.num_coeffs, self.den_coeffs, res)
+        namespace: dict = {}
+        exec(compile(source, f"<specializer {self.name or self.param_names}>", "exec"), namespace)
+        return namespace["specializer"]
 
 
 def specialize(family: FamilySpec, params: Sequence[Fraction | int]) -> RationalMapQ:
@@ -154,15 +173,12 @@ def specialize(family: FamilySpec, params: Sequence[Fraction | int]) -> Rational
     """
     if len(params) != family.arity:
         raise ValueError(f"family takes {family.arity} parameter(s)")
-    comp = family.compiled
-    num = [_eval_terms(terms, params) for terms in comp.num]
-    den = [_eval_terms(terms, params) for terms in comp.den]
-    lcm = math.lcm(*(v.denominator for v in num), *(v.denominator for v in den))
-    res = None
-    if comp.resultant is not None:
+    num, den, res = family.compiled(params)
+    lcm = math.lcm(*[v.denominator for v in num + den])
+    if res is not None:
         # Res is homogeneous of degree 2d in the coefficients, so clearing
         # denominators by lcm scales it by lcm^(2d).
-        res = int(_eval_terms(comp.resultant, params) * lcm ** (2 * family.degree))
+        res = int(res * lcm ** (2 * family.degree))
     return make_map([v.numerator * (lcm // v.denominator) for v in num],
                     [v.numerator * (lcm // v.denominator) for v in den],
                     resultant=res)
@@ -680,14 +696,12 @@ def resultant_specialization_check(family: FamilySpec,
                                    sample_params: Sequence[Sequence[int]]) -> VerificationReport:
     """Specializing the symbolic resultant commutes with specializing the forms.
 
-    The symbolic side is the compiled resultant, the one specialize uses,
-    where the family has one. Samples where either form's x-degree drops are
-    excluded with a note, as the identity only speaks to degree-preserving
-    specializations. Integer samples only (exact equality of exact integers).
+    The symbolic side is the family's Specializer, the one specialize uses,
+    where it evaluates the resultant, else the symbolic resultant. Samples
+    where either form's x-degree drops are excluded with a note, as the
+    identity only speaks to degree-preserving specializations. Integer samples only (exact equality of exact integers).
     """
-    sym = family.compiled.resultant
-    if sym is None:
-        sym = _terms(family.symbolic_resultant())
+    sym = None  # the symbolic resultant, for a family whose Specializer has none
     deg_num = family.x_degree_num()
     deg_den = family.x_degree_den()
     checks = []
@@ -702,7 +716,11 @@ def resultant_specialization_check(family: FamilySpec,
             checks.append(CheckResult(f"resultant_specialization[{label}]", True,
                                       "excluded: degree drop at this sample"))
             continue
-        lhs = _eval_terms(sym, tuple(values.values()))
+        lhs = family.compiled(tuple(values.values()))[2]
+        if lhs is None:
+            if sym is None:
+                sym = family.symbolic_resultant()
+            lhs = sym.evaluate(values)
         rhs = resultant_from_coeffs(n_spec, d_spec, family.degree)
         checks.append(CheckResult(f"resultant_specialization[{label}]", lhs == rhs,
                                   f"symbolic={lhs} specialized={rhs}"))

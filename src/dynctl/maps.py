@@ -123,14 +123,12 @@ class RationalMapQ:
 def _canonical_pair(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Divide out the pair content and fix the sign convention."""
     content = math.gcd(*num, *den)
-    if content > 1:
-        num = [c // content for c in num]
-        den = [c // content for c in den]
-    lead = next((c for c in list(num[::-1]) + list(den[::-1]) if c != 0), 0)
+    lead = next(filter(None, reversed(num)), 0) or next(filter(None, reversed(den)), 0)
     if lead < 0:
-        num = [-c for c in num]
-        den = [-c for c in den]
-    return tuple(num), tuple(den)
+        content = -content
+    if content in (0, 1):
+        return tuple(num), tuple(den)
+    return tuple([c // content for c in num]), tuple([c // content for c in den])
 
 
 def make_map(num_coeffs: Sequence[int], den_coeffs: Sequence[int],
@@ -142,14 +140,14 @@ def make_map(num_coeffs: Sequence[int], den_coeffs: Sequence[int],
     by c^(2d) exactly, since Res(cF, cG) = c^(2d) Res(F, G), and the sign fix
     leaves it unchanged.
     """
-    num = [int(c) for c in num_coeffs]
-    den = [int(c) for c in den_coeffs]
+    num = list(map(int, num_coeffs))
+    den = list(map(int, den_coeffs))
     if len(num) != len(den):
         raise ValueError("numerator and denominator need the same coefficient count")
     d = len(num) - 1
     if d < 1:
         raise ValueError("map degree must be >= 1")
-    if all(c == 0 for c in num) or all(c == 0 for c in den):
+    if not any(num) or not any(den):
         raise DegenerateMapError("a defining form is identically zero")
     if num[d] == 0 and den[d] == 0:
         raise DegreeDropError("both forms are divisible by Y; true degree < declared degree")
@@ -290,18 +288,39 @@ def second_iterate_is_polynomial(m: RationalMapQ) -> bool:
 
 def map_height(m: RationalMapQ) -> int:
     """Projective height H(phi) of the (2d+2)-tuple of coefficients: the largest |c|."""
-    return max(abs(c) for c in m.numerator.coeffs + m.denominator.coeffs)
+    return max(map(abs, m.numerator.coeffs + m.denominator.coeffs))
 
 
 def denominator_bound(m: RationalMapQ) -> tuple[Fraction, int] | None:
     """(kappa, e) with |G(a, b)| >= kappa * H(a, b)^e at every coprime (a, b)
-    where G(a, b) != 0, for G = c * g with g in TAIL_FORMS; None for any other G."""
+    where G(a, b) != 0, for G = c * g with g in TAIL_FORMS; None for any other G.
+
+    kappa = |c| / k for (k, e) = _primitive_bound(g), g = G / c the primitive
+    part of G (c its content, of the sign of G's first nonzero coefficient).
+    """
     g = m.denominator.coeffs
-    c = g[0]
-    for form, k in TAIL_FORMS.items():
-        if c and g == tuple(c * x for x in form):
-            return Fraction(abs(c), k), 2
-    return None
+    c = math.gcd(*g)
+    if next(filter(None, g)) < 0:
+        c = -c
+    bound = _primitive_bound(tuple([x // c for x in g]))
+    if bound is None:
+        return None
+    k, e = bound
+    return Fraction(abs(c), k), e
+
+
+# Primitive denominators kept by _primitive_bound's memo. A sweep over one
+# family meets few: the box of avg3 meets two, (1, 0, 1, 0) and (1, 0, 1).
+PRIMITIVE_BOUND_MEMO = 256
+
+
+@functools.lru_cache(maxsize=PRIMITIVE_BOUND_MEMO)
+def _primitive_bound(g: tuple[int, ...]) -> tuple[int, int] | None:
+    """(k, e) with |g(a, b)| >= H(a, b)^e / k at every coprime (a, b) where
+    g(a, b) != 0, for a primitive g whose first nonzero coefficient is
+    positive; None when TAIL_FORMS has no bound for g. Looked up once per g."""
+    k = TAIL_FORMS.get(g)
+    return None if k is None else (k, 2)
 
 
 def hadamard_loss(m: RationalMapQ) -> int:
@@ -320,7 +339,10 @@ def hadamard_loss(m: RationalMapQ) -> int:
 
 
 def _root_floor(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 0 and k >= 1, by integer Newton steps from above."""
+    """floor(n^(1/k)) for n >= 0 and k >= 1: math.isqrt for k = 2, else by
+    integer Newton steps from above."""
+    if k == 2:
+        return math.isqrt(n)
     if n < 2:
         return n
     x = 1 << -(-n.bit_length() // k)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -354,11 +355,25 @@ def test_families_build_without_a_symbolic_resultant(monkeypatch):
 
 
 def test_symbolic_resultant_budget_selects_the_path():
-    assert phi_t_family().compiled.resultant is not None
-    assert three_param_family().compiled.resultant is not None
+    assert phi_t_family().compiled((2,))[2] == phi_t_family().symbolic_resultant().evaluate({"t": 2})
+    assert three_param_family().compiled((1, 2, 3))[2] is not None
     for fam in (_dense_family(8), second_iterate_family(three_param_family())):
         assert fam.symbolic_resultant_cost() > SYMBOLIC_RESULTANT_BUDGET
-        assert fam.compiled.resultant is None
+        assert fam.compiled((2,) * fam.arity)[2] is None
         m = specialize(fam, (2,) * fam.arity)
         assert m.resultant == resultant_from_coeffs(m.numerator.coeffs, m.denominator.coeffs,
                                                     m.degree)
+
+
+def test_specializer_compiles_a_coefficient_of_thousands_of_terms():
+    # Built as IntPolys, as the parser caps exponents at 64: one coefficient is
+    # the sum of r^i s^j t^k over i, j, k < 18, 5832 distinct monomials.
+    rst = ("r", "s", "t")
+    big = IntPoly(rst, {e: 1 for e in itertools.product(range(18), repeat=3)})
+    assert len(big.terms) == 5832
+    one = IntPoly.const(1, rst)
+    zero = IntPoly.const(0, rst)
+    r, s, t = (IntPoly.var(v, rst) for v in rst)
+    fam = FamilySpec(rst, 2, (big, r * s, one), (t, zero, one))
+    for params in ((2, -1, 3), (Fraction(1, 2), Fraction(-2, 3), 5), (1, 1, Fraction(7, 4))):
+        assert _outcome(specialize, fam, params) == _outcome(_fraction_specialize, fam, params)

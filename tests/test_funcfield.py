@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dynctl import funcfield as funcfield_mod
 from dynctl.errors import DegenerateFamilyError, SizeBudgetExceededError
 from dynctl.funcfield import (DEFAULT_FF_N_CAP, FFMap, FFPointK, FFPoly, FFRat,
                               enumerate_ff_elements, evaluate_ff, ff_family, ff_family_map,
@@ -268,6 +269,26 @@ def test_validate_s_set():
         validate_s_set([FFPoly(3, (1, 2))])  # not monic
 
 
+def test_validate_s_set_tests_each_distinct_member_once(monkeypatch):
+    calls = []
+    real = funcfield_mod.is_irreducible
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(funcfield_mod, "is_irreducible", counting)
+    t2 = FFPoly(2, (0, 1))
+    one2 = FFPoly.const(2, 1)
+    q = t2 * t2 + t2 + one2
+    validate_s_set([q] * 20)
+    assert calls == [q]
+    # Order is kept: the first bad member is the one reported.
+    bad, worse = t2 * t2 + one2, t2 * t2
+    with pytest.raises(ValueError, match=r"got 1\+t\^2$"):
+        validate_s_set([q, bad, q, worse, bad])
+
+
 def test_is_irreducible():
     assert is_irreducible(FFPoly(2, (1, 1, 1)))  # t^2+t+1
     assert not is_irreducible(FFPoly(2, (1, 0, 1)))  # t^2+1 = (t+1)^2
@@ -395,6 +416,19 @@ def test_ff_height_transition_bound():
 
 def test_ff_fixed_points_random_f():
     assert ff_family_verification(seed=1).ok
+
+
+def test_ff_family_verification_builds_a_bundle_only_at_f_equal_t(monkeypatch):
+    calls = []
+    real = funcfield_mod.ff_family
+
+    def counting(d, f):
+        calls.append((f.p, d))
+        return real(d, f)
+
+    monkeypatch.setattr(funcfield_mod, "ff_family", counting)
+    assert ff_family_verification(seed=1).ok
+    assert calls == [(2, 2), (2, 3), (3, 2), (3, 3)]
 
 
 # (p, largest height of f, family degrees) for the closed-form family map test.

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -335,6 +336,56 @@ def test_denominator_bound_is_none_without_an_elementary_bound():
     assert denominator_bound(X_SQUARED) is None  # Y^2
     assert denominator_bound(make_map([0, 0, 1], [2, 0, 3])) is None  # 2Y^2 + 3X^2
     assert tail_threshold(PELL_2) is None and PELL_2.tail_bits is None
+
+
+def _scanned_bound(m):
+    """denominator_bound by a direct scan of TAIL_FORMS for G = c * g, c = G's first coefficient."""
+    g = m.denominator.coeffs
+    c = g[0]
+    for form, k in TAIL_FORMS.items():
+        if c and g == tuple(c * x for x in form):
+            return Fraction(abs(c), k), 2
+    return None
+
+
+@st.composite
+def _table_or_random_denominators(draw, bound=40):
+    """A valid map whose G is c * g for g in TAIL_FORMS and c != 0 of either
+    sign, or a random G of degree 2 or 3."""
+    if draw(st.booleans()):
+        form = draw(st.sampled_from(sorted(TAIL_FORMS)))
+        c = draw(st.integers(-bound, bound).filter(bool))
+        den = [c * x for x in form]
+    else:
+        den = draw(st.lists(st.integers(-bound, bound), min_size=3, max_size=4))
+    num = draw(st.lists(st.integers(-bound, bound), min_size=len(den), max_size=len(den)))
+    try:
+        return make_map(num, den)
+    except (DegenerateMapError, DegreeDropError):
+        assume(False)
+
+
+@given(_table_or_random_denominators())
+@settings(max_examples=200, deadline=None)
+def test_denominator_bound_matches_a_table_scan(m):
+    assert denominator_bound(m) == _scanned_bound(m)
+
+
+@given(st.integers(0, 1 << 200), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_root_floor_is_the_integer_root(n, k):
+    r = maps._root_floor(n, k)
+    assert r**k <= n < (r + 1) ** k
+
+
+def test_denominator_bound_memo_holds_one_entry_per_primitive_denominator():
+    from dynctl.families import three_param_avg
+
+    maps._primitive_bound.cache_clear()
+    three_param_avg(6, 6, 6, (2,))
+    # (1, 0, 1, 0) for the open cell and (1, 0, 1) for the r = 0 and s = 0 slices.
+    info = maps._primitive_bound.cache_info()
+    assert info.currsize <= 2 and info.hits > 0
 
 
 @given(_maps(max_degree=4, bound=9))
