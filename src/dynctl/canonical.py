@@ -135,8 +135,9 @@ def is_preperiodic(m: RationalMapQ, p: ProjPointQ) -> bool:
         seen.add(cur)
 
 
-def transition_constants_check(bound: int = 30):
-    """Brute-force validation of the one-step drift bounds for two reference maps."""
+def transition_constants_check():
+    """Brute-force validation of the one-step drift bounds for two reference maps,
+    at every point of height at most 30."""
     from .maps import make_map
     from .reports import CheckResult, VerificationReport
 
@@ -149,14 +150,14 @@ def transition_constants_check(bound: int = 30):
         up, low = transition_constants(m)
         d = m.degree
         bad = 0
-        for p in enumerate_points(bound):
+        for p in enumerate_points(30):
             h_d = max(abs(p.a), abs(p.b)) ** d
             img = evaluate(m, p)
             h_img = max(abs(img.a), abs(img.b))
             if not (h_d <= low * h_img and h_img <= up * h_d):
                 bad += 1
         checks.append(CheckResult(f"transition_constants[{label}]", bad == 0,
-                                  f"all H <= {bound}, {bad} violations"))
+                                  f"all H <= 30, {bad} violations"))
     return VerificationReport(tuple(checks))
 
 

@@ -21,12 +21,11 @@ from .canonical import canonical_height, is_preperiodic
 from .errors import DynctlError, SizeBudgetExceededError
 from .families import BasepointSpec, avg_experiment, three_param_avg
 from .funcfield import ff_orbit_avg, parse_ffpoly
-from .orbits import (DEFAULT_HEIGHT_BUDGET_BITS, DEFAULT_N_CAP, HEIGHT_BUDGET_BITS_LIMIT,
-                     OrbitPolicy, count_s_integral, density_of_integral_preimages,
-                     empirical_max_iterate, scan_orbit)
+from .orbits import (DEFAULT_HEIGHT_BUDGET_BITS, HEIGHT_BUDGET_BITS_LIMIT, count_s_integral,
+                     density_of_integral_preimages, empirical_max_iterate, scan_orbit)
 from .parallel import default_workers
 from .parsing import parse_map, resolve_map_text
-from .points import SIntSpec, check_n_cap, format_point, parse_point
+from .points import DEFAULT_N_CAP, SIntSpec, check_n_cap, format_point, parse_point
 from .reports import emit_csv, emit_json, error_json, report_rows
 
 # `verify` runs every module's VERIFICATION_CHECKS, in this module order.
@@ -45,10 +44,6 @@ def _parse_s(text: str) -> SIntSpec:
 
 def _parse_b_values(text: str) -> tuple[int, ...]:
     return tuple(int(b) for b in text.split(","))
-
-
-def _policy(args) -> OrbitPolicy:
-    return OrbitPolicy(n_cap=args.ncap, height_budget_bits=args.height_budget_bits)
 
 
 def _map_from_args(args) -> "maps_mod.RationalMapQ":
@@ -118,15 +113,16 @@ def cmd_avg(args) -> tuple[dict, list | None]:
     beta = BasepointSpec(beta_expr.num.restrict_vars(var), beta_expr.den.restrict_vars(var))
     target = expr.to_rational_map() if expr.is_constant_map() else expr.to_family()
     s = _parse_s(args.s)
-    report = avg_experiment(target, beta, s, _parse_b_values(args.b),
-                            policy=_policy(args), workers=args.workers)
+    report = avg_experiment(target, beta, s, _parse_b_values(args.b), n_cap=args.ncap,
+                            height_budget_bits=args.height_budget_bits, workers=args.workers)
     return ({"map": args.map, "beta": args.beta, "s": list(s), **asdict(report)},
             report_rows("avg", report))
 
 
 def cmd_avg3(args) -> tuple[dict, list | None]:
     report = three_param_avg(args.n1, args.n2, args.n3, _parse_b_values(args.b),
-                             policy=_policy(args), workers=args.workers)
+                             n_cap=args.ncap, height_budget_bits=args.height_budget_bits,
+                             workers=args.workers)
     return asdict(report), report_rows("avg3", report)
 
 

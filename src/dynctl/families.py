@@ -19,10 +19,11 @@ from typing import Callable, Sequence
 from .errors import (DegenerateFamilyError, DegenerateMapError, DegreeDropError,
                      SizeBudgetExceededError)
 from .maps import RationalMapQ, evaluate, make_map, second_iterate_is_polynomial
-from .orbits import OrbitPolicy, count_s_integral, scan_orbit
+from .orbits import DEFAULT_HEIGHT_BUDGET_BITS, count_s_integral, scan_orbit
 from .parallel import map_chunks
-from .points import (EMPTY_S, ProjPointQ, SIntSpec, by_population, check_b_values,
-                     enumerate_points, is_s_integral, normalize, tally_by_height)
+from .points import (DEFAULT_N_CAP, EMPTY_S, ProjPointQ, SIntSpec, by_population,
+                     check_b_values, enumerate_points, is_s_integral, normalize,
+                     tally_by_height)
 from .polynomials import (FORM_KERNELS, IntPoly, _power_lines, form_compose, form_shape,
                           resultant_from_coeffs)
 from .reports import CheckResult, VerificationReport
@@ -278,15 +279,14 @@ def phi_t_resultant_closed_form(t: int) -> int:
     return (t + 1) ** 12 * (t * t - t + 1) ** 12
 
 
-def phi_t_identities(t_samples: Sequence[int] | None = None) -> VerificationReport:
+def phi_t_identities() -> VerificationReport:
     """Checks the published second-iterate coefficients and the resultant closed form.
 
     The resultant of the specialized second-iterate pair is recomputed as an
-    exact 18x18 Sylvester determinant at each integer sample and compared to
-    (t+1)^12 (t^2 - t + 1)^12.
+    exact 18x18 Sylvester determinant at each integer sample t in [-10, 10],
+    t != -1, and compared to (t+1)^12 (t^2 - t + 1)^12.
     """
-    if t_samples is None:
-        t_samples = [t for t in range(-10, 11) if t != -1]
+    t_samples = [t for t in range(-10, 11) if t != -1]
     fam = phi_t_family()
     num, den = symbolic_second_iterate(fam)
     checks = [
@@ -297,8 +297,6 @@ def phi_t_identities(t_samples: Sequence[int] | None = None) -> VerificationRepo
     ]
     bad = []
     for t in t_samples:
-        if t == -1:
-            continue
         values = {"t": t}
         n_spec = [c.evaluate(values) for c in num]
         d_spec = [c.evaluate(values) for c in den]
@@ -308,7 +306,7 @@ def phi_t_identities(t_samples: Sequence[int] | None = None) -> VerificationRepo
     checks.append(CheckResult(
         "phi_t.second_iterate_resultant",
         not bad,
-        f"{len([t for t in t_samples if t != -1])} integer samples" + (f"; mismatches at {bad}" if bad else ""),
+        f"{len(t_samples)} integer samples" + (f"; mismatches at {bad}" if bad else ""),
     ))
     return VerificationReport(tuple(checks))
 
@@ -318,16 +316,17 @@ def phi_t_identities(t_samples: Sequence[int] | None = None) -> VerificationRepo
 # ---------------------------------------------------------------------------
 
 
-def cube_sum_bound_check(coord_bound: int = 100) -> VerificationReport:
-    """Exhaustive check that x^3 + y^3 = B != 0 forces max(|x|, |y|) <= 2 sqrt(|B|).
+def cube_sum_bound_check() -> VerificationReport:
+    """Exhaustive check that x^3 + y^3 = B != 0 forces max(|x|, |y|) <= 2 sqrt(|B|),
+    over |x|, |y| <= 100.
 
     Compared exactly as max(|x|, |y|)^2 <= 4|B|; no floating point involved.
     """
     violations = 0
     seen = 0
-    for x in range(-coord_bound, coord_bound + 1):
+    for x in range(-100, 101):
         x3 = x**3
-        for y in range(-coord_bound, coord_bound + 1):
+        for y in range(-100, 101):
             big = x3 + y**3
             if big == 0:
                 continue
@@ -340,16 +339,17 @@ def cube_sum_bound_check(coord_bound: int = 100) -> VerificationReport:
     ))
 
 
-def preimage_height_bound_check(t_bound: int = 5) -> VerificationReport:
+def preimage_height_bound_check() -> VerificationReport:
     """For integer t, integral values of (x - t)/(x^3 + 1) only occur at small preimages.
 
     Every b with the specialized map integral at b and H(b) <= 4 H(t)^2 must
-    satisfy H(b) <= 2 sqrt(2) H(t)^(3/2), compared exactly as H(b)^2 <= 8 H(t)^3.
+    satisfy H(b) <= 2 sqrt(2) H(t)^(3/2), compared exactly as H(b)^2 <= 8 H(t)^3,
+    for |t| <= 5.
     """
     fam = phi_t_family()
     violations = []
     hits = 0
-    for t in range(-t_bound, t_bound + 1):
+    for t in range(-5, 6):
         if t == -1:
             continue
         m = specialize(fam, (t,))
@@ -416,7 +416,9 @@ def pell_stream(d_param: int, count: int) -> list[tuple[int, int]]:
     return out
 
 
-def pell_checks(d_param: int = 2, count: int = 10) -> VerificationReport:
+def pell_checks() -> VerificationReport:
+    """phi(u/v) is integral at the first 10 solutions of u^2 - 2 v^2 = 1."""
+    d_param, count = 2, 10
     sols = pell_stream(d_param, count)
     m = pell_map(d_param)
     integral = all(is_s_integral(evaluate(m, normalize(u, v)), EMPTY_S) for u, v in sols)
@@ -476,18 +478,19 @@ class AvgReport:
     truncated_fractions: tuple[float | None, ...]
 
 
-def _orbit_count_for_param(task, s: SIntSpec, policy: OrbitPolicy):
+def _orbit_count_for_param(task, s: SIntSpec, n_cap: int, height_budget_bits: int):
     """(height, map, basepoint) -> (height, count, truncated) for the sweep pool."""
     h, m, b = task
-    rec = scan_orbit(m, b, s, n_cap=policy.n_cap, height_budget_bits=policy.height_budget_bits,
-                     count_only=True)
+    rec = scan_orbit(m, b, s, n_cap, height_budget_bits, count_only=True)
     count, exact = count_s_integral(rec)
     return h, count, not exact
 
 
 def avg_experiment(map_or_family: RationalMapQ | FamilySpec, beta: BasepointSpec,
                    s: SIntSpec, b_values: Sequence[int],
-                   policy: OrbitPolicy = OrbitPolicy(), workers: int = 1) -> AvgReport:
+                   n_cap: int = DEFAULT_N_CAP,
+                   height_budget_bits: int = DEFAULT_HEIGHT_BUDGET_BITS,
+                   workers: int = 1) -> AvgReport:
     """Average #(orbit of beta_t  intersect  O_S) over parameters t with H(t) <= B.
 
     The population is the good-parameter locus: for a constant map, all of
@@ -522,7 +525,8 @@ def avg_experiment(map_or_family: RationalMapQ | FamilySpec, beta: BasepointSpec
             continue
         tasks.append((h, m, base))
 
-    worker = functools.partial(_orbit_count_for_param, s=s, policy=policy)
+    worker = functools.partial(_orbit_count_for_param, s=s, n_cap=n_cap,
+                               height_budget_bits=height_budget_bits)
     results = map_chunks(worker, tasks, workers)
 
     population, totals, truncated = tally_by_height(bs, results, (operator.add, operator.add))
@@ -571,8 +575,8 @@ def _three_param_cell(r: int, s: int, t: int) -> str:
 
 
 def _three_param_orbit_count(triple: tuple[int, int, int], exponents: tuple[int, int, int],
-                             family: FamilySpec, s_spec: SIntSpec,
-                             policy: OrbitPolicy) -> tuple[int, int, bool, str]:
+                             family: FamilySpec, s_spec: SIntSpec, n_cap: int,
+                             height_budget_bits: int) -> tuple[int, int, bool, str]:
     """Count integral points in one parameter's orbit.
 
     Returns (height, count, truncated, cell), the height being max(|r|, |s|, |t|).
@@ -594,14 +598,15 @@ def _three_param_orbit_count(triple: tuple[int, int, int], exponents: tuple[int,
         m = specialize(family, (r, s, t))
         n1, n2, n3 = exponents
         base = ProjPointQ(r**n1 * s**n2 * t**n3, 1)
-    rec = scan_orbit(m, base, s_spec, n_cap=policy.n_cap,
-                     height_budget_bits=policy.height_budget_bits, count_only=True)
+    rec = scan_orbit(m, base, s_spec, n_cap, height_budget_bits, count_only=True)
     count, exact = count_s_integral(rec)
     return h, count, not exact, cell
 
 
 def three_param_avg(n1: int, n2: int, n3: int, b_values: Sequence[int],
-                    policy: OrbitPolicy = OrbitPolicy(), workers: int = 1) -> ThreeParamReport:
+                    n_cap: int = DEFAULT_N_CAP,
+                    height_budget_bits: int = DEFAULT_HEIGHT_BUDGET_BITS,
+                    workers: int = 1) -> ThreeParamReport:
     """Average over all integer triples in the box, with per-slice tallies.
 
     The t = 0 slice contributes exactly 1 per point; the s = 0 and r = 0
@@ -631,7 +636,8 @@ def three_param_avg(n1: int, n2: int, n3: int, b_values: Sequence[int],
                for s in range(-b_max, b_max + 1)
                for t in range(-b_max, b_max + 1)]
     worker = functools.partial(_three_param_orbit_count, exponents=(n1, n2, n3),
-                               family=fam, s_spec=EMPTY_S, policy=policy)
+                               family=fam, s_spec=EMPTY_S, n_cap=n_cap,
+                               height_budget_bits=height_budget_bits)
     results = map_chunks(worker, triples, workers)
 
     population, totals, truncated = tally_by_height(bs, results, (operator.add, operator.add))
@@ -652,20 +658,19 @@ def three_param_avg(n1: int, n2: int, n3: int, b_values: Sequence[int],
     )
 
 
-def three_param_slice_bounds_check(box: int = 10,
-                                   policy: OrbitPolicy = OrbitPolicy()) -> VerificationReport:
-    """Exact per-point bounds on the degenerate slices.
+def three_param_slice_bounds_check() -> VerificationReport:
+    """Exact per-point bounds on the degenerate slices, for |s|, |t| <= 10.
 
     s = 0: every orbit point of t/(x^2+1) from 0 satisfies |x| <= |t|.
     r = 0: every orbit point of (s x + t)/(x^2+1) from 0 satisfies |x| <= |s| + |t|.
     """
+    box = 10
     zero = ProjPointQ(0, 1)
     s_zero_bad = 0
     for t in range(-box, box + 1):
         if t == 0:
             continue
-        rec = scan_orbit(make_map([t, 0, 0], [1, 0, 1]), zero, EMPTY_S,
-                         n_cap=policy.n_cap, height_budget_bits=policy.height_budget_bits)
+        rec = scan_orbit(make_map([t, 0, 0], [1, 0, 1]), zero, EMPTY_S)
         for p in rec.points:
             if abs(p.a) > abs(t) * p.b:
                 s_zero_bad += 1
@@ -674,8 +679,7 @@ def three_param_slice_bounds_check(box: int = 10,
         for t in range(-box, box + 1):
             if s == 0 and t == 0:
                 continue
-            rec = scan_orbit(make_map([t, s, 0], [1, 0, 1]), zero, EMPTY_S,
-                             n_cap=policy.n_cap, height_budget_bits=policy.height_budget_bits)
+            rec = scan_orbit(make_map([t, s, 0], [1, 0, 1]), zero, EMPTY_S)
             for p in rec.points:
                 if abs(p.a) > (abs(s) + abs(t)) * p.b:
                     r_zero_bad += 1

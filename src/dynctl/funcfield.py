@@ -11,14 +11,15 @@ import functools
 import itertools
 import operator
 import random
+import re
 import sys
 from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateFamilyError, SizeBudgetExceededError
-from .points import (OrbitRecord, Truncation, by_population, check_b_values, is_prime,
-                     tally_by_height, walk_orbit)
+from .points import (DEFAULT_N_CAP, OrbitRecord, Truncation, by_population, check_b_values,
+                     is_prime, tally_by_height, walk_orbit)
 from .parsing import MAX_EXPONENT
 from .polynomials import (FORM_KERNELS, form_compose, form_mul, form_shape,
                           resultant_from_coeffs)
@@ -206,7 +207,14 @@ def format_ffpoly(f: FFPoly) -> str:
     return "+".join(parts)
 
 
+# One term of an F_p[t] literal: c, t, c*t, t^e or c*t^e, with c an optionally
+# signed decimal integer and e decimal digits. A minus sign on e is matched
+# only so that parse_ffpoly can refuse it as an exponent out of range.
+_FF_TERM = re.compile(r"(?:([+-]?[0-9]+)|(?:([+-]?[0-9]+)\*)?t(?:\^(-?[0-9]+))?)", re.ASCII)
+
+
 def parse_ffpoly(p: int, text: str) -> FFPoly:
+    """The polynomial of a sum of _FF_TERM terms, exponents in [0, MAX_EXPONENT]."""
     text = text.replace(" ", "")
     if text == "0":
         return FFPoly(p, ())
@@ -214,19 +222,16 @@ def parse_ffpoly(p: int, text: str) -> FFPoly:
     for term in text.split("+"):
         if not term:
             raise ValueError("empty term in polynomial literal")
-        if "t" not in term:
-            coeffs[0] = coeffs.get(0, 0) + int(term)
-            continue
-        coef_part, _, tail = term.partition("t")
-        c = int(coef_part.rstrip("*")) if coef_part else 1
-        if tail.startswith("^"):
-            e = int(tail[1:])
-        elif tail == "":
-            e = 1
-        else:
+        match = _FF_TERM.fullmatch(term)
+        if match is None:
             raise ValueError(f"bad term {term!r}")
-        if not 0 <= e <= MAX_EXPONENT:
-            raise ValueError(f"exponent {e} outside [0, {MAX_EXPONENT}] in {term!r}")
+        const, coef, exp = match.groups()
+        if const is not None:
+            c, e = int(const), 0
+        else:
+            c, e = int(coef or 1), int(exp or 1)
+        if exp is not None and exp[0] == "-" or e > MAX_EXPONENT:
+            raise ValueError(f"exponent {exp} outside [0, {MAX_EXPONENT}] in {term!r}")
         coeffs[e] = coeffs.get(e, 0) + c
     out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():
@@ -553,7 +558,6 @@ def ff_family(d: int, f: FFRat) -> tuple[FFMap, FFFamilyChecks]:
 # Orbits and the function-field average experiment
 # ---------------------------------------------------------------------------
 
-DEFAULT_FF_N_CAP = 16
 DEFAULT_FF_HEIGHT_BUDGET = 512  # heights here are degrees; ~5 doubling steps from desk-scale points
 # enumerate_ff_elements(p, B) visits (p^(B+1) - 1)/(p - 1) monic denominators
 # times p^(B+1) numerators and refuses more pairs than this (B > 8 at p = 2).
@@ -568,7 +572,7 @@ FF_DEGREE_LIMIT = 64
 
 
 def ff_scan_orbit(m: FFMap, b: FFPointK, s: Sequence[FFPoly],
-                  n_cap: int = DEFAULT_FF_N_CAP,
+                  n_cap: int = DEFAULT_N_CAP,
                   height_budget: int = DEFAULT_FF_HEIGHT_BUDGET,
                   count_only: bool = False) -> OrbitRecord:
     """points.walk_orbit of b under m, cut where a degree passes height_budget.
@@ -610,8 +614,8 @@ def ff_scan_orbit(m: FFMap, b: FFPointK, s: Sequence[FFPoly],
                       tail_limit)
 
 
-def enumerate_ff_elements(p: int, bound: int, include_constants: bool = False) -> list[FFRat]:
-    """All reduced u/v in F_p(t) with max(deg u, deg v) <= bound, v monic.
+def enumerate_ff_elements(p: int, bound: int) -> list[FFRat]:
+    """All non-constant reduced u/v in F_p(t) with max(deg u, deg v) <= bound, v monic.
 
     Ordered deterministically by (height, denominator coeffs, numerator coeffs).
     A bound with more than FF_ENUMERATION_LIMIT (v, u) pairs to visit is
@@ -642,7 +646,7 @@ def enumerate_ff_elements(p: int, bound: int, include_constants: bool = False) -
                 if not u.gcd(v).is_constant():
                     continue
                 f = FFRat(u, v)
-                if not include_constants and f.is_constant():
+                if f.is_constant():
                     continue
                 out.append(f)
     out.sort(key=lambda f: (f.height(), f.den.coeffs, f.num.coeffs))
@@ -659,9 +663,9 @@ class FFAvgReport:
 
 
 def ff_orbit_avg(p: int, d: int, beta_coeffs: Sequence[int], s: Sequence[FFPoly],
-                 b_values: Sequence[int], n_cap: int = DEFAULT_FF_N_CAP,
-                 height_budget: int = DEFAULT_FF_HEIGHT_BUDGET) -> FFAvgReport:
-    """Average S-integral orbit count of beta(f) under phi(f), over non-constant f.
+                 b_values: Sequence[int], n_cap: int = DEFAULT_N_CAP) -> FFAvgReport:
+    """Average S-integral orbit count of beta(f) under phi(f), over non-constant f,
+    each orbit cut at the height budget DEFAULT_FF_HEIGHT_BUDGET.
 
     beta is a polynomial in f given by its integer coefficients mod p; its
     degree must strictly exceed (2d-1)/(d-1). f = -1 and f = 0 never enter
@@ -691,8 +695,8 @@ def ff_orbit_avg(p: int, d: int, beta_coeffs: Sequence[int], s: Sequence[FFPoly]
     for f in enumerate_ff_elements(p, bs[-1]):
         m = ff_family_map(d, f)
         basepoint = FFPointK(beta_kernel(beta, f.num, f.den), f.den ** beta_deg)
-        rec = ff_scan_orbit(m, basepoint, s,
-                            n_cap=n_cap, height_budget=height_budget, count_only=True)
+        rec = ff_scan_orbit(m, basepoint, s, n_cap=n_cap,
+                            height_budget=DEFAULT_FF_HEIGHT_BUDGET, count_only=True)
         rows.append((f.height(), len(rec.integral_indices),
                      rec.truncation is not Truncation.COMPLETED))
     population, totals, truncated = tally_by_height(bs, rows, (operator.add, operator.add))

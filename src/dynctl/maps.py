@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
@@ -48,20 +47,6 @@ class BinaryForm:
 
     def __call__(self, a: int, b: int) -> int:
         return FORM_KERNELS[self.shape](self.coeffs, a, b)
-
-    def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        return BinaryForm(self.degree + other.degree, tuple(form_mul(self.coeffs, other.coeffs)))
-
-    def __add__(self, other: "BinaryForm") -> "BinaryForm":
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degrees")
-        return BinaryForm(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-
-def _monomial_form(degree: int, x_exponent: int, c: int = 1) -> BinaryForm:
-    coeffs = [0] * (degree + 1)
-    coeffs[x_exponent] = c
-    return BinaryForm(degree, tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -173,11 +158,14 @@ class CofactorCertificate:
     exponent: int
 
     def verify(self, m: RationalMapQ) -> bool:
-        lhs1 = self.p1 * m.numerator + self.q1 * m.denominator
-        lhs2 = self.p2 * m.numerator + self.q2 * m.denominator
-        want1 = _monomial_form(self.exponent, self.exponent, self.r)
-        want2 = _monomial_form(self.exponent, 0, self.r)
-        return lhs1 == want1 and lhs2 == want2
+        f, g = m.numerator.coeffs, m.denominator.coeffs
+
+        def combination(p: BinaryForm, q: BinaryForm) -> list[int]:
+            return [x + y for x, y in zip(form_mul(p.coeffs, f), form_mul(q.coeffs, g))]
+
+        zeros = [0] * self.exponent
+        return (combination(self.p1, self.q1) == zeros + [self.r]
+                and combination(self.p2, self.q2) == [self.r] + zeros)
 
     @functools.cached_property
     def max_coefficient(self) -> int:
@@ -291,12 +279,13 @@ def map_height(m: RationalMapQ) -> int:
     return max(map(abs, m.numerator.coeffs + m.denominator.coeffs))
 
 
-def denominator_bound(m: RationalMapQ) -> tuple[Fraction, int] | None:
-    """(kappa, e) with |G(a, b)| >= kappa * H(a, b)^e at every coprime (a, b)
+def denominator_bound(m: RationalMapQ) -> tuple[int, int, int] | None:
+    """(|c|, k, e) with k * |G(a, b)| >= |c| * H(a, b)^e at every coprime (a, b)
     where G(a, b) != 0, for G = c * g with g in TAIL_FORMS; None for any other G.
 
-    kappa = |c| / k for (k, e) = _primitive_bound(g), g = G / c the primitive
-    part of G (c its content, of the sign of G's first nonzero coefficient).
+    (k, e) = _primitive_bound(g), for g = G / c the primitive part of G (c its
+    content, of the sign of G's first nonzero coefficient). All three are
+    integers, so callers compare without building the fraction |c| / k.
     """
     g = m.denominator.coeffs
     c = math.gcd(*g)
@@ -305,8 +294,7 @@ def denominator_bound(m: RationalMapQ) -> tuple[Fraction, int] | None:
     bound = _primitive_bound(tuple([x // c for x in g]))
     if bound is None:
         return None
-    k, e = bound
-    return Fraction(abs(c), k), e
+    return (abs(c), *bound)
 
 
 # Primitive denominators kept by _primitive_bound's memo. A sweep over one
@@ -354,23 +342,23 @@ def _root_floor(n: int, k: int) -> int:
 
 
 def trap_height(m: RationalMapQ) -> int | None:
-    """The largest H with kappa * H^e <= |Res|, for (kappa, e) = denominator_bound(m);
+    """The largest H with c * H^e <= k * |Res|, for (c, k, e) = denominator_bound(m);
     None when there is no such bound.
 
     The divisor trap with S = {}: if phi([a : b]) is integral, or if G(a, b)
-    divides Res, then 0 < |G(a, b)| <= |Res|, so kappa * H(a, b)^e <= |Res|
+    divides Res, then 0 < |G(a, b)| <= |Res|, so c * H(a, b)^e <= k * |Res|
     and H(a, b) <= trap_height(m).
     """
     bound = denominator_bound(m)
     if bound is None:
         return None
-    kappa, e = bound
-    return _root_floor(abs(m.resultant) * kappa.denominator // kappa.numerator, e)
+    c, k, e = bound
+    return _root_floor(abs(m.resultant) * k // c, e)
 
 
 def tail_threshold(m: RationalMapQ) -> int | None:
-    """The least T with kappa * T^e > |Res| and T^(d-1) > hadamard_loss(m), for
-    (kappa, e) = denominator_bound(m); None when there is no such bound.
+    """The least T with c * T^e > k * |Res| and T^(d-1) > hadamard_loss(m), for
+    (c, k, e) = denominator_bound(m); None when there is no such bound.
 
     From an orbit point P with H(P) > T no later point is integral (S = {})
     and no cycle closes. P lies above trap_height(m), so phi(P) is not
@@ -404,15 +392,15 @@ def random_coprime_pair(rng, bound: int = 50) -> tuple[int, int]:
             return a, b
 
 
-def cofactor_certificates_check(seed: int = 0, n_maps: int = 50,
-                                n_pairs: int = 100) -> "VerificationReport":
-    """Both cofactor identities hold exactly for random maps of degree 2..4,
-    and gcd(F(a,b), G(a,b)) divides R on random coprime pairs."""
+def cofactor_certificates_check(seed: int = 0) -> "VerificationReport":
+    """Both cofactor identities hold exactly for 50 random maps of degree 2..4,
+    and gcd(F(a,b), G(a,b)) divides R on 100 random coprime pairs per map."""
     import random
 
     from .reports import CheckResult, VerificationReport
 
     rng = random.Random(seed)
+    n_maps, n_pairs = 50, 100
     identity_bad = 0
     divisor_bad = 0
     for _ in range(n_maps):

@@ -11,13 +11,13 @@ from dataclasses import dataclass
 from .canonical import _require_degree_two, is_preperiodic
 from .maps import RationalMapQ, evaluate, is_polynomial, second_iterate_is_polynomial
 from .parallel import map_chunks
-from .points import (OrbitRecord, ProjPointQ, SIntSpec, Truncation, check_b_values,
-                     check_enumeration_bound, check_n_cap, coprime_count, coprime_row,
-                     enumerate_points, is_s_integral, strip_s_part, tally_by_height, walk_orbit)
+from .points import (DEFAULT_N_CAP, OrbitRecord, ProjPointQ, SIntSpec, Truncation,
+                     check_b_values, check_enumeration_bound, check_n_cap, coprime_count,
+                     coprime_row, enumerate_points, is_s_integral, strip_s_part,
+                     tally_by_height, walk_orbit)
 from .polynomials import FORM_KERNELS
 
 
-DEFAULT_N_CAP = 16
 DEFAULT_HEIGHT_BUDGET_BITS = 10**6
 # The CLI refuses a --height-budget-bits above this before any work. The cost
 # of a step climbs steeply with its coordinates' bits: one orbit of
@@ -25,14 +25,6 @@ DEFAULT_HEIGHT_BUDGET_BITS = 10**6
 # over a minute at 10^7. The default is the largest budget of any README,
 # golden, test or bench input: 2x headroom.
 HEIGHT_BUDGET_BITS_LIMIT = 2 * 10**6
-
-
-@dataclass(frozen=True)
-class OrbitPolicy:
-    """Truncation policy shared by the sweep experiments."""
-
-    n_cap: int = DEFAULT_N_CAP
-    height_budget_bits: int = DEFAULT_HEIGHT_BUDGET_BITS
 
 
 def _bits(p: ProjPointQ) -> int:

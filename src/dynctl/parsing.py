@@ -292,7 +292,7 @@ class MapExpression:
         num, den = self._coefficient_polys()
         return make_map([c.const_value() for c in num], [c.const_value() for c in den])
 
-    def to_family(self, name: str = "") -> FamilySpec:
+    def to_family(self) -> FamilySpec:
         if not self.params:
             raise ValueError("expression has no parameters; use to_rational_map()")
         num, den = self._coefficient_polys()
@@ -301,7 +301,6 @@ class MapExpression:
             degree=self.x_degree,
             num_coeffs=tuple(num),
             den_coeffs=tuple(den),
-            name=name,
         )
 
 

@@ -22,6 +22,12 @@ ENUMERATION_LIMIT = 4 * 10**7
 # height budget. The largest README, acceptance, golden, test and bench cap,
 # 50, has 2000x headroom.
 N_CAP_LIMIT = 10**5
+# The iteration cap of every orbit scan over Q and over F_p(t) unless --ncap says otherwise.
+DEFAULT_N_CAP = 16
+# The least strong pseudoprime to the bases 2, 3, ..., 41 that is_prime tries:
+# below it is_prime is exact, at it is_prime is wrong, so SIntSpec refuses a
+# member this large before testing it.
+PRIME_TEST_LIMIT = 3317044064679887385961981
 
 
 def log_of_int(n: int) -> float:
@@ -39,10 +45,12 @@ def log_of_int(n: int) -> float:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
+    """Deterministic Miller-Rabin to the 13 prime bases 2, 3, ..., 41: exact for
+    every n < PRIME_TEST_LIMIT = 3317044064679887385961981, the least strong
+    pseudoprime to all of them (Sorenson-Webster 2017)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         if n % p == 0:
             return n == p
     d = n - 1
@@ -50,7 +58,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -112,6 +120,9 @@ class SIntSpec:
     def __init__(self, primes=()):
         ps = frozenset(int(p) for p in primes)
         for p in ps:
+            if p >= PRIME_TEST_LIMIT:
+                raise ValueError(f"{p} is at or above {PRIME_TEST_LIMIT}, where the "
+                                 "primality test is no longer exact")
             if p < 2 or not is_prime(p):
                 raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "primes", ps)

@@ -15,11 +15,11 @@ from dynctl.families import (BasepointSpec, avg_experiment, cube_sum_bound_check
                              three_param_slice_bounds_check)
 from dynctl.funcfield import FFPoly, FFRat, ff_family, ff_family_verification, ff_orbit_avg
 from dynctl.maps import (cofactor_certificates_check, evaluate, make_map, random_map)
-from dynctl.orbits import OrbitPolicy, density_of_integral_preimages, empirical_max_iterate
+from dynctl.orbits import density_of_integral_preimages, empirical_max_iterate
 from dynctl.points import EMPTY_S, count_points, enumerate_points, normalize
 from dynctl.polynomials import IntPoly
 
-SWEEP_POLICY = OrbitPolicy(n_cap=16, height_budget_bits=10**4)
+SWEEP = {"n_cap": 16, "height_budget_bits": 10**4}
 
 
 def record(num: int, name: str, ok: bool, detail: str = "") -> bool:
@@ -36,7 +36,7 @@ def test_criterion_01_phi_t_resultant_identity():
 
 
 def test_criterion_02_cofactor_certificates():
-    report = cofactor_certificates_check(seed=20260808, n_maps=50, n_pairs=100)
+    report = cofactor_certificates_check(seed=20260808)
     assert record(2, "cofactor certificates and divisor trap", report.ok,
                   "; ".join(c.detail for c in report.checks))
 
@@ -115,8 +115,7 @@ def test_criterion_05_density_decay():
 
 def test_criterion_06_zero_average_trend():
     beta = BasepointSpec(IntPoly.var("t", ("t",)), IntPoly.const(1, ("t",)))
-    report = avg_experiment(pell_map(2), beta, EMPTY_S, (10, 20, 40, 80),
-                            policy=SWEEP_POLICY)
+    report = avg_experiment(pell_map(2), beta, EMPTY_S, (10, 20, 40, 80), **SWEEP)
     nonincreasing = all(a2 <= a1 for a1, a2 in zip(report.averages, report.averages[1:]))
     big_drop = report.averages[-1] < report.averages[0] / 4
     assert record(6, "zero-average trend for the Pell map", nonincreasing and big_drop,
@@ -135,18 +134,18 @@ def test_criterion_07_pell_infinitude_vs_density():
 
 
 def test_criterion_08_cube_sum_lemma():
-    report = cube_sum_bound_check(100)
+    report = cube_sum_bound_check()
     assert record(8, "cube-sum height bound, exhaustive |x|,|y| <= 100", report.ok,
                   report.checks[0].detail)
 
 
 def test_criterion_09_three_param_family():
-    report = three_param_avg(6, 6, 6, (5, 10), policy=SWEEP_POLICY)
+    report = three_param_avg(6, 6, 6, (5, 10), **SWEEP)
     t_zero_ok = all(
         cell["t_zero"].total == cell["t_zero"].population and cell["t_zero"].max_count == 1
         for cell in report.cells
     )
-    slices = three_param_slice_bounds_check(10)
+    slices = three_param_slice_bounds_check()
     open_max_stable = report.open_cell_maxima[0] == report.open_cell_maxima[1]
     ok = t_zero_ok and slices.ok and open_max_stable
     assert record(

@@ -58,7 +58,7 @@ def test_transition_constants_c_up_formula():
 
 
 def test_transition_constants_registry_check():
-    assert transition_constants_check(bound=20).ok
+    assert transition_constants_check().ok
 
 
 def test_canonical_height_power_map():

@@ -76,3 +76,80 @@ def test_every_definition_has_a_caller():
                 unreferenced.append(f"{filename}:{lineno} {qualname}")
     assert not unreferenced, "defined but read nowhere in src/dynctl: " + ", ".join(unreferenced)
     assert set(exempt) <= defined, "stale exemption: " + ", ".join(set(exempt) - defined)
+
+
+# Defaulted parameters that no call in src/dynctl passes by name or position.
+UNPASSED_DEFAULTS = {
+    "main.argv": "tests and the console script call main; the console script passes nothing",
+    "ff_family_verification.seed": "cmd_verify passes seed through a keyword dict",
+    "cofactor_certificates_check.seed": "cmd_verify passes seed through a keyword dict",
+    "random_map.coeff_bound": "tests draw random maps at other coefficient sizes",
+    "random_coprime_pair.bound": "tests draw random pairs at other sizes",
+}
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(qualified name, function name, parameter, positional index or None, line)
+    of each defaulted parameter of each function and method. The index counts
+    from the first argument a caller writes, so self and cls are skipped."""
+    def walk(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, prefix + child.name + ".", True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = prefix + child.name
+                args = child.args
+                positional = args.posonlyargs + args.args
+                if in_class and positional and positional[0].arg in ("self", "cls"):
+                    positional = positional[1:]
+                for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                                        len(positional) - len(args.defaults)):
+                    yield qualname, child.name, arg.arg, i, child.lineno
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield qualname, child.name, arg.arg, None, child.lineno
+                yield from walk(child, qualname + ".", False)
+            else:
+                yield from walk(child, prefix, in_class)
+
+    yield from walk(tree, "", False)
+
+
+def _callee(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _calls(tree: ast.Module):
+    """(callee name, positional argument count, keyword names) of each call;
+    functools.partial(f, ...) counts as a call of f with the arguments after f."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        args, name = node.args, _callee(node.func)
+        if name == "partial" and args:
+            name, args = _callee(args[0]), args[1:]
+        if name is not None:
+            yield name, len(args), {kw.arg for kw in node.keywords if kw.arg}
+
+
+def test_every_defaulted_parameter_has_a_caller_that_passes_it():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    calls = [call for tree in trees.values() for call in _calls(tree)]
+    defined = set()
+    unpassed = []
+    for filename, tree in trees.items():
+        for qualname, name, param, index, lineno in _defaulted_parameters(tree):
+            key = f"{qualname}.{param}"
+            defined.add(key)
+            passed = any(callee == name and (param in keywords or
+                                             (index is not None and n_positional > index))
+                         for callee, n_positional, keywords in calls)
+            if not passed and key not in UNPASSED_DEFAULTS:
+                unpassed.append(f"{filename}:{lineno} {qualname}({param})")
+    assert not unpassed, "defaulted but passed by no call in src/dynctl: " + ", ".join(unpassed)
+    assert set(UNPASSED_DEFAULTS) <= defined, \
+        "stale exemption: " + ", ".join(set(UNPASSED_DEFAULTS) - defined)

@@ -19,13 +19,13 @@ from dynctl.families import (SYMBOLIC_RESULTANT_BUDGET, AvgReport, BasepointSpec
 from dynctl import families as families_mod
 from dynctl import maps as maps_mod
 from dynctl.maps import evaluate, make_map
-from dynctl.orbits import OrbitPolicy, scan_orbit
+from dynctl.orbits import scan_orbit
 from dynctl.parsing import parse_map
 from dynctl.points import (EMPTY_S, ProjPointQ, Truncation, enumerate_points, is_s_integral,
                            normalize)
 from dynctl.polynomials import IntPoly, resultant_from_coeffs
 
-SWEEP_POLICY = OrbitPolicy(n_cap=16, height_budget_bits=10**4)
+SWEEP = {"n_cap": 16, "height_budget_bits": 10**4}
 
 
 def test_specialize_phi_t():
@@ -127,11 +127,11 @@ def test_cube_sum_examples():
     # (1, 2): B = 9, max = 2 <= 2*sqrt(9); (1, 1): B = 2, max = 1 <= 2*sqrt(2)
     assert 2 * 2 <= 4 * 9
     assert 1 * 1 <= 4 * 2
-    assert cube_sum_bound_check(40).ok
+    assert cube_sum_bound_check().ok
 
 
 def test_preimage_height_bound_small():
-    assert preimage_height_bound_check(3).ok
+    assert preimage_height_bound_check().ok
 
 
 def test_pell_fundamentals():
@@ -174,7 +174,7 @@ def test_avg_preconditions():
 
 def test_avg_constant_map_decreasing():
     beta = BasepointSpec(IntPoly.var("t", ("t",)), IntPoly.const(1, ("t",)))
-    report = avg_experiment(pell_map(2), beta, EMPTY_S, (5, 10, 20), policy=SWEEP_POLICY)
+    report = avg_experiment(pell_map(2), beta, EMPTY_S, (5, 10, 20), **SWEEP)
     assert report.population == tuple(len(enumerate_points(b)) for b in (5, 10, 20))
     assert all(a2 < a1 for a1, a2 in zip(report.averages, report.averages[1:]))
     assert report.excluded == (0, 0, 0)
@@ -183,7 +183,7 @@ def test_avg_constant_map_decreasing():
 def test_avg_family_population_excludes_bad_parameters():
     t = IntPoly.var("t", ("t",))
     beta = BasepointSpec(t**3 + 2, IntPoly.const(1, ("t",)))
-    report = avg_experiment(phi_t_family(), beta, EMPTY_S, (5, 10), policy=SWEEP_POLICY)
+    report = avg_experiment(phi_t_family(), beta, EMPTY_S, (5, 10), **SWEEP)
     # t = -1 and t = infinity fall outside the good locus
     assert report.excluded == (2, 2)
     assert report.population == (len(enumerate_points(5)) - 2, len(enumerate_points(10)) - 2)
@@ -196,7 +196,7 @@ def test_three_param_exponent_validation():
 
 
 def test_three_param_avg_small_box():
-    report = three_param_avg(6, 6, 6, (2, 3), policy=SWEEP_POLICY)
+    report = three_param_avg(6, 6, 6, (2, 3), **SWEEP)
     for i, b in enumerate(report.b_values):
         assert report.population[i] == (2 * b + 1) ** 3
         cells = report.cells[i]
@@ -209,7 +209,7 @@ def test_three_param_avg_small_box():
 
 
 def test_three_param_slice_bounds():
-    assert three_param_slice_bounds_check(6).ok
+    assert three_param_slice_bounds_check().ok
 
 
 def test_lemma_3dim_shadow_random_rational_triples():
@@ -224,9 +224,7 @@ def test_lemma_3dim_shadow_random_rational_triples():
         except (DegenerateMapError, DegreeDropError):
             # rs = 0 or t = 0 cells; the slice analysis covers those orbits
             continue
-        rec = scan_orbit(m, normalize(beta_val.numerator, beta_val.denominator), EMPTY_S,
-                         n_cap=SWEEP_POLICY.n_cap,
-                         height_budget_bits=SWEEP_POLICY.height_budget_bits)
+        rec = scan_orbit(m, normalize(beta_val.numerator, beta_val.denominator), EMPTY_S, **SWEEP)
         count = len(rec.integral_indices)
         assert count <= len(rec.points)
         if rec.truncation is Truncation.COMPLETED:
@@ -315,7 +313,7 @@ def test_avg_family_specializes_once_per_parameter(monkeypatch):
 
     monkeypatch.setattr(families_mod, "specialize", counting)
     beta = BasepointSpec(IntPoly.var("t", ("t",)) ** 3 + 2, IntPoly.const(1, ("t",)))
-    avg_experiment(fam, beta, EMPTY_S, (3,), policy=SWEEP_POLICY)
+    avg_experiment(fam, beta, EMPTY_S, (3,), **SWEEP)
     finite = [p for p in enumerate_points(3) if not p.is_infinity()]
     assert sorted(calls) == sorted((p.as_fraction(),) for p in finite)
 

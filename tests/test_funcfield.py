@@ -1,17 +1,18 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dynctl import funcfield as funcfield_mod
 from dynctl.errors import DegenerateFamilyError, SizeBudgetExceededError
-from dynctl.funcfield import (DEFAULT_FF_N_CAP, FFMap, FFPointK, FFPoly, FFRat,
+from dynctl.funcfield import (FFMap, FFPointK, FFPoly, FFRat,
                               enumerate_ff_elements, evaluate_ff, ff_family, ff_family_map,
                               ff_family_verification, ff_height, ff_infinity, ff_is_s_integral,
                               ff_orbit_avg, ff_scan_orbit, format_ffpoly, is_irreducible,
                               normalize_ff_point, parse_ffpoly, validate_s_set)
-from dynctl.points import Truncation
+from dynctl.points import DEFAULT_N_CAP, Truncation
 from dynctl.polynomials import FORM_KERNELS, form_shape, resultant_from_coeffs
 from test_polynomials import horner
 
@@ -229,6 +230,32 @@ def test_parse_ffpoly_takes_the_largest_exponent():
     assert parse_ffpoly(2, "t^64+1").degree() == 64
 
 
+@pytest.mark.parametrize("text", ["3t", "2**t", "1_0*t", "t^", "*t", "3*", "-t",
+                                  "2*3*t", "t*2", "\u0663*t", "tt", "t^2^3"])
+def test_parse_ffpoly_refuses_a_malformed_term(text):
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        parse_ffpoly(5, f"1+{text}")
+
+
+# Every F_p[t] literal of the README, the goldens and the tests, over F_p, with
+# its ascending coefficients mod p.
+FFPOLY_LITERALS = [
+    (2, "t^4+t+1", (1, 1, 0, 0, 1)),
+    (3, "t", (0, 1)),
+    (2, "t", (0, 1)),
+    (2, "1+t", (1, 1)),
+    (3, "1+2*t+t^2", (1, 2, 1)),
+    (5, "0", ()),
+    (2, "t^64+1", (1,) + (0,) * 63 + (1,)),
+    (5, "-3+4*t^0+7*t^1+t^ 2", (1, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("p, text, coeffs", FFPOLY_LITERALS)
+def test_parse_ffpoly_reads_every_documented_literal(p, text, coeffs):
+    assert parse_ffpoly(p, text) == FFPoly(p, coeffs)
+
+
 def test_ff_heights():
     p = 3
     t = FFPoly.t_var(p)
@@ -407,7 +434,8 @@ def test_ff_height_transition_bound():
         f = FFRat.from_poly(FFPoly.t_var(p))
         m = ff_family_map(2, f)
         c = max(poly.degree() for poly in m.num_forms + m.den_forms) + m.res.degree()
-        for elem in enumerate_ff_elements(p, 3, include_constants=True):
+        constants = [FFRat.constant(p, c) for c in range(p)]
+        for elem in enumerate_ff_elements(p, 3) + constants:
             pt = normalize_ff_point(elem.num, elem.den)
             img = evaluate_ff(m, pt)
             drift = ff_height(img) - m.degree * ff_height(pt)
@@ -442,7 +470,7 @@ def test_ff_family_map_matches_the_generic_construction(p, height, degrees):
     # Every f up to the height, constants included: forms and resultant equal
     # make_ff_map's on (f+1) x^d / (x^(d-1) + f), and f in {0, -1} is refused.
     one, zero = FFRat.constant(p, 1), FFRat.constant(p, 0)
-    for f in enumerate_ff_elements(p, height, include_constants=True):
+    for f in enumerate_ff_elements(p, height) + [FFRat.constant(p, c) for c in range(p)]:
         for d in degrees:
             if f.is_zero() or (f + one).is_zero():
                 with pytest.raises(DegenerateFamilyError):
@@ -528,7 +556,7 @@ def test_ff_scan_orbit_matches_evaluate_then_discard():
     for m, b, budget in _scan_cases():
         above += ff_height(b) > budget
         rec = ff_scan_orbit(m, b, [], height_budget=budget)
-        want = _reference_scan(m, b, [], DEFAULT_FF_N_CAP, budget)
+        want = _reference_scan(m, b, [], DEFAULT_N_CAP, budget)
         assert (rec.points, rec.cycle_entry, rec.truncation) == want, (m, b, budget)
     assert above > 100
 
@@ -573,7 +601,6 @@ def test_enumerate_ff_elements_b1():
     elems = enumerate_ff_elements(2, 1)
     assert len(elems) == 6
     assert all(not f.is_constant() for f in elems)
-    assert len(enumerate_ff_elements(2, 1, include_constants=True)) == 8
 
 
 def test_ff_enumeration_limit_is_checked_before_enumerating(monkeypatch):
@@ -745,7 +772,7 @@ def test_ff_count_only_scan_agrees_with_the_whole_scan(p, data):
         b = normalize_ff_point(value.num, value.den)
     else:
         b = _random_ff_point(random.Random(data.draw(st.integers(0, 2**32))), p)
-    n_cap, budget = data.draw(st.integers(0, DEFAULT_FF_N_CAP)), data.draw(st.integers(0, 48))
+    n_cap, budget = data.draw(st.integers(0, DEFAULT_N_CAP)), data.draw(st.integers(0, 48))
     full = ff_scan_orbit(m, b, [], n_cap=n_cap, height_budget=budget)
     cut = ff_scan_orbit(m, b, [], n_cap=n_cap, height_budget=budget, count_only=True)
     assert len(cut.integral_indices) == len(full.integral_indices)

@@ -1,7 +1,7 @@
+import dataclasses
 import math
 import pickle
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -79,6 +79,20 @@ def test_cofactors_phi_1():
     assert cert.verify(PHI_1)
 
 
+def test_certificate_verify_refuses_any_changed_coefficient():
+    # Both identities p1 F + q1 G = R X^D and p2 F + q2 G = R Y^D are checked,
+    # in every coefficient: one cofactor coefficient or R off by one fails.
+    cert = cofactors(PHI_1)
+    assert not dataclasses.replace(cert, r=cert.r + 1).verify(PHI_1)
+    for name in ("p1", "q1", "p2", "q2"):
+        form = getattr(cert, name)
+        for i in range(len(form.coeffs)):
+            coeffs = list(form.coeffs)
+            coeffs[i] += 1
+            changed = dataclasses.replace(form, coeffs=tuple(coeffs))
+            assert not dataclasses.replace(cert, **{name: changed}).verify(PHI_1)
+
+
 def test_cofactor_gcd_divides_resultant_bruteforce():
     r = abs(PELL_2.resultant)
     for a in range(-50, 51):
@@ -90,7 +104,7 @@ def test_cofactor_gcd_divides_resultant_bruteforce():
 
 
 def test_cofactor_random_sweep():
-    report = cofactor_certificates_check(seed=3, n_maps=10, n_pairs=20)
+    report = cofactor_certificates_check(seed=3)
     assert report.ok
 
 
@@ -322,13 +336,13 @@ def _coprime_box(bound):
 @given(tail_maps())
 @settings(max_examples=60, deadline=None)
 def test_denominator_bound_holds_on_a_box(m):
-    # |G(a, b)| >= kappa * H^e wherever G(a, b) != 0, by brute force over |a|, |b| <= 25;
+    # k * |G(a, b)| >= c * H^e wherever G(a, b) != 0, by brute force over |a|, |b| <= 25;
     # make_map's content division and sign fix leave G = c * g with c of either sign.
-    kappa, e = denominator_bound(m)
-    assert e >= 1
+    c, k, e = denominator_bound(m)
+    assert c >= 1 and k >= 1 and e >= 1
     for a, b in _coprime_box(25):
         g = m.denominator(a, b)
-        assert g == 0 or abs(g) >= kappa * max(abs(a), abs(b)) ** e
+        assert g == 0 or k * abs(g) >= c * max(abs(a), abs(b)) ** e
 
 
 def test_denominator_bound_is_none_without_an_elementary_bound():
@@ -344,7 +358,7 @@ def _scanned_bound(m):
     c = g[0]
     for form, k in TAIL_FORMS.items():
         if c and g == tuple(c * x for x in form):
-            return Fraction(abs(c), k), 2
+            return abs(c), k, 2
     return None
 
 
@@ -412,9 +426,9 @@ def _least(ok):
 @given(tail_maps(bound=40))
 @settings(max_examples=100, deadline=None)
 def test_tail_threshold_is_the_least_certified_height(m):
-    kappa, e = denominator_bound(m)
+    c, k, e = denominator_bound(m)
     res, loss, d = abs(m.resultant), hadamard_loss(m), m.degree
-    want = _least(lambda t: kappa * t**e > res and t ** (d - 1) > loss)
+    want = _least(lambda t: c * t**e > k * res and t ** (d - 1) > loss)
     assert tail_threshold(m) == want
     assert 1 << (m.tail_bits - 1) <= want < 1 << m.tail_bits
 
@@ -422,9 +436,9 @@ def test_tail_threshold_is_the_least_certified_height(m):
 @given(tail_maps(bound=40))
 @settings(max_examples=100, deadline=None)
 def test_trap_height_is_the_largest_trapped_height(m):
-    kappa, e = denominator_bound(m)
+    c, k, e = denominator_bound(m)
     res = abs(m.resultant)
-    assert trap_height(m) == _least(lambda t: kappa * (t + 1) ** e > res)
+    assert trap_height(m) == _least(lambda t: c * (t + 1) ** e > k * res)
     assert tail_threshold(m) >= trap_height(m) + 1
 
 
@@ -440,4 +454,4 @@ def test_trap_box_holds_every_divisor_of_the_resultant(m):
 
 def test_trap_height_is_none_without_a_denominator_bound():
     assert trap_height(PELL_2) is None and trap_height(X_SQUARED) is None
-    assert trap_height(PHI_1) == 2  # |Res| = 2, kappa = 1/4, e = 2: H^2 <= 8
+    assert trap_height(PHI_1) == 2  # |Res| = 2, (c, k, e) = (1, 4, 2): H^2 <= 8

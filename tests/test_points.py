@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dynctl.errors import BothZeroError, ParseError, SizeBudgetExceededError
-from dynctl.points import (EMPTY_S, INFINITY, ProjPointQ, SIntSpec, check_b_values,
-                           check_enumeration_bound, coprime_count, coprime_row, count_points,
-                           enumerate_points, format_point, is_prime, is_s_integral, log_of_int, normalize,
-                           parse_point, tally_by_height)
+from dynctl.points import (EMPTY_S, INFINITY, PRIME_TEST_LIMIT, ProjPointQ, SIntSpec,
+                           check_b_values, check_enumeration_bound, coprime_count, coprime_row,
+                           count_points, enumerate_points, format_point, is_prime,
+                           is_s_integral, log_of_int, normalize, parse_point, tally_by_height)
 
 nonzero_pairs = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)).filter(
     lambda ab: ab != (0, 0)
@@ -90,6 +90,27 @@ def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert is_prime(2**61 - 1)
     assert not is_prime(2**67 - 1)
+
+
+# The least strong pseudoprime to the bases 2, 3, ..., 37 and to 2, 3, ..., 41.
+PSEUDOPRIME_TO_37 = 318665857834031151167461  # 399165290221 * 798330580441
+PSEUDOPRIME_TO_41 = 3317044064679887385961981
+
+
+def test_is_prime_refuses_the_least_pseudoprime_to_the_bases_through_37():
+    assert 399165290221 * 798330580441 == PSEUDOPRIME_TO_37
+    assert not is_prime(PSEUDOPRIME_TO_37)
+    assert is_prime(399165290221) and is_prime(798330580441)
+
+
+def test_s_spec_refuses_both_pseudoprimes():
+    with pytest.raises(ValueError, match="not prime"):
+        SIntSpec([2, PSEUDOPRIME_TO_37])
+    # is_prime still calls this one prime, so SIntSpec refuses it by size first.
+    assert PSEUDOPRIME_TO_41 == PRIME_TEST_LIMIT and is_prime(PSEUDOPRIME_TO_41)
+    with pytest.raises(ValueError, match=str(PRIME_TEST_LIMIT)):
+        SIntSpec([PSEUDOPRIME_TO_41])
+    assert SIntSpec([2**61 - 1]).primes == {2**61 - 1}
 
 
 def test_enumerate_b1_exact_set():
