@@ -18,14 +18,15 @@ from . import families as families_mod
 from . import funcfield as funcfield_mod
 from . import maps as maps_mod
 from .canonical import canonical_height, is_preperiodic
-from .errors import DynctlError, SizeBudgetExceededError
+from .errors import DynctlError, ParseError, SizeBudgetExceededError
 from .families import BasepointSpec, avg_experiment, three_param_avg
 from .funcfield import ff_orbit_avg, parse_ffpoly
 from .orbits import (DEFAULT_HEIGHT_BUDGET_BITS, HEIGHT_BUDGET_BITS_LIMIT, count_s_integral,
                      density_of_integral_preimages, empirical_max_iterate, scan_orbit)
 from .parallel import default_workers
 from .parsing import parse_map, resolve_map_text
-from .points import DEFAULT_N_CAP, SIntSpec, check_n_cap, format_point, parse_point
+from .points import (DEFAULT_N_CAP, SIntSpec, check_n_cap, format_point, parse_int,
+                     parse_point)
 from .reports import emit_csv, emit_json, error_json, report_rows
 
 # `verify` runs every module's VERIFICATION_CHECKS, in this module order.
@@ -36,14 +37,33 @@ def registered_checks() -> dict[str, object]:
     return {name: fn for mod in _CHECK_MODULES for name, fn in mod.VERIFICATION_CHECKS.items()}
 
 
+def _parse_ints(text: str) -> list[int]:
+    """Comma-separated points.parse_int literals."""
+    out = []
+    position = 0
+    for chunk in text.split(","):
+        out.append(parse_int(chunk, position))
+        position += len(chunk) + 1
+    return out
+
+
+def _int_flag(text: str) -> int:
+    """The argparse type of every integer flag: points.parse_int, whose
+    refusal argparse reports as a UsageError."""
+    try:
+        return parse_int(text, 0)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _parse_s(text: str) -> SIntSpec:
     if not text.strip():
         return SIntSpec()
-    return SIntSpec(int(p) for p in text.split(","))
+    return SIntSpec(_parse_ints(text))
 
 
 def _parse_b_values(text: str) -> tuple[int, ...]:
-    return tuple(int(b) for b in text.split(","))
+    return tuple(_parse_ints(text))
 
 
 def _map_from_args(args) -> "maps_mod.RationalMapQ":
@@ -130,7 +150,7 @@ def cmd_ffavg(args) -> tuple[dict, list | None]:
     s_polys = []
     if args.s.strip():
         s_polys = [parse_ffpoly(args.p, chunk) for chunk in args.s.split(",")]
-    beta = [int(c) for c in args.beta_coeffs.split(",")]
+    beta = _parse_ints(args.beta_coeffs)
     report = ff_orbit_avg(args.p, args.d, beta, s_polys, _parse_b_values(args.b),
                           n_cap=args.ncap)
     return ({"p": args.p, "d": args.d, "beta_coeffs": beta, **asdict(report)},
@@ -178,12 +198,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default="", help="output path (default stdout)")
         if ncap:
-            p.add_argument("--ncap", type=int, default=DEFAULT_N_CAP)
+            p.add_argument("--ncap", type=_int_flag, default=DEFAULT_N_CAP)
         if budget:
-            p.add_argument("--height-budget-bits", type=int, default=DEFAULT_HEIGHT_BUDGET_BITS,
-                           dest="height_budget_bits")
+            p.add_argument("--height-budget-bits", type=_int_flag,
+                           default=DEFAULT_HEIGHT_BUDGET_BITS, dest="height_budget_bits")
         if workers:
-            p.add_argument("--workers", type=int, default=default_workers())
+            p.add_argument("--workers", type=_int_flag, default=default_workers())
         return p
 
     p = add("orbit", cmd_orbit, ncap=True, budget=True,
@@ -207,7 +227,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
             help="empirical largest iterate producing an S-integral point")
     p.add_argument("--map", required=True)
     p.add_argument("--s", default="")
-    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--b", type=_int_flag, required=True)
 
     p = add("density", cmd_density, workers=True,
             help="density of S-integral preimages by height")
@@ -224,9 +244,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = add("avg3", cmd_avg3, ncap=True, budget=True, workers=True,
             help="boxed average for the three-parameter family")
-    p.add_argument("--n1", type=int, default=6)
-    p.add_argument("--n2", type=int, default=6)
-    p.add_argument("--n3", type=int, default=6)
+    p.add_argument("--n1", type=_int_flag, default=6)
+    p.add_argument("--n2", type=_int_flag, default=6)
+    p.add_argument("--n3", type=_int_flag, default=6)
     p.add_argument("--b", required=True)
 
     p = add("ffavg", cmd_ffavg, ncap=True,
@@ -235,15 +255,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                         "F_p(t) are degrees, bounded by a fixed budget of "
                         f"{funcfield_mod.DEFAULT_FF_HEIGHT_BUDGET}, so there is no "
                         "--height-budget-bits. The sweep runs serially.")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--p", type=_int_flag, required=True)
+    p.add_argument("--d", type=_int_flag, required=True)
     p.add_argument("--beta-coeffs", required=True, dest="beta_coeffs",
                    help="coefficients of beta as a polynomial in f, ascending")
     p.add_argument("--s", default="", help="comma-separated monic irreducible polynomials in t")
     p.add_argument("--b", required=True)
 
     p = add("verify", cmd_verify, help="run every registered identity check")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_flag, default=0)
 
     return parser, subparsers
 

@@ -98,6 +98,13 @@ class RationalMapQ:
         return self.height.bit_length() + (self.degree + 1).bit_length() + 1
 
     @functools.cached_property
+    def last_step_constants(self) -> tuple[int, int, int]:
+        """(bits(hadamard_loss(m)), |Res|, |Res| * 2^64 + 1): the constants of
+        the count-only scan's last-step test, orbits._no_integral_image."""
+        res = abs(self.resultant)
+        return hadamard_loss(self).bit_length(), res, (res << 64) + 1
+
+    @functools.cached_property
     def tail_bits(self) -> int | None:
         """bits(tail_threshold(m)): a point with more bits is above the threshold;
         None when the map has no threshold."""

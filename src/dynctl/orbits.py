@@ -45,13 +45,44 @@ def scan_orbit(m: RationalMapQ, b: ProjPointQ, s: SIntSpec,
     A count_only scan with S = {} also stops, as CERTIFIED_TAIL, before
     stepping from a point above maps.tail_threshold, where one exists: the
     record then has the whole orbit's integral points and largest integral
-    index, and still counts as truncated. Scans that report every point
-    (orbit, verify) keep the whole record.
+    index, and still counts as truncated. It also settles its last step
+    without taking it where _no_integral_image proves that phi(P) is not
+    integral and has more than pre_limit bits: the record then lacks that
+    one point, with the same integral indices, cycle entry and truncation
+    (walk_orbit's last_step). Scans that report every point (orbit,
+    verify) keep the whole record.
     """
     pre_limit, tail_limit = _scan_limits(m, s, height_budget_bits, count_only)
+    last_from = pre_limit // m.degree if count_only and not s.primes else pre_limit
     return walk_orbit(functools.partial(evaluate, m), _bits, b, n_cap,
                       pre_limit, height_budget_bits, lambda p: is_s_integral(p, s),
-                      tail_limit)
+                      tail_limit, last_from, functools.partial(_no_integral_image, m, pre_limit))
+
+
+def _no_integral_image(m: RationalMapQ, pre_limit: int, p: ProjPointQ, h: int) -> bool:
+    """True when phi(p), for p of h bits, is not integral (S = {}) and has
+    more than pre_limit bits, from two integer tests: one on h, and one that
+    evaluates G alone at the residues of p's coordinates mod M.
+
+    Height: with lam = bits(hadamard_loss(m)), H(p)^d <= L' * H(phi(p)) and
+    L' < 2^lam, so h > ceil((pre_limit + lam) / d) puts phi(p) over
+    pre_limit, and h > ceil(lam / (d - 1)) makes heights rise from p on, as
+    in maps.tail_threshold. Residue: an integral phi(p) needs
+    0 < |G(a, b)| <= |Res|, since G(a, b) / gcd(F(a, b), G(a, b)) is +-1 and
+    the gcd divides Res. For M = |Res| * 2^64 + 1 > 2 |Res|, the residue of
+    G(a, b) mod M centred on 0 then equals G(a, b); so a residue outside
+    0 < |v| <= |Res| proves phi(p) is not integral. A residue inside sends
+    the step to evaluate, which decides it.
+
+    Only called for h > pre_limit // d and h <= pre_limit (walk_orbit's
+    limits), so never for d = 1, whose pre_limit // 1 is pre_limit.
+    """
+    lam, res, modulus = m.last_step_constants
+    d = m.degree
+    if h <= max(-(-(pre_limit + lam) // d), -(-lam // (d - 1))):
+        return False
+    r = m.denominator(p.a % modulus, p.b % modulus) % modulus
+    return not (0 < r <= res or r >= modulus - res)
 
 
 def _scan_limits(m: RationalMapQ, s: SIntSpec, height_budget_bits: int,

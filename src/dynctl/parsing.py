@@ -30,7 +30,8 @@ MAX_TERM_PAIRS = 100_000  # term products in one polynomial multiplication
 # inside the default recursion limit of 1000.
 MAX_NESTING = 100
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([xtrsf])|(\*\*|[-+*/^()]))")
+# Integer literals are ASCII digits only: \d would also match other scripts' digits.
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([xtrsf])|(\*\*|[-+*/^()]))")
 
 
 @dataclass(frozen=True)
@@ -343,7 +344,7 @@ def parse_map(text: str) -> MapExpression:
     )
 
 
-_PRESET_RE = re.compile(r"^\s*pell\s*\(\s*(\d+)\s*\)\s*$")
+_PRESET_RE = re.compile(r"^\s*pell\s*\(\s*([0-9]+)\s*\)\s*$")
 
 
 def resolve_map_text(text: str) -> str:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +29,9 @@ DEFAULT_N_CAP = 16
 # below it is_prime is exact, at it is_prime is wrong, so SIntSpec refuses a
 # member this large before testing it.
 PRIME_TEST_LIMIT = 3317044064679887385961981
+# A decimal integer literal: an optional sign and ASCII digits, with
+# surrounding whitespace. int() alone also takes "1_0" and non-ASCII digits.
+_INT_RE = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
 
 def log_of_int(n: int) -> float:
@@ -278,6 +282,10 @@ class OrbitRecord:
 
     When cycle_entry = (index, period) is present the orbit is fully known and
     the stored distinct points carry the whole infinite orbit's integral count.
+    A walk that settles its last step without taking it (walk_orbit's
+    last_step) stores one point fewer than a walk that takes it: a point that
+    is not integral and is over the height budget's pre_limit. The integral
+    indices, cycle entry and truncation are the same either way.
     """
 
     points: tuple[Any, ...]
@@ -297,7 +305,8 @@ def check_n_cap(n_cap: int) -> None:
 
 def walk_orbit(step: Callable[[Any], Any], size: Callable[[Any], int], b: Any, n_cap: int,
                pre_limit: int, post_limit: int, integral: Callable[[Any], bool],
-               tail_limit: int) -> OrbitRecord:
+               tail_limit: int, last_from: int,
+               last_step: Callable[[Any, int], bool] | None) -> OrbitRecord:
     """The orbit of b under step, over Q or F_p(t): the one orbit loop of dynctl.
 
     The walk ends when a cycle closes (COMPLETED), when n_cap steps are kept
@@ -307,9 +316,22 @@ def walk_orbit(step: Callable[[Any], Any], size: Callable[[Any], int], b: Any, n
     ends before stepping from a point whose size is over tail_limit
     (CERTIFIED_TAIL): the caller vouches that past that size no later point
     is integral and no cycle closes, so the record holds the whole orbit's
-    integral points; a tail_limit >= pre_limit never cuts. size runs once
-    per point. Truncation is data, not an error; counts on records other
-    than COMPLETED are lower bounds. A cap above N_CAP_LIMIT is refused first.
+    integral points; a tail_limit >= pre_limit never cuts.
+
+    Before stepping from a point P whose size h is over last_from, the walk
+    asks last_step(P, h). True is the caller's proof that phi(P) is not
+    integral and that its size is over pre_limit and within post_limit. Such
+    a step closes no cycle, since every stored point has stepped or is P, so
+    its size is at most pre_limit; and the walk would keep phi(P) and then
+    end. So it ends at P instead, as that step would have ended it:
+    ITERATION_CAP if the step fills the cap, else HEIGHT_BUDGET. The record
+    is then one non-integral point shorter, with the same integral indices,
+    cycle entry and truncation. A last_from >= pre_limit never asks, and
+    last_step may then be None.
+
+    size runs once per point. Truncation is data, not an error; counts on
+    records other than COMPLETED are lower bounds. A cap above N_CAP_LIMIT
+    is refused first.
     """
     check_n_cap(n_cap)
     points = [b]
@@ -322,6 +344,10 @@ def walk_orbit(step: Callable[[Any], Any], size: Callable[[Any], int], b: Any, n
         if h > limit:
             truncation = (Truncation.HEIGHT_BUDGET if h > pre_limit
                           else Truncation.CERTIFIED_TAIL)
+            break
+        if h > last_from and last_step(points[-1], h):
+            truncation = (Truncation.ITERATION_CAP if len(points) == n_cap
+                          else Truncation.HEIGHT_BUDGET)
             break
         nxt = step(points[-1])
         if nxt in seen:
@@ -347,18 +373,22 @@ def format_point(p: ProjPointQ) -> str:
     return f"{p.a}/{p.b}"
 
 
+def parse_int(text: str, position: int) -> int:
+    """A decimal integer literal (_INT_RE): int() on text, refused with a
+    ParseError at position where int() would also take underscores or
+    non-ASCII digits. position is where text starts in the caller's input."""
+    if _INT_RE.fullmatch(text) is None:
+        raise ParseError(f"bad integer literal {text!r}", position)
+    return int(text)
+
+
 def parse_point(text: str) -> ProjPointQ:
-    """Parse the format_point grammar back into a normalized point."""
+    """Parse the format_point grammar back into a normalized point: "inf", or
+    one or two _INT_RE literals around a "/"."""
     text = text.strip()
     if text in ("inf", "Inf", "INF", "oo"):
         return INFINITY
-    if "/" in text:
-        num, _, den = text.partition("/")
-        try:
-            return normalize(int(num), int(den))
-        except ValueError as exc:
-            raise ParseError(f"bad point literal {text!r}", 0) from exc
-    try:
-        return ProjPointQ(int(text), 1)
-    except ValueError as exc:
-        raise ParseError(f"bad point literal {text!r}", 0) from exc
+    num, slash, den = text.partition("/")
+    if _INT_RE.fullmatch(num) is None or slash and _INT_RE.fullmatch(den) is None:
+        raise ParseError(f"bad point literal {text!r}", 0)
+    return normalize(int(num), int(den)) if slash else ProjPointQ(int(num), 1)

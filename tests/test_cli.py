@@ -568,3 +568,49 @@ def test_deeply_nested_map_is_one_json_parse_error(expr, capsys):
     payload = json.loads(err)
     assert payload["error"] == "ParseError"
     assert payload["message"].startswith(f"nesting deeper than {MAX_NESTING} (at position")
+
+
+# Integer inputs are ASCII decimal literals: int() alone would also read
+# "1_0" as 10 and "٣" (an Arabic-Indic three) as 3, and \d matches "٢".
+ORBIT = ["orbit", "--map", "x^2", "--point", "2"]
+
+
+@pytest.mark.parametrize("args, error", [
+    (ORBIT + ["--s", "1_3"], "ParseError"),
+    (ORBIT + ["--s", "٣"], "ParseError"),
+    (["orbit", "--map", "x^2", "--point", "1_0"], "ParseError"),
+    (["orbit", "--map", "x^2", "--point", "٣/2"], "ParseError"),
+    (["density", "--map", "x^2", "--b", "10,2_0"], "ParseError"),
+    (["ffavg", "--p", "2", "--d", "2", "--beta-coeffs", "0,1_0", "--b", "1"], "ParseError"),
+    (["orbit", "--map", "x^٢", "--point", "2"], "ParseError"),
+    (["orbit", "--map", "pell(٢)", "--point", "2"], "ParseError"),
+    (ORBIT + ["--ncap", "1_0"], "UsageError"),
+    (ORBIT + ["--height-budget-bits", "1_000"], "UsageError"),
+    (["nmax", "--map", "pell(2)", "--b", "٣"], "UsageError"),
+    (["nmax", "--map", "pell(2)", "--b", "3", "--workers", "١"], "UsageError"),
+    (["avg3", "--n1", "1_0", "--b", "5"], "UsageError"),
+    (["ffavg", "--p", "٢", "--d", "2", "--beta-coeffs", "0,1", "--b", "1"], "UsageError"),
+    (["verify", "--seed", "1_0"], "UsageError"),
+], ids=["s-underscore", "s-arabic-indic", "point-underscore", "point-arabic-indic",
+        "b-values", "beta-coeffs", "map-digit", "pell-digit", "ncap", "height-budget-bits",
+        "nmax-b", "workers", "avg3-n1", "ffavg-p", "verify-seed"])
+def test_non_ascii_integer_is_one_json_error(args, error, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == (2 if error == "UsageError" else 1)
+    assert out == ""
+    assert json.loads(err)["error"] == error
+
+
+def test_non_ascii_integer_from_config_is_one_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "ncap.cfg"
+    cfg.write_text("ncap = 1_0\n")
+    code, out, err = run_cli(ORBIT + ["--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "UsageError" and "'1_0'" in payload["message"]
+
+
+def test_integer_literal_error_names_its_position(capsys):
+    code, _, err = run_cli(["density", "--map", "x^2", "--b", "10,2_0"], capsys)
+    assert code == 1
+    assert json.loads(err)["message"] == "bad integer literal '2_0' (at position 3)"

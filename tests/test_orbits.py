@@ -11,8 +11,8 @@ from dynctl.families import phi_t_family, pell_map, specialize, three_param_fami
 from dynctl.maps import (TAIL_FORMS, compose, evaluate, is_polynomial, make_map, map_height,
                          random_coprime_pair, random_map, second_iterate_is_polynomial,
                          tail_threshold, trap_height)
-from dynctl.orbits import (DEFAULT_N_CAP, count_s_integral, density_of_integral_preimages,
-                           empirical_max_iterate, scan_orbit)
+from dynctl.orbits import (DEFAULT_HEIGHT_BUDGET_BITS, DEFAULT_N_CAP, count_s_integral,
+                           density_of_integral_preimages, empirical_max_iterate, scan_orbit)
 from dynctl.parallel import map_chunks
 from dynctl.points import (EMPTY_S, N_CAP_LIMIT, ProjPointQ, SIntSpec, Truncation, count_points,
                            enumerate_points, is_s_integral, normalize, strip_s_part,
@@ -456,7 +456,8 @@ def test_count_only_scan_agrees_with_the_whole_scan(case, n_cap, budget):
     if cut.truncation is Truncation.CERTIFIED_TAIL:
         assert above[-1] and not any(above[:-1])
     else:
-        assert cut == full and not any(above[:-1])
+        _assert_settled_last_step(cut, full, m, budget)
+        assert not any(above[:-1])
 
 
 def test_count_only_scan_stops_at_the_open_cell_basepoint():
@@ -479,5 +480,144 @@ def test_count_only_scan_with_s_or_without_a_threshold_keeps_the_whole_record():
     b = ProjPointQ(2**6 * 3**6 * 5**6, 1)
     s = SIntSpec([2])
     assert scan_orbit(m, b, s, count_only=True) == scan_orbit(m, b, s)
+    # Without a threshold only the last step may be settled untaken.
     b = normalize(3, 2)
-    assert scan_orbit(PELL_2, b, EMPTY_S, count_only=True) == scan_orbit(PELL_2, b, EMPTY_S)
+    cut = scan_orbit(PELL_2, b, EMPTY_S, count_only=True)
+    full = scan_orbit(PELL_2, b, EMPTY_S)
+    _assert_settled_last_step(cut, full, PELL_2, DEFAULT_HEIGHT_BUDGET_BITS)
+    assert count_s_integral(cut) == count_s_integral(full) == (1, False)
+
+
+# ---------------------------------------------------------------------------
+# The last step a count-only scan settles by a residue test on G alone
+# ---------------------------------------------------------------------------
+
+
+def _pre_limit(m, budget):
+    return (budget - m.step_bits) // m.degree
+
+
+def _assert_settled_last_step(cut, full, m, budget):
+    """cut is the whole scan full with at most its last point dropped, and a
+    dropped point is not integral and over the scan's pre_limit."""
+    assert cut.integral_indices == full.integral_indices
+    assert cut.cycle_entry == full.cycle_entry
+    assert cut.truncation is full.truncation
+    assert cut.points == full.points[:len(cut.points)]
+    dropped = full.points[len(cut.points):]
+    assert len(dropped) <= 1
+    for p in dropped:
+        assert not is_s_integral(p, EMPTY_S) and _bits(p) > _pre_limit(m, budget)
+
+
+@st.composite
+def _threshold_free_maps(draw):
+    """A map with no tail threshold, so only the last-step test cuts its
+    count-only scans: random_map of degree 2-4, or pell(D) for D in {2, 3, 5};
+    and a basepoint."""
+    if draw(st.booleans()):
+        m = random_map(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(2, 4)))
+        assume(tail_threshold(m) is None)
+    else:
+        m = pell_map(draw(st.sampled_from((2, 3, 5))))
+    a, b = draw(st.integers(-10**4, 10**4)), draw(st.integers(1, 10**3))
+    return m, normalize(a, b)
+
+
+@given(_threshold_free_maps(), st.integers(0, DEFAULT_N_CAP), st.integers(200, 4000))
+@settings(max_examples=300, deadline=None)
+def test_count_only_scan_settles_only_a_non_integral_last_step(case, n_cap, budget):
+    m, b = case
+    full = scan_orbit(m, b, EMPTY_S, n_cap=n_cap, height_budget_bits=budget)
+    cut = scan_orbit(m, b, EMPTY_S, n_cap=n_cap, height_budget_bits=budget, count_only=True)
+    _assert_settled_last_step(cut, full, m, budget)
+    assert count_s_integral(cut) == count_s_integral(full)
+    # A scan with S nonempty keeps the whole record.
+    s = SIntSpec([2])
+    assert scan_orbit(m, b, s, n_cap=n_cap, height_budget_bits=budget, count_only=True) == \
+        scan_orbit(m, b, s, n_cap=n_cap, height_budget_bits=budget)
+
+
+def test_count_only_scan_settles_the_last_step_of_most_wandering_orbits():
+    # The budgets above are ones at which the cut fires: over fixed seeds it
+    # drops the last point of most scans that end at the height budget.
+    rng = random.Random(25)
+    ended = settled = 0
+    for _ in range(200):
+        m = pell_map(2) if rng.random() < 0.2 else random_map(rng, rng.randint(2, 4))
+        if tail_threshold(m) is not None:
+            continue
+        b = normalize(*random_coprime_pair(rng))
+        budget = rng.randint(200, 4000)
+        full = scan_orbit(m, b, EMPTY_S, height_budget_bits=budget)
+        cut = scan_orbit(m, b, EMPTY_S, height_budget_bits=budget, count_only=True)
+        _assert_settled_last_step(cut, full, m, budget)
+        if full.truncation is Truncation.HEIGHT_BUDGET:
+            ended += 1
+            settled += len(cut.points) < len(full.points)
+    assert ended >= 100 and settled >= 0.9 * ended
+
+
+def test_settled_last_step_ends_as_the_taken_step_would():
+    # pell(2) from 3/2 at budget 10000 keeps points of 2, 7, 26, 102, 408,
+    # 1630 and 6520 bits: the step from the 1630-bit point is settled. With
+    # n_cap = 6 it fills the cap (iteration_cap), with more it ends at the
+    # budget (height_budget), and with fewer it is never reached.
+    seen = set()
+    for n_cap in range(9):
+        full = scan_orbit(PELL_2, normalize(3, 2), EMPTY_S, n_cap=n_cap, height_budget_bits=10000)
+        cut = scan_orbit(PELL_2, normalize(3, 2), EMPTY_S, n_cap=n_cap,
+                         height_budget_bits=10000, count_only=True)
+        _assert_settled_last_step(cut, full, PELL_2, 10000)
+        assert len(cut.points) == len(full.points) - (n_cap >= 6)
+        seen.add((full.truncation, len(cut.points) < len(full.points)))
+    assert seen == {(Truncation.ITERATION_CAP, False), (Truncation.ITERATION_CAP, True),
+                    (Truncation.HEIGHT_BUDGET, True)}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_count_only_scan_takes_a_last_step_that_passes_the_residue_test(sign):
+    # u + v sqrt(2) = (3 + 2 sqrt(2))^251 solves u^2 - 2 v^2 = 1, and u/v has
+    # 638 bits: past the height test at budget 10000, but G(u, v) =
+    # +-(u^2 - 2 v^2)^2 = +-1 passes the residue test (G = -1 from its other
+    # side, the residue M - 1), so the step is taken and phi(u/v) = +-u^4 is
+    # integral.
+    m = make_map(PELL_2.numerator.coeffs, [sign * c for c in PELL_2.denominator.coeffs])
+    u, v = 1, 0
+    for _ in range(251):
+        u, v = 3 * u + 4 * v, 2 * u + 3 * v
+    b = normalize(u, v)
+    assert u * u - 2 * v * v == 1 and _bits(b) == 638
+    lam = m.last_step_constants[0]
+    assert _bits(b) > -(-(_pre_limit(m, 10000) + lam) // 4) and _bits(b) > -(-lam // 3)
+    assert m.denominator(u, v) == sign
+    cut = scan_orbit(m, b, EMPTY_S, height_budget_bits=10000, count_only=True)
+    assert cut == scan_orbit(m, b, EMPTY_S, height_budget_bits=10000)
+    assert cut.points == (b, ProjPointQ(sign * u**4, 1)) and cut.integral_indices == (1,)
+    assert cut.truncation is Truncation.HEIGHT_BUDGET
+
+
+def test_degree_one_map_never_takes_the_last_step_test(monkeypatch):
+    import dynctl.orbits as orbits_mod
+
+    def refuse(*args):
+        raise AssertionError("a scan asked the last-step test")
+
+    monkeypatch.setattr(orbits_mod, "_no_integral_image", refuse)
+    # x -> 2x + 1 from 0 climbs one bit a step, all of them integral, to the budget.
+    m = make_map([1, 2], [1, 0])
+    rec = scan_orbit(m, ProjPointQ(0, 1), EMPTY_S, n_cap=500, height_budget_bits=60,
+                     count_only=True)
+    assert rec.truncation is Truncation.HEIGHT_BUDGET
+    assert rec.integral_indices == tuple(range(len(rec.points)))
+    rng = random.Random(1)
+    for _ in range(30):
+        m = random_map(rng, 1)
+        for budget in (8, 60, 400):
+            b = normalize(*random_coprime_pair(rng))
+            cut = scan_orbit(m, b, EMPTY_S, n_cap=500, height_budget_bits=budget,
+                             count_only=True)
+            assert cut == scan_orbit(m, b, EMPTY_S, n_cap=500, height_budget_bits=budget)
+    # The same scan of a degree-2 map does ask it.
+    with pytest.raises(AssertionError, match="asked"):
+        scan_orbit(PELL_2, normalize(3, 2), EMPTY_S, count_only=True)

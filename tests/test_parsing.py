@@ -32,6 +32,17 @@ def test_parse_not_rational():
         parse_map("2^t")
 
 
+def test_integer_literals_are_ascii_digits():
+    # \d would match the Arabic-Indic two, and int() would read it as 2.
+    with pytest.raises(ParseError) as err:
+        parse_map("x^\u0662")
+    assert err.value.position == 2
+    assert resolve_map_text("pell(\u0662)") == "pell(\u0662)"
+    with pytest.raises(ParseError):
+        parse_map(resolve_map_text("pell(\u0662)"))
+    assert resolve_map_text("pell(2)") == "x^4/(x^2 - 2)^2"
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError) as err:
         parse_map("x^2 + @")

@@ -9,7 +9,8 @@ from dynctl.errors import BothZeroError, ParseError, SizeBudgetExceededError
 from dynctl.points import (EMPTY_S, INFINITY, PRIME_TEST_LIMIT, ProjPointQ, SIntSpec,
                            check_b_values, check_enumeration_bound, coprime_count, coprime_row,
                            count_points, enumerate_points, format_point, is_prime,
-                           is_s_integral, log_of_int, normalize, parse_point, tally_by_height)
+                           is_s_integral, log_of_int, normalize, parse_int, parse_point,
+                           tally_by_height)
 
 nonzero_pairs = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)).filter(
     lambda ab: ab != (0, 0)
@@ -161,6 +162,21 @@ def test_serialization_examples():
     assert parse_point("6/4") == ProjPointQ(3, 2)
     with pytest.raises(ParseError):
         parse_point("3/2/1")
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "3/1_0", "\uff13/2", "3/", "+"])
+def test_parse_point_refuses_what_only_int_reads(text):
+    # int() reads "1_0" as 10 and the Arabic-Indic and fullwidth threes as 3.
+    with pytest.raises(ParseError, match="bad point literal"):
+        parse_point(text)
+
+
+def test_parse_int_reads_ascii_decimal_literals_only():
+    assert parse_int(" -12 ", 0) == -12 and parse_int("+7", 0) == 7
+    for text in ("1_0", "\u0663", "", "1.0", "0x10"):
+        with pytest.raises(ParseError) as err:
+            parse_int(text, 4)
+        assert err.value.position == 4
 
 
 @given(nonzero_pairs)
