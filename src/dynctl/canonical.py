@@ -143,7 +143,7 @@ def transition_constants_check():
 
     targets = {
         "x^2": make_map([0, 0, 1], [1, 0, 0]),
-        "pell_D2": make_map([0, 0, 0, 0, 1], [4, 0, -2, 0, 1]),
+        "pell_D2": make_map([0, 0, 0, 0, 1], [4, 0, -4, 0, 1]),
     }
     checks = []
     for label, m in targets.items():

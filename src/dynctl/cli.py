@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import re
 import sys
 from dataclasses import asdict
 
@@ -23,7 +24,6 @@ from .families import BasepointSpec, avg_experiment, three_param_avg
 from .funcfield import ff_orbit_avg, parse_ffpoly
 from .orbits import (DEFAULT_HEIGHT_BUDGET_BITS, HEIGHT_BUDGET_BITS_LIMIT, count_s_integral,
                      density_of_integral_preimages, empirical_max_iterate, scan_orbit)
-from .parallel import default_workers
 from .parsing import parse_map, resolve_map_text
 from .points import (DEFAULT_N_CAP, SIntSpec, check_n_cap, format_point, parse_int,
                      parse_point)
@@ -54,6 +54,19 @@ def _int_flag(text: str) -> int:
         return parse_int(text, 0)
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+# An ASCII float literal: float() would also take underscores and non-ASCII digits.
+_FLOAT_RE = re.compile(r"\s*[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+                       r"|inf|infinity|nan)\s*", re.ASCII | re.IGNORECASE)
+
+
+def _float_flag(text: str) -> float:
+    """The argparse type of --tol: float() on a _FLOAT_RE literal, refused
+    otherwise, which argparse reports as a UsageError."""
+    if _FLOAT_RE.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"bad float literal {text!r}")
+    return float(text)
 
 
 def _parse_s(text: str) -> SIntSpec:
@@ -203,7 +216,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
             p.add_argument("--height-budget-bits", type=_int_flag,
                            default=DEFAULT_HEIGHT_BUDGET_BITS, dest="height_budget_bits")
         if workers:
-            p.add_argument("--workers", type=_int_flag, default=default_workers())
+            p.add_argument("--workers", type=_int_flag, default=1)
         return p
 
     p = add("orbit", cmd_orbit, ncap=True, budget=True,
@@ -216,7 +229,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
             help="certified canonical height of a point")
     p.add_argument("--map", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_float_flag, default=1e-6)
 
     p = add("preper", cmd_preper, formats=("json",),
             help="certified preperiodicity decision")

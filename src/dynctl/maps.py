@@ -1,7 +1,7 @@
 """Rational self-maps of P^1 over Q as pairs of integer binary forms.
 
-Evaluation, composition, iteration, Sylvester resultants, cofactor
-certificates, polynomial detection, and coefficient height.
+Evaluation, Sylvester resultants, cofactor certificates, polynomial and
+second-iterate detection, and coefficient height.
 """
 
 from __future__ import annotations
@@ -11,13 +11,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
+from .errors import DegenerateMapError, DegreeDropError
 from .points import ProjPointQ
-from .polynomials import (FORM_KERNELS, form_compose, form_mul, form_shape, resultant_from_coeffs,
-                          solve_exact)
+from .polynomials import FORM_KERNELS, bareiss, form_mul, form_shape, resultant_from_coeffs
 
-# Composed coefficients are refused past this many bits; read at call time.
-COEFF_BITS = 10**6
 # Denominator forms g, by ascending coefficients, mapped to k such that
 # |g(a, b)| >= H^2 / k at every coprime (a, b) where g(a, b) != 0, with
 # H = max(|a|, |b|): a^2 + b^2 >= H^2; b (a^2 + b^2) too, as |b| >= 1 there;
@@ -55,26 +52,19 @@ class RationalMapQ:
 
     The stored pair is content-reduced and sign-canonicalized (the first
     nonzero coefficient, scanning numerator then denominator from the leading
-    coefficient down, is positive). Constructed via make_map or compose.
-    The resultant, the cofactor certificate, the evaluation shape of the
-    pair and the orbit scan's constants are cached on the map (all but the
-    resultant are computed on first use), and travel with it when pickled.
+    coefficient down, is positive). Constructed only by make_map, which
+    computes Res(F, G). The cofactor certificate, the evaluation shape of the
+    pair and the orbit scan's constants are cached on the map on first use,
+    and travel with it when pickled.
     """
 
     numerator: BinaryForm
     denominator: BinaryForm
-    _res: int | None = field(default=None, repr=False, compare=False)
+    resultant: int = field(repr=False, compare=False)
 
     @property
     def degree(self) -> int:
         return self.numerator.degree
-
-    @property
-    def resultant(self) -> int:
-        if self._res is None:
-            r = resultant_from_coeffs(self.numerator.coeffs, self.denominator.coeffs, self.degree)
-            object.__setattr__(self, "_res", r)
-        return self._res
 
     @functools.cached_property
     def certificate(self) -> "CofactorCertificate":
@@ -181,10 +171,13 @@ class CofactorCertificate:
 
 
 def cofactors(m: RationalMapQ) -> CofactorCertificate:
-    """Solve the Sylvester system for the cofactor identities, then re-verify symbolically.
+    """Solve the Sylvester system for both cofactor identities, then re-verify symbolically.
 
     The right-hand exponent forced by homogeneity is D = 2d-1 (degree d-1
     cofactors against degree d forms); the realized exponent is stored.
+    One elimination gives y = det * M^-1 e for the unit columns e_D and e_0;
+    M is the Sylvester matrix up to the order of its rows and columns, so
+    det = +-Res and Res // det scales y to the cofactors.
     Always solves afresh; RationalMapQ.certificate caches one result per map.
     """
     d = m.degree
@@ -199,20 +192,11 @@ def cofactors(m: RationalMapQ) -> CofactorCertificate:
         for j, c in enumerate(g):
             matrix[i + j][d + i] = c
     r = m.resultant
-
-    def solve(target_index: int) -> tuple[BinaryForm, BinaryForm]:
-        rhs = [0] * big
-        rhs[target_index] = r
-        sol = solve_exact(matrix, rhs)
-        ints = []
-        for v in sol:
-            if v.denominator != 1:
-                raise ArithmeticError("cofactor solution unexpectedly non-integral")
-            ints.append(v.numerator)
-        return BinaryForm(d - 1, tuple(ints[:d])), BinaryForm(d - 1, tuple(ints[d:]))
-
-    p1, q1 = solve(big - 1)
-    p2, q2 = solve(0)
+    units = [[int(i == k) for i in range(big)] for k in (big - 1, 0)]
+    det, solutions = bareiss(matrix, units)
+    scale = r // det
+    p1, q1, p2, q2 = (BinaryForm(d - 1, tuple([scale * c for c in half]))
+                      for y in solutions for half in (y[:d], y[d:]))
     cert = CofactorCertificate(p1, q1, p2, q2, r, big - 1)
     if not cert.verify(m):
         raise ArithmeticError("cofactor certificate failed symbolic verification")
@@ -227,10 +211,8 @@ def evaluate(m: RationalMapQ, p: ProjPointQ) -> ProjPointQ:
     of running a full gcd on enormous coordinates.
     """
     fa, gb = FORM_KERNELS[m.shape](m.numerator.coeffs, m.denominator.coeffs, p.a, p.b)
-    r = m._res
-    if r is None:
-        g = math.gcd(fa, gb)
-    elif r in (1, -1):
+    r = m.resultant
+    if r in (1, -1):
         g = 1
     else:
         r = abs(r)
@@ -247,38 +229,31 @@ def evaluate(m: RationalMapQ, p: ProjPointQ) -> ProjPointQ:
     return ProjPointQ(fa, gb)
 
 
-def compose(outer: RationalMapQ, inner: RationalMapQ) -> RationalMapQ:
-    """outer after inner; degree multiplies, pair stays coprime, content is re-reduced."""
-    num, den = form_compose(outer.numerator.coeffs, outer.denominator.coeffs,
-                            inner.numerator.coeffs, inner.denominator.coeffs)
-    num_t, den_t = _canonical_pair(num, den)
-    worst = max(max(abs(c) for c in num_t), max(abs(c) for c in den_t))
-    if worst.bit_length() > COEFF_BITS:
-        raise SizeBudgetExceededError(
-            f"composed coefficients outgrew the {COEFF_BITS}-bit budget"
-        )
-    # Composition of valid maps is valid: a common root of the composite forms
-    # would push down to a common root of the outer pair.
-    deg = outer.degree * inner.degree
-    return RationalMapQ(BinaryForm(deg, num_t), BinaryForm(deg, den_t), None)
-
-
-def iterate(m: RationalMapQ, n: int) -> RationalMapQ:
-    if n < 1:
-        raise ValueError("iterate needs n >= 1")
-    out = m
-    for _ in range(n - 1):
-        out = compose(m, out)
-    return out
-
-
 def is_polynomial(m: RationalMapQ) -> bool:
     """True iff the denominator form is c * Y^d, i.e. the map lies in Q[x] as written."""
     return all(c == 0 for c in m.denominator.coeffs[1:])
 
 
 def second_iterate_is_polynomial(m: RationalMapQ) -> bool:
-    return is_polynomial(iterate(m, 2))
+    """True iff phi^2 lies in Q[x], read from the shape of phi in O(d) integer steps.
+
+    (phi^2)^-1(inf) = phi^-1(roots of G) is {inf} iff G has one root r and
+    phi^-1(r) = {inf}. G = c * Y^d has the one root inf. A G with g_d = 0 and
+    another term has the roots inf and a second one. Otherwise G has one root
+    iff G * b^d = g_d * (bX - aY)^d, for a = -g_(d-1) and b = d * g_d, the
+    root then being r = a / b; and phi^-1(r) is the root set of bF - aG,
+    which is {inf} iff bF - aG has no X^i term for i >= 1.
+    """
+    if is_polynomial(m):
+        return True
+    f, g = m.numerator.coeffs, m.denominator.coeffs
+    d = m.degree
+    if g[d] == 0:
+        return False
+    a, b = -g[d - 1], d * g[d]
+    bd = b**d
+    return (all(g[i] * bd == g[d] * math.comb(d, i) * b**i * (-a) ** (d - i) for i in range(d + 1))
+            and not any(b * x - a * y for x, y in zip(f[1:], g[1:])))
 
 
 def map_height(m: RationalMapQ) -> int:
@@ -286,36 +261,21 @@ def map_height(m: RationalMapQ) -> int:
     return max(map(abs, m.numerator.coeffs + m.denominator.coeffs))
 
 
-def denominator_bound(m: RationalMapQ) -> tuple[int, int, int] | None:
-    """(|c|, k, e) with k * |G(a, b)| >= |c| * H(a, b)^e at every coprime (a, b)
+def denominator_bound(m: RationalMapQ) -> tuple[int, int] | None:
+    """(|c|, k) with k * |G(a, b)| >= |c| * H(a, b)^2 at every coprime (a, b)
     where G(a, b) != 0, for G = c * g with g in TAIL_FORMS; None for any other G.
 
-    (k, e) = _primitive_bound(g), for g = G / c the primitive part of G (c its
-    content, of the sign of G's first nonzero coefficient). All three are
-    integers, so callers compare without building the fraction |c| / k.
+    c is G's content, of the sign of G's first nonzero coefficient, so
+    g = G / c is primitive with a positive first nonzero coefficient, as the
+    keys of TAIL_FORMS are. Both are integers, so callers compare without
+    building the fraction |c| / k.
     """
     g = m.denominator.coeffs
     c = math.gcd(*g)
     if next(filter(None, g)) < 0:
         c = -c
-    bound = _primitive_bound(tuple([x // c for x in g]))
-    if bound is None:
-        return None
-    return (abs(c), *bound)
-
-
-# Primitive denominators kept by _primitive_bound's memo. A sweep over one
-# family meets few: the box of avg3 meets two, (1, 0, 1, 0) and (1, 0, 1).
-PRIMITIVE_BOUND_MEMO = 256
-
-
-@functools.lru_cache(maxsize=PRIMITIVE_BOUND_MEMO)
-def _primitive_bound(g: tuple[int, ...]) -> tuple[int, int] | None:
-    """(k, e) with |g(a, b)| >= H(a, b)^e / k at every coprime (a, b) where
-    g(a, b) != 0, for a primitive g whose first nonzero coefficient is
-    positive; None when TAIL_FORMS has no bound for g. Looked up once per g."""
-    k = TAIL_FORMS.get(g)
-    return None if k is None else (k, 2)
+    k = TAIL_FORMS.get(tuple([x // c for x in g]))
+    return None if k is None else (abs(c), k)
 
 
 def hadamard_loss(m: RationalMapQ) -> int:
@@ -349,23 +309,23 @@ def _root_floor(n: int, k: int) -> int:
 
 
 def trap_height(m: RationalMapQ) -> int | None:
-    """The largest H with c * H^e <= k * |Res|, for (c, k, e) = denominator_bound(m);
+    """The largest H with c * H^2 <= k * |Res|, for (c, k) = denominator_bound(m);
     None when there is no such bound.
 
     The divisor trap with S = {}: if phi([a : b]) is integral, or if G(a, b)
-    divides Res, then 0 < |G(a, b)| <= |Res|, so c * H(a, b)^e <= k * |Res|
+    divides Res, then 0 < |G(a, b)| <= |Res|, so c * H(a, b)^2 <= k * |Res|
     and H(a, b) <= trap_height(m).
     """
     bound = denominator_bound(m)
     if bound is None:
         return None
-    c, k, e = bound
-    return _root_floor(abs(m.resultant) * k // c, e)
+    c, k = bound
+    return math.isqrt(abs(m.resultant) * k // c)
 
 
 def tail_threshold(m: RationalMapQ) -> int | None:
-    """The least T with c * T^e > k * |Res| and T^(d-1) > hadamard_loss(m), for
-    (c, k, e) = denominator_bound(m); None when there is no such bound.
+    """The least T with c * T^2 > k * |Res| and T^(d-1) > hadamard_loss(m), for
+    (c, k) = denominator_bound(m); None when there is no such bound.
 
     From an orbit point P with H(P) > T no later point is integral (S = {})
     and no cycle closes. P lies above trap_height(m), so phi(P) is not

@@ -14,16 +14,6 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def default_workers() -> int:
-    env = os.environ.get("DYNCTL_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def map_chunks(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
     """Ordered map over items, fanning out to `workers` processes when asked.
 

@@ -1,7 +1,7 @@
 """Exact multivariate integer polynomials and fraction-free linear algebra.
 
 These are the workhorses behind symbolic family coefficients, Sylvester
-resultants (over Z and over Z[params]), and cofactor solving.
+resultants (over Z and over Z[params]), and the cofactor solve.
 """
 
 from __future__ import annotations
@@ -240,49 +240,52 @@ def _exact_div(a, b):
     return q
 
 
-def bareiss_determinant(matrix: Sequence[Sequence]):
-    """Exact determinant over Z or Z[vars] by Bareiss fraction-free elimination."""
+def bareiss(matrix: Sequence[Sequence], columns: Sequence[Sequence] = ()) -> tuple[object, list[list]]:
+    """Bareiss fraction-free elimination of M | b_1 ... b_k over Z or Z[vars].
+
+    Returns det M and, for each column b, y = det M * M^-1 b. The forward pass
+    keeps each entry a minor of M | b, so its divisions are exact. Back
+    substitution solves U y = det M * u for the reduced triangle U and column
+    u; its solution is integral by Cramer's rule, so those divisions are exact
+    too. A singular M has determinant zero, and no solution: with columns it
+    raises ValueError.
+    """
     n = len(matrix)
     if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
-    zero = m[0][0] * 0
+        return 1, [[] for _ in columns]
+    m = [list(row) + [col[i] for col in columns] for i, row in enumerate(matrix)]
+    width = len(m[0])
+    det = zero = m[0][0] * 0
     sign = 1
     prev = None  # None stands for the ring's one (skip the division)
-    for k in range(n - 1):
-        if _is_zero(m[k][k]):
-            for i in range(k + 1, n):
-                if not _is_zero(m[i][k]):
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if not _is_zero(m[i][k])), None)
+        if pivot is None:
+            break
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
                 m[i][j] = num if prev is None else _exact_div(num, prev)
-            m[i][k] = zero
         prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[int | Fraction]) -> list[Fraction]:
-    """Solve a nonsingular integer system exactly over Q by Gaussian elimination."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        m[k], m[pivot] = m[pivot], m[k]
-        pk = m[k][k]
-        for i in range(n):
-            if i != k and m[i][k] != 0:
-                factor = m[i][k] / pk
-                m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
-    return [m[i][n] / m[i][i] for i in range(n)]
+    else:
+        det = prev if sign == 1 else -prev
+    if not columns:
+        return det, []
+    if _is_zero(det):
+        raise ValueError("singular system")
+    solutions = []
+    for c in range(n, width):
+        y = [zero] * n
+        for i in range(n - 1, -1, -1):
+            s = det * m[i][c]
+            for j in range(i + 1, n):
+                s = s - m[i][j] * y[j]
+            y[i] = _exact_div(s, m[i][i])
+        solutions.append(y)
+    return det, solutions
 
 
 def sylvester_matrix(f_coeffs: Sequence, g_coeffs: Sequence, deg_f: int, deg_g: int) -> list[list]:
@@ -310,7 +313,7 @@ def resultant_from_coeffs(f_coeffs: Sequence, g_coeffs: Sequence, degree: int):
     """Resultant of two degree-`degree` binary forms from ascending coefficients."""
     if degree < 1:
         raise ValueError("resultant needs degree >= 1")
-    return bareiss_determinant(sylvester_matrix(f_coeffs, g_coeffs, degree, degree))
+    return bareiss(sylvester_matrix(f_coeffs, g_coeffs, degree, degree))[0]
 
 
 # ---------------------------------------------------------------------------

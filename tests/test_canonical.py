@@ -182,20 +182,20 @@ def test_certificate_solved_once_per_map(monkeypatch):
     import dynctl.maps as maps_mod
 
     solves = []
-    real_solve = maps_mod.solve_exact
+    real_solve = maps_mod.bareiss
 
     def counting_solve(*args):
         solves.append(args)
         return real_solve(*args)
 
-    monkeypatch.setattr(maps_mod, "solve_exact", counting_solve)
+    monkeypatch.setattr(maps_mod, "bareiss", counting_solve)
     m = pell_map(2)
     points = list(itertools.islice(enumerate_points(10), 50))
     assert len(points) == 50
     for p in points:
         is_preperiodic(m, p)
     canonical_height(m, ProjPointQ(3, 2), 1e-4)
-    assert len(solves) == 2  # one Sylvester solve per cofactor identity
+    assert len(solves) == 1  # one Sylvester elimination for both cofactor identities
 
 
 def _count_evaluations(monkeypatch):

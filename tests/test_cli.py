@@ -449,17 +449,6 @@ def test_canheight_rejects_family_expression(capsys):
     assert "parameters" in json.loads(err)["message"]
 
 
-def test_workers_env_override(monkeypatch):
-    from dynctl.parallel import default_workers
-
-    monkeypatch.setenv("DYNCTL_WORKERS", "5")
-    assert default_workers() == 5
-    monkeypatch.setenv("DYNCTL_WORKERS", "junk")
-    assert default_workers() == 1
-    monkeypatch.delenv("DYNCTL_WORKERS")
-    assert default_workers() == 1
-
-
 def test_density_deterministic_across_workers(capsys):
     args = ["density", "--map", "pell(2)", "--s", "", "--b", "5,10", "--format", "csv"]
     _, out1, _ = run_cli(args + ["--workers", "1"], capsys)
@@ -599,6 +588,22 @@ def test_non_ascii_integer_is_one_json_error(args, error, capsys):
     assert code == (2 if error == "UsageError" else 1)
     assert out == ""
     assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize("tol", ["1_0e-3", "1e-٣", "0x1p-3", "1e-3f", ""])
+def test_tol_that_is_not_an_ascii_float_literal_is_one_usage_error(tol, capsys):
+    # float() alone would read "1_0e-3" as 0.01 and "1e-٣" as 0.001.
+    code, out, err = run_cli(["canheight", "--map", "x^2", "--point", "2", "--tol", tol],
+                             capsys)
+    assert_usage_error(code, out, err, "--tol", f"bad float literal {tol!r}")
+
+
+@pytest.mark.parametrize("tol", ["1e-3", " +.5E+1 ", "2.", "inf"])
+def test_tol_accepts_ascii_float_literals(tol, capsys):
+    code, out, err = run_cli(["canheight", "--map", "x^2", "--point", "2", "--tol", tol],
+                             capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["iterations"] >= 0
 
 
 def test_non_ascii_integer_from_config_is_one_usage_error(tmp_path, capsys):

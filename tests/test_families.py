@@ -280,7 +280,7 @@ def test_specialize_matches_fraction_path(family, data):
     want = _outcome(_fraction_specialize, family, params)
     assert got == want
     if not isinstance(got, type):
-        # _res is compare=False, so the cached resultant is checked on its own.
+        # resultant is compare=False, so it is checked on its own.
         assert got.resultant == want.resultant
         assert got.resultant == resultant_from_coeffs(got.numerator.coeffs,
                                                       got.denominator.coeffs, got.degree)

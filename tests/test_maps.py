@@ -9,17 +9,34 @@ from hypothesis import assume, given, settings, strategies as st
 from dynctl import canonical, maps
 from dynctl.canonical import canonical_height
 from dynctl.errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
-from dynctl.maps import (TAIL_FORMS, cofactor_certificates_check, cofactors, compose,
-                         denominator_bound, evaluate, hadamard_loss, is_polynomial, iterate,
-                         make_map, map_height, random_coprime_pair, random_map,
-                         second_iterate_is_polynomial, tail_threshold, trap_height)
+from dynctl.maps import (TAIL_FORMS, cofactor_certificates_check, cofactors, denominator_bound,
+                         evaluate, hadamard_loss, is_polynomial, make_map, map_height,
+                         random_coprime_pair, random_map, second_iterate_is_polynomial,
+                         tail_threshold, trap_height)
 from dynctl.points import INFINITY, ProjPointQ, normalize
 from dynctl.parallel import map_chunks
-from dynctl.polynomials import FORM_KERNELS, resultant_from_coeffs
+from dynctl.polynomials import FORM_KERNELS, form_compose, resultant_from_coeffs
 
 X_SQUARED = make_map([0, 0, 1], [1, 0, 0])
 PHI_1 = make_map([-1, 1, 0, 0], [1, 0, 0, 1])  # (x-1)/(x^3+1)
 PELL_2 = make_map([0, 0, 0, 0, 1], [4, 0, -4, 0, 1])  # x^4/(x^2-2)^2
+
+
+def _forms(m):
+    return m.numerator.coeffs, m.denominator.coeffs
+
+
+def compose(outer, inner):
+    """outer after inner, by form_compose and make_map."""
+    return make_map(*form_compose(*_forms(outer), *_forms(inner)))
+
+
+def iterate(m, n):
+    """phi^n by n - 1 compositions."""
+    out = m
+    for _ in range(n - 1):
+        out = compose(m, out)
+    return out
 
 
 def test_make_map_examples():
@@ -61,9 +78,7 @@ def test_resultant_examples():
 
 
 def test_second_iterate_resultant_phi_1():
-    it2 = iterate(PHI_1, 2)
-    assert it2.degree == 9
-    assert it2.resultant == 2**12
+    assert resultant_from_coeffs(*form_compose(*_forms(PHI_1), *_forms(PHI_1)), 9) == 2**12
 
 
 def test_cofactors_x_squared():
@@ -134,7 +149,7 @@ def test_certificate_survives_pickle(monkeypatch):
     def no_solve(*args):
         raise AssertionError("the unpickled map solved its certificate again")
 
-    monkeypatch.setattr(maps_mod, "solve_exact", no_solve)
+    monkeypatch.setattr(maps_mod, "bareiss", no_solve)
     assert back == m
     assert back.certificate == cert
 
@@ -227,6 +242,57 @@ def test_polynomial_detection():
     assert not second_iterate_is_polynomial(PHI_1)
 
 
+@st.composite
+def _second_iterate_maps(draw, bound=4):
+    """A map a + c/(x - a)^d or, for b != a, b + c/(x - a)^d; r + c/g(x) for r
+    the mean of g's roots; a polynomial; a Moebius map of trace zero (an
+    involution) or not; or a random map, with Y | G in some."""
+    kind = draw(st.sampled_from(("shifted_power", "mean_root", "polynomial", "moebius",
+                                 "random")))
+    coeff = st.integers(-bound, bound)
+    nonzero = coeff.filter(bool)
+    d = draw(st.integers(1, 4))
+    if kind == "shifted_power":
+        # a = p/q: G = q * L^d and F = p' * L^d + c * q^(d+1) * Y^d for L = qX - pY.
+        p, q, c = draw(coeff), draw(nonzero), draw(nonzero)
+        p2 = draw(st.sampled_from((p, draw(coeff))))
+        power = [math.comb(d, i) * q**i * (-p) ** (d - i) for i in range(d + 1)]
+        num = [p2 * x for x in power]
+        num[0] += c * q ** (d + 1)
+        den = [q * x for x in power]
+    elif kind == "mean_root":
+        # F = aG + bcY^d over bG, r = a/b: bF - aG has no X^i term, so only a
+        # second root of g keeps phi^2 out of Q[x].
+        g = draw(st.lists(coeff, min_size=d, max_size=d)) + [draw(nonzero)]
+        a, b, c = -g[d - 1], d * g[d], draw(nonzero)
+        num = [a * x for x in g]
+        num[0] += b * c
+        den = [b * x for x in g]
+    elif kind == "polynomial":
+        num = draw(st.lists(coeff, min_size=d + 1, max_size=d + 1))
+        den = [draw(nonzero)] + [0] * d
+    elif kind == "moebius":
+        alpha, beta, gamma = draw(coeff), draw(coeff), draw(coeff)
+        num, den = [beta, alpha], [draw(st.sampled_from((-alpha, draw(coeff)))), gamma]
+    else:
+        num = draw(st.lists(coeff, min_size=d + 1, max_size=d + 1))
+        den = draw(st.lists(coeff, min_size=d + 1, max_size=d + 1))
+        top = draw(st.integers(0, d))  # below d: Y^(d - top) | G, so inf is a root of G
+        den[top + 1:] = [0] * (d - top)
+    try:
+        return make_map(num, den)
+    except (DegenerateMapError, DegreeDropError):
+        assume(False)
+
+
+@given(_second_iterate_maps())
+@settings(max_examples=300, deadline=None)
+def test_second_iterate_shape_test_matches_the_composed_denominator(m):
+    # phi^2 is a polynomial iff its denominator G(F, G) is c * Y^(d^2).
+    composed_den = form_compose(*_forms(m), *_forms(m))[1]
+    assert second_iterate_is_polynomial(m) == (not any(composed_den[1:]))
+
+
 def test_polynomial_fixes_infinity():
     rng = random.Random(5)
     for _ in range(20):
@@ -240,13 +306,6 @@ def test_map_height():
     phi_5 = make_map([-5, 1, 0, 0], [1, 0, 0, 1])
     assert map_height(phi_5) == 5
     assert map_height(PELL_2) == 4
-
-
-def test_compose_budget(monkeypatch):
-    monkeypatch.setattr(maps, "COEFF_BITS", 40)
-    with pytest.raises(SizeBudgetExceededError):
-        big = make_map([0, 0, 2**30 - 1], [1, 0, 0])
-        compose(big, big)
 
 
 def _sympy_form(coeffs, x, y):
@@ -338,11 +397,11 @@ def _coprime_box(bound):
 def test_denominator_bound_holds_on_a_box(m):
     # k * |G(a, b)| >= c * H^e wherever G(a, b) != 0, by brute force over |a|, |b| <= 25;
     # make_map's content division and sign fix leave G = c * g with c of either sign.
-    c, k, e = denominator_bound(m)
-    assert c >= 1 and k >= 1 and e >= 1
+    c, k = denominator_bound(m)
+    assert c >= 1 and k >= 1
     for a, b in _coprime_box(25):
         g = m.denominator(a, b)
-        assert g == 0 or k * abs(g) >= c * max(abs(a), abs(b)) ** e
+        assert g == 0 or k * abs(g) >= c * max(abs(a), abs(b)) ** 2
 
 
 def test_denominator_bound_is_none_without_an_elementary_bound():
@@ -358,7 +417,7 @@ def _scanned_bound(m):
     c = g[0]
     for form, k in TAIL_FORMS.items():
         if c and g == tuple(c * x for x in form):
-            return abs(c), k, 2
+            return abs(c), k
     return None
 
 
@@ -392,16 +451,6 @@ def test_root_floor_is_the_integer_root(n, k):
     assert r**k <= n < (r + 1) ** k
 
 
-def test_denominator_bound_memo_holds_one_entry_per_primitive_denominator():
-    from dynctl.families import three_param_avg
-
-    maps._primitive_bound.cache_clear()
-    three_param_avg(6, 6, 6, (2,))
-    # (1, 0, 1, 0) for the open cell and (1, 0, 1) for the r = 0 and s = 0 slices.
-    info = maps._primitive_bound.cache_info()
-    assert info.currsize <= 2 and info.hits > 0
-
-
 @given(_maps(max_degree=4, bound=9))
 @settings(max_examples=80, deadline=None)
 def test_hadamard_loss_bounds_the_cofactor_constant(m):
@@ -426,9 +475,9 @@ def _least(ok):
 @given(tail_maps(bound=40))
 @settings(max_examples=100, deadline=None)
 def test_tail_threshold_is_the_least_certified_height(m):
-    c, k, e = denominator_bound(m)
+    c, k = denominator_bound(m)
     res, loss, d = abs(m.resultant), hadamard_loss(m), m.degree
-    want = _least(lambda t: c * t**e > k * res and t ** (d - 1) > loss)
+    want = _least(lambda t: c * t**2 > k * res and t ** (d - 1) > loss)
     assert tail_threshold(m) == want
     assert 1 << (m.tail_bits - 1) <= want < 1 << m.tail_bits
 
@@ -436,9 +485,9 @@ def test_tail_threshold_is_the_least_certified_height(m):
 @given(tail_maps(bound=40))
 @settings(max_examples=100, deadline=None)
 def test_trap_height_is_the_largest_trapped_height(m):
-    c, k, e = denominator_bound(m)
+    c, k = denominator_bound(m)
     res = abs(m.resultant)
-    assert trap_height(m) == _least(lambda t: c * (t + 1) ** e > k * res)
+    assert trap_height(m) == _least(lambda t: c * (t + 1) ** 2 > k * res)
     assert tail_threshold(m) >= trap_height(m) + 1
 
 
@@ -454,4 +503,4 @@ def test_trap_box_holds_every_divisor_of_the_resultant(m):
 
 def test_trap_height_is_none_without_a_denominator_bound():
     assert trap_height(PELL_2) is None and trap_height(X_SQUARED) is None
-    assert trap_height(PHI_1) == 2  # |Res| = 2, (c, k, e) = (1, 4, 2): H^2 <= 8
+    assert trap_height(PHI_1) == 2  # |Res| = 2, (c, k) = (1, 4): H^2 <= 8

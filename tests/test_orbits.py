@@ -8,12 +8,13 @@ from hypothesis import assume, given, settings, strategies as st
 from dynctl.canonical import is_preperiodic
 from dynctl.errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
 from dynctl.families import phi_t_family, pell_map, specialize, three_param_family
-from dynctl.maps import (TAIL_FORMS, compose, evaluate, is_polynomial, make_map, map_height,
+from dynctl.maps import (TAIL_FORMS, evaluate, is_polynomial, make_map, map_height,
                          random_coprime_pair, random_map, second_iterate_is_polynomial,
                          tail_threshold, trap_height)
 from dynctl.orbits import (DEFAULT_HEIGHT_BUDGET_BITS, DEFAULT_N_CAP, count_s_integral,
                            density_of_integral_preimages, empirical_max_iterate, scan_orbit)
 from dynctl.parallel import map_chunks
+from dynctl.polynomials import form_compose
 from dynctl.points import (EMPTY_S, N_CAP_LIMIT, ProjPointQ, SIntSpec, Truncation, count_points,
                            enumerate_points, is_s_integral, normalize, strip_s_part,
                            tally_by_height)
@@ -306,7 +307,9 @@ def _nmax_maps(draw):
             m = make_map(spread(g.numerator.coeffs), spread(g.denominator.coeffs))
         elif kind == "inversion":
             c = rng.choice((-3, -2, -1, 1, 2, 3))
-            m = compose(random_map(rng, rng.randint(1, 2)), make_map([c, 0, 1], [0, 1, 0]))
+            g = random_map(rng, rng.randint(1, 2))
+            m = make_map(*form_compose(g.numerator.coeffs, g.denominator.coeffs,
+                                       [c, 0, 1], [0, 1, 0]))
         else:
             form = rng.choice(sorted(TAIL_FORMS))
             num = [rng.randint(-9, 9) for _ in form]

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dynctl import polynomials
-from dynctl.polynomials import (FORM_KERNELS, IntPoly, bareiss_determinant, form_compose,
-                                form_mul, form_shape, resultant_from_coeffs, solve_exact,
-                                sylvester_matrix)
+from dynctl.maps import cofactors, random_map
+from dynctl.polynomials import (FORM_KERNELS, IntPoly, bareiss, form_compose, form_mul,
+                                form_shape, resultant_from_coeffs, sylvester_matrix)
 
 T = ("t",)
 RS = ("r", "s")
@@ -105,23 +105,47 @@ def _det_fraction_oracle(rows):
     return det.numerator
 
 
+def _fraction_solve(rows, b):
+    """M^-1 b by Gauss-Jordan elimination over Fraction."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(rows)]
+    for k in range(n):
+        pivot = next(i for i in range(k, n) if m[i][k])
+        m[k], m[pivot] = m[pivot], m[k]
+        for i in range(n):
+            if i != k and m[i][k]:
+                factor = m[i][k] / m[k][k]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[k])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
 def test_bareiss_matches_fraction_elimination():
+    # Small entries make zero pivots, row swaps and singular matrices common.
     rng = random.Random(7)
-    for _ in range(60):
+    for _ in range(200):
         n = rng.randint(1, 6)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        assert bareiss_determinant(rows) == _det_fraction_oracle(rows)
+        bound = rng.choice((1, 2, 9))
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        columns = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        det = _det_fraction_oracle(rows)
+        assert bareiss(rows) == (det, [])
+        if det == 0:
+            with pytest.raises(ValueError, match="singular"):
+                bareiss(rows, columns)
+        else:
+            assert bareiss(rows, columns) == (det, [[det * x for x in _fraction_solve(rows, b)]
+                                                    for b in columns])
 
 
 def test_bareiss_singular():
-    assert bareiss_determinant([[1, 2], [2, 4]]) == 0
-    assert bareiss_determinant([[0, 0], [0, 0]]) == 0
+    assert bareiss([[1, 2], [2, 4]]) == (0, [])
+    assert bareiss([[0, 0], [0, 0]]) == (0, [])
 
 
 def test_bareiss_polynomial_entries():
     t = IntPoly.var("t", T)
     one = IntPoly.const(1, T)
-    det = bareiss_determinant([[t, one], [one, t]])
+    det, _ = bareiss([[t, one], [one, t]])
     assert det == t * t - 1
 
 
@@ -129,7 +153,7 @@ def test_sylvester_linear_case():
     # Res(x - a, x - b) = a - b with the rows-of-f-first convention.
     for a, b in [(3, 5), (-2, 7), (0, 0)]:
         m = sylvester_matrix([-a, 1], [-b, 1], 1, 1)
-        assert bareiss_determinant(m) == a - b
+        assert bareiss(m)[0] == a - b
 
 
 def test_resultant_examples():
@@ -181,11 +205,25 @@ def test_form_resultant_matches_sympy(forms):
     assert mine == sympy.resultant(fx, gx, x)
 
 
-def test_solve_exact():
-    sol = solve_exact([[2, 0], [1, 3]], [4, 5])
-    assert sol == [Fraction(2), Fraction(1)]
-    with pytest.raises(ValueError):
-        solve_exact([[1, 1], [2, 2]], [1, 1])
+def test_bareiss_solve():
+    assert bareiss([[2, 0], [1, 3]], [[4, 5]]) == (6, [[12, 6]])
+    assert bareiss([[0, 1], [1, 0]], [[1, 0], [0, 1]]) == (-1, [[0, -1], [-1, 0]])
+    with pytest.raises(ValueError, match="singular"):
+        bareiss([[1, 1], [2, 2]], [[1, 1]])
+
+
+def test_cofactors_match_a_fraction_solve():
+    # p F + q G = R X^(2d-1) and R Y^(2d-1): row k is the coefficient of X^k.
+    rng = random.Random(12)
+    for _ in range(40):
+        m = random_map(rng, rng.randint(1, 6))
+        d, f, g = m.degree, m.numerator.coeffs, m.denominator.coeffs
+        rows = [[form[k - i] if 0 <= k - i <= d else 0 for form in (f, g) for i in range(d)]
+                for k in range(2 * d)]
+        cert = cofactors(m)
+        for p, q, k in ((cert.p1, cert.q1, 2 * d - 1), (cert.p2, cert.q2, 0)):
+            unit = [int(i == k) for i in range(2 * d)]
+            assert list(p.coeffs + q.coeffs) == [m.resultant * x for x in _fraction_solve(rows, unit)]
 
 
 def test_form_mul_and_compose_ints():
