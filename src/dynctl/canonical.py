@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SizeBudgetExceededError
-from .maps import RationalMapQ, evaluate
+from .maps import RationalMapQ, evaluate, make_map
 from .points import ProjPointQ, enumerate_points, log_of_int
 
 # Reaching radius <= tol costs d^n ~ c/tol iterations, whose coordinates hold
@@ -138,12 +138,12 @@ def is_preperiodic(m: RationalMapQ, p: ProjPointQ) -> bool:
 def transition_constants_check():
     """Brute-force validation of the one-step drift bounds for two reference maps,
     at every point of height at most 30."""
-    from .maps import make_map
+    from .families import pell_map
     from .reports import CheckResult, VerificationReport
 
     targets = {
         "x^2": make_map([0, 0, 1], [1, 0, 0]),
-        "pell_D2": make_map([0, 0, 0, 0, 1], [4, 0, -4, 0, 1]),
+        "pell_D2": pell_map(2),
     }
     checks = []
     for label, m in targets.items():
@@ -159,8 +159,3 @@ def transition_constants_check():
         checks.append(CheckResult(f"transition_constants[{label}]", bad == 0,
                                   f"all H <= 30, {bad} violations"))
     return VerificationReport(tuple(checks))
-
-
-VERIFICATION_CHECKS = {
-    "transition_constants_sweep": transition_constants_check,
-}

@@ -14,14 +14,15 @@ import re
 import sys
 from dataclasses import asdict
 
-from . import canonical as canonical_mod
-from . import families as families_mod
 from . import funcfield as funcfield_mod
-from . import maps as maps_mod
-from .canonical import canonical_height, is_preperiodic
+from .canonical import canonical_height, is_preperiodic, transition_constants_check
 from .errors import DynctlError, ParseError, SizeBudgetExceededError
-from .families import BasepointSpec, avg_experiment, three_param_avg
-from .funcfield import ff_orbit_avg, parse_ffpoly
+from .families import (BasepointSpec, avg_experiment, cube_sum_bound_check, pell_checks,
+                       phi_t_identities, preimage_height_bound_check,
+                       resultant_specialization_grid_check, three_param_avg,
+                       three_param_slice_bounds_check)
+from .funcfield import ff_family_verification, ff_orbit_avg, parse_ffpoly
+from .maps import RationalMapQ, cofactor_certificates_check
 from .orbits import (DEFAULT_HEIGHT_BUDGET_BITS, HEIGHT_BUDGET_BITS_LIMIT, count_s_integral,
                      density_of_integral_preimages, empirical_max_iterate, scan_orbit)
 from .parsing import parse_map, resolve_map_text
@@ -29,12 +30,11 @@ from .points import (DEFAULT_N_CAP, SIntSpec, check_n_cap, format_point, parse_i
                      parse_point)
 from .reports import emit_csv, emit_json, error_json, report_rows
 
-# `verify` runs every module's VERIFICATION_CHECKS, in this module order.
-_CHECK_MODULES = (maps_mod, canonical_mod, families_mod, funcfield_mod)
-
-
-def registered_checks() -> dict[str, object]:
-    return {name: fn for mod in _CHECK_MODULES for name, fn in mod.VERIFICATION_CHECKS.items()}
+# The checks `verify` runs, in this order.
+VERIFICATION_CHECKS = (cofactor_certificates_check, transition_constants_check, phi_t_identities,
+                       cube_sum_bound_check, preimage_height_bound_check, pell_checks,
+                       three_param_slice_bounds_check, resultant_specialization_grid_check,
+                       ff_family_verification)
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -75,11 +75,7 @@ def _parse_s(text: str) -> SIntSpec:
     return SIntSpec(_parse_ints(text))
 
 
-def _parse_b_values(text: str) -> tuple[int, ...]:
-    return tuple(_parse_ints(text))
-
-
-def _map_from_args(args) -> "maps_mod.RationalMapQ":
+def _map_from_args(args) -> RationalMapQ:
     return parse_map(resolve_map_text(args.map)).to_rational_map()
 
 
@@ -131,7 +127,7 @@ def cmd_nmax(args) -> tuple[dict, list | None]:
 def cmd_density(args) -> tuple[dict, list | None]:
     m = _map_from_args(args)
     s = _parse_s(args.s)
-    report = density_of_integral_preimages(m, s, _parse_b_values(args.b),
+    report = density_of_integral_preimages(m, s, _parse_ints(args.b),
                                            workers=args.workers)
     return ({"map": args.map, "s": list(s), **asdict(report),
              "loglog_slope": report.loglog_slope()}, report_rows("density", report))
@@ -146,14 +142,14 @@ def cmd_avg(args) -> tuple[dict, list | None]:
     beta = BasepointSpec(beta_expr.num.restrict_vars(var), beta_expr.den.restrict_vars(var))
     target = expr.to_rational_map() if expr.is_constant_map() else expr.to_family()
     s = _parse_s(args.s)
-    report = avg_experiment(target, beta, s, _parse_b_values(args.b), n_cap=args.ncap,
+    report = avg_experiment(target, beta, s, _parse_ints(args.b), n_cap=args.ncap,
                             height_budget_bits=args.height_budget_bits, workers=args.workers)
     return ({"map": args.map, "beta": args.beta, "s": list(s), **asdict(report)},
             report_rows("avg", report))
 
 
 def cmd_avg3(args) -> tuple[dict, list | None]:
-    report = three_param_avg(args.n1, args.n2, args.n3, _parse_b_values(args.b),
+    report = three_param_avg(args.n1, args.n2, args.n3, _parse_ints(args.b),
                              n_cap=args.ncap, height_budget_bits=args.height_budget_bits,
                              workers=args.workers)
     return asdict(report), report_rows("avg3", report)
@@ -164,7 +160,7 @@ def cmd_ffavg(args) -> tuple[dict, list | None]:
     if args.s.strip():
         s_polys = [parse_ffpoly(args.p, chunk) for chunk in args.s.split(",")]
     beta = _parse_ints(args.beta_coeffs)
-    report = ff_orbit_avg(args.p, args.d, beta, s_polys, _parse_b_values(args.b),
+    report = ff_orbit_avg(args.p, args.d, beta, s_polys, _parse_ints(args.b),
                           n_cap=args.ncap)
     return ({"p": args.p, "d": args.d, "beta_coeffs": beta, **asdict(report)},
             report_rows("ffavg", report))
@@ -172,7 +168,7 @@ def cmd_ffavg(args) -> tuple[dict, list | None]:
 
 def cmd_verify(args) -> tuple[dict, list | None]:
     results = []
-    for fn in registered_checks().values():
+    for fn in VERIFICATION_CHECKS:
         kwargs = {"seed": args.seed} if "seed" in inspect.signature(fn).parameters else {}
         results.extend(fn(**kwargs).checks)
     return ({"ok": all(c.ok for c in results), "checks": [asdict(c) for c in results]},
@@ -275,7 +271,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--s", default="", help="comma-separated monic irreducible polynomials in t")
     p.add_argument("--b", required=True)
 
-    p = add("verify", cmd_verify, help="run every registered identity check")
+    p = add("verify", cmd_verify, help="run every identity check")
     p.add_argument("--seed", type=_int_flag, default=0)
 
     return parser, subparsers

@@ -199,12 +199,6 @@ def _member_map(family: FamilySpec, params: Sequence[Fraction | int]) -> Rationa
 # Built-in families
 # ---------------------------------------------------------------------------
 
-PRESET_EXPRESSIONS = {
-    "phi_t": "(x - t)/(x^3 + 1)",
-    "three_param": "(r*s*x^3 + s*x + t)/(x^2 + 1)",
-}
-
-
 def _tpoly(terms: dict[int, int]) -> IntPoly:
     return IntPoly(T_VAR, {(e,): c for e, c in terms.items()})
 
@@ -506,7 +500,7 @@ def avg_experiment(map_or_family: RationalMapQ | FamilySpec, beta: BasepointSpec
     if constant and second_iterate_is_polynomial(map_or_family):
         raise ValueError("constant-family averages need a map whose second iterate is not a polynomial")
     if not constant and map_or_family.arity != 1:
-        raise ValueError("avg_experiment sweeps one-parameter families; use three_param_avg for arity 3")
+        raise ValueError("avg sweeps one-parameter families; the (r, s, t) box runs under avg3")
 
     tasks = []
     excluded_h = []
@@ -744,13 +738,3 @@ def resultant_specialization_grid_check() -> VerificationReport:
             f"{len(results)} integer samples in [-2,2], {excluded} excluded for degree drop, "
             f"{bad} mismatches"))
     return VerificationReport(tuple(checks))
-
-
-VERIFICATION_CHECKS = {
-    "phi_t_identities": phi_t_identities,
-    "cube_sum_bound": cube_sum_bound_check,
-    "phi_t_preimage_height_bound": preimage_height_bound_check,
-    "pell_solutions": pell_checks,
-    "three_param_slice_bounds": three_param_slice_bounds_check,
-    "resultant_specialization": resultant_specialization_grid_check,
-}

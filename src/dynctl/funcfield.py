@@ -727,8 +727,3 @@ def ff_family_verification(seed: int = 0) -> VerificationReport:
         _m, bundle = ff_family(d, f)
         checks.extend(bundle.report(f"ff_family[p={p},d={d}]").checks)
     return VerificationReport(tuple(checks))
-
-
-VERIFICATION_CHECKS = {
-    "ff_family_checks": ff_family_verification,
-}

@@ -13,7 +13,8 @@ from typing import Sequence
 
 from .errors import DegenerateMapError, DegreeDropError
 from .points import ProjPointQ
-from .polynomials import FORM_KERNELS, bareiss, form_mul, form_shape, resultant_from_coeffs
+from .polynomials import (FORM_KERNELS, bareiss, form_mul, form_shape, resultant_from_coeffs,
+                          sylvester_matrix)
 
 # Denominator forms g, by ascending coefficients, mapped to k such that
 # |g(a, b)| >= H^2 / k at every coprime (a, b) where g(a, b) != 0, with
@@ -30,12 +31,11 @@ class BinaryForm:
     The evaluation shape is computed on first use and cached on the form.
     """
 
-    degree: int
     coeffs: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient count must be degree + 1")
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
     @functools.cached_property
     def shape(self) -> tuple[int, ...]:
@@ -78,8 +78,8 @@ class RationalMapQ:
 
     @functools.cached_property
     def height(self) -> int:
-        """map_height of the map."""
-        return map_height(self)
+        """Projective height H(phi) of the (2d+2)-tuple of coefficients: the largest |c|."""
+        return max(map(abs, self.numerator.coeffs + self.denominator.coeffs))
 
     @functools.cached_property
     def step_bits(self) -> int:
@@ -140,7 +140,7 @@ def make_map(num_coeffs: Sequence[int], den_coeffs: Sequence[int],
         res = resultant // math.gcd(*num, *den) ** (2 * d)
     if res == 0:
         raise DegenerateMapError("the defining forms share a projective root (Res = 0)")
-    return RationalMapQ(BinaryForm(d, num_t), BinaryForm(d, den_t), res)
+    return RationalMapQ(BinaryForm(num_t), BinaryForm(den_t), res)
 
 
 @dataclass(frozen=True)
@@ -175,29 +175,20 @@ def cofactors(m: RationalMapQ) -> CofactorCertificate:
 
     The right-hand exponent forced by homogeneity is D = 2d-1 (degree d-1
     cofactors against degree d forms); the realized exponent is stored.
-    One elimination gives y = det * M^-1 e for the unit columns e_D and e_0;
-    M is the Sylvester matrix up to the order of its rows and columns, so
-    det = +-Res and Res // det scales y to the cofactors.
+    Row k of the transposed Sylvester matrix is the coefficient of X^(D-k)
+    in p*F + q*G, and its columns are the coefficients of p, then of q, from
+    the top down. One elimination against the unit columns for X^D and Y^D
+    gives y = det * M^-1 e, and det M = Res, so the halves of each y,
+    reversed, are the cofactors.
     Always solves afresh; RationalMapQ.certificate caches one result per map.
     """
     d = m.degree
     big = 2 * d
-    f = m.numerator.coeffs
-    g = m.denominator.coeffs
-    # column i: X^i * F, column d+i: X^i * G, both of degree 2d-1 (2d coefficients).
-    matrix = [[0] * big for _ in range(big)]
-    for i in range(d):
-        for j, c in enumerate(f):
-            matrix[i + j][i] = c
-        for j, c in enumerate(g):
-            matrix[i + j][d + i] = c
-    r = m.resultant
-    units = [[int(i == k) for i in range(big)] for k in (big - 1, 0)]
-    det, solutions = bareiss(matrix, units)
-    scale = r // det
-    p1, q1, p2, q2 = (BinaryForm(d - 1, tuple([scale * c for c in half]))
-                      for y in solutions for half in (y[:d], y[d:]))
-    cert = CofactorCertificate(p1, q1, p2, q2, r, big - 1)
+    transpose = list(zip(*sylvester_matrix(m.numerator.coeffs, m.denominator.coeffs, d)))
+    units = [[int(i == k) for i in range(big)] for k in (0, big - 1)]
+    det, solutions = bareiss(transpose, units)
+    p1, q1, p2, q2 = (BinaryForm(tuple(half[::-1])) for y in solutions for half in (y[:d], y[d:]))
+    cert = CofactorCertificate(p1, q1, p2, q2, det, big - 1)
     if not cert.verify(m):
         raise ArithmeticError("cofactor certificate failed symbolic verification")
     return cert
@@ -256,11 +247,6 @@ def second_iterate_is_polynomial(m: RationalMapQ) -> bool:
             and not any(b * x - a * y for x, y in zip(f[1:], g[1:])))
 
 
-def map_height(m: RationalMapQ) -> int:
-    """Projective height H(phi) of the (2d+2)-tuple of coefficients: the largest |c|."""
-    return max(map(abs, m.numerator.coeffs + m.denominator.coeffs))
-
-
 def denominator_bound(m: RationalMapQ) -> tuple[int, int] | None:
     """(|c|, k) with k * |G(a, b)| >= |c| * H(a, b)^2 at every coprime (a, b)
     where G(a, b) != 0, for G = c * g with g in TAIL_FORMS; None for any other G.
@@ -293,21 +279,6 @@ def hadamard_loss(m: RationalMapQ) -> int:
     return 2 * d * (math.isqrt(nf**d * ng**d // min(nf, ng)) + 1)
 
 
-def _root_floor(n: int, k: int) -> int:
-    """floor(n^(1/k)) for n >= 0 and k >= 1: math.isqrt for k = 2, else by
-    integer Newton steps from above."""
-    if k == 2:
-        return math.isqrt(n)
-    if n < 2:
-        return n
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
 def trap_height(m: RationalMapQ) -> int | None:
     """The largest H with c * H^2 <= k * |Res|, for (c, k) = denominator_bound(m);
     None when there is no such bound.
@@ -331,12 +302,15 @@ def tail_threshold(m: RationalMapQ) -> int | None:
     and no cycle closes. P lies above trap_height(m), so phi(P) is not
     integral. And H(P)^d <= L * H(phi(P)) with H(P)^(d-1) > L' >= L
     gives H(phi(P)) > H(P), so heights rise strictly from P on: no later
-    point repeats one, since a repeat would put P on a cycle.
+    point repeats one, since a repeat would put P on a cycle. The keys of
+    TAIL_FORMS have degree 2 or 3, so the least T with T^(d-1) > L' is
+    L' + 1 or isqrt(L') + 1.
     """
     trap = trap_height(m)
     if trap is None:
         return None
-    growth = _root_floor(hadamard_loss(m), m.degree - 1) + 1
+    loss = hadamard_loss(m)
+    growth = (loss if m.degree == 2 else math.isqrt(loss)) + 1
     return max(trap + 1, growth)
 
 
@@ -388,8 +362,3 @@ def cofactor_certificates_check(seed: int = 0) -> "VerificationReport":
         CheckResult("cofactors.gcd_divides_resultant", divisor_bad == 0,
                     f"{n_maps * n_pairs} coprime pairs, {divisor_bad} violations"),
     ))
-
-
-VERIFICATION_CHECKS = {
-    "cofactor_certificates": cofactor_certificates_check,
-}

@@ -262,7 +262,6 @@ class _Parser:
 class MapExpression:
     """Parsed rational function in x, possibly with parameter symbols."""
 
-    source: str
     num: IntPoly
     den: IntPoly
     x_degree: int
@@ -289,7 +288,8 @@ class MapExpression:
 
     def to_rational_map(self) -> RationalMapQ:
         if self.params:
-            raise ValueError(f"expression has parameters {self.params}; use to_family()")
+            raise ValueError(f"the map has parameters {', '.join(self.params)}: a family runs under "
+                             "avg, the (r, s, t) box under avg3")
         num, den = self._coefficient_polys()
         return make_map([c.const_value() for c in num], [c.const_value() for c in den])
 
@@ -335,22 +335,19 @@ def parse_map(text: str) -> MapExpression:
     params = tuple(v for v in ("r", "s", "t", "f") if v in used)
     if params and params not in (("t",), ("f",), ("r", "s", "t")):
         raise ParseError(f"unsupported parameter combination {params}", 0)
-    return MapExpression(
-        source=text,
-        num=num,
-        den=den,
-        x_degree=x_deg,
-        params=params,
-    )
+    return MapExpression(num, den, x_deg, params)
 
 
+# Map presets: named families, and pell(D) for x^4/(x^2 - D)^2.
+PRESET_EXPRESSIONS = {
+    "phi_t": "(x - t)/(x^3 + 1)",
+    "three_param": "(r*s*x^3 + s*x + t)/(x^2 + 1)",
+}
 _PRESET_RE = re.compile(r"^\s*pell\s*\(\s*([0-9]+)\s*\)\s*$")
 
 
 def resolve_map_text(text: str) -> str:
     """Expand preset names into their expression text; anything else passes through."""
-    from .families import PRESET_EXPRESSIONS
-
     stripped = text.strip()
     if stripped in PRESET_EXPRESSIONS:
         return PRESET_EXPRESSIONS[stripped]

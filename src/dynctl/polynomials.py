@@ -251,8 +251,6 @@ def bareiss(matrix: Sequence[Sequence], columns: Sequence[Sequence] = ()) -> tup
     raises ValueError.
     """
     n = len(matrix)
-    if n == 0:
-        return 1, [[] for _ in columns]
     m = [list(row) + [col[i] for col in columns] for i, row in enumerate(matrix)]
     width = len(m[0])
     det = zero = m[0][0] * 0
@@ -288,24 +286,15 @@ def bareiss(matrix: Sequence[Sequence], columns: Sequence[Sequence] = ()) -> tup
     return det, solutions
 
 
-def sylvester_matrix(f_coeffs: Sequence, g_coeffs: Sequence, deg_f: int, deg_g: int) -> list[list]:
-    """Sylvester matrix of two polynomials given by ascending coefficients.
-
-    Coefficient sequences are padded with zeros up to the stated degrees, so
-    binary forms of equal degree d can be passed directly with deg_f = deg_g = d.
-    """
-    sample = f_coeffs[0]
-    zero = sample * 0
-    f = list(f_coeffs) + [zero] * (deg_f + 1 - len(f_coeffs))
-    g = list(g_coeffs) + [zero] * (deg_g + 1 - len(g_coeffs))
-    f_desc = f[::-1]
-    g_desc = g[::-1]
-    n = deg_f + deg_g
+def sylvester_matrix(f_coeffs: Sequence, g_coeffs: Sequence, degree: int) -> list[list]:
+    """Sylvester matrix of two degree-`degree` binary forms given by ascending
+    coefficients: `degree` shifted rows of each form's descending coefficients."""
+    zero = f_coeffs[0] * 0
     rows = []
-    for i in range(deg_g):
-        rows.append([zero] * i + f_desc + [zero] * (n - deg_f - 1 - i))
-    for i in range(deg_f):
-        rows.append([zero] * i + g_desc + [zero] * (n - deg_g - 1 - i))
+    for coeffs in (f_coeffs, g_coeffs):
+        desc = list(coeffs[::-1])
+        for i in range(degree):
+            rows.append([zero] * i + desc + [zero] * (degree - 1 - i))
     return rows
 
 
@@ -313,7 +302,7 @@ def resultant_from_coeffs(f_coeffs: Sequence, g_coeffs: Sequence, degree: int):
     """Resultant of two degree-`degree` binary forms from ascending coefficients."""
     if degree < 1:
         raise ValueError("resultant needs degree >= 1")
-    return bareiss(sylvester_matrix(f_coeffs, g_coeffs, degree, degree))[0]
+    return bareiss(sylvester_matrix(f_coeffs, g_coeffs, degree))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from dynctl.canonical import (canonical_height, is_preperiodic, transition_const
                               transition_constants_check)
 from dynctl.errors import SizeBudgetExceededError
 from dynctl.families import pell_map
-from dynctl.maps import evaluate, make_map, map_height, random_map
+from dynctl.maps import evaluate, make_map, random_map
 from dynctl.points import INFINITY, ProjPointQ, enumerate_points, log_of_int, normalize
 
 X_SQUARED = make_map([0, 0, 1], [1, 0, 0])
@@ -53,8 +53,8 @@ def test_transition_constants_exact_on_random_maps(seed, degree, coeff_bound):
 
 
 def test_transition_constants_c_up_formula():
-    assert transition_constants(X_SQUARED) == (3 * map_height(X_SQUARED), 4)
-    assert transition_constants(NEAR_SHARP) == (3 * map_height(NEAR_SHARP), 24)
+    assert transition_constants(X_SQUARED) == (3 * X_SQUARED.height, 4)
+    assert transition_constants(NEAR_SHARP) == (3 * NEAR_SHARP.height, 24)
 
 
 def test_transition_constants_registry_check():

@@ -482,6 +482,38 @@ def test_ffavg_checks_p_before_it_tests_s_for_irreducibility(monkeypatch, capsys
     assert json.loads(err) == {"error": "ValueError", "message": "p must be a prime <= 97"}
 
 
+@pytest.mark.parametrize("args, message", [
+    (["nmax", "--map", "phi_t", "--b", "3"],
+     "the map has parameters t: a family runs under avg, the (r, s, t) box under avg3"),
+    (["avg", "--map", "three_param", "--beta", "t", "--b", "2"],
+     "avg sweeps one-parameter families; the (r, s, t) box runs under avg3"),
+])
+def test_family_under_the_wrong_subcommand_names_the_right_one(args, message, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def test_avg_beta_in_x_is_one_json_error(capsys):
+    code, out, err = run_cli(["avg", "--map", "x^2+1", "--beta", "x", "--b", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": "DynctlError",
+                               "message": "beta must be a function of the parameter only"}
+
+
+def test_avg_excludes_a_parameter_where_beta_is_zero_over_zero(capsys):
+    # beta = (t^2 - 1)/(t - 1) evaluates to [0 : 0] at t = 1, the one such
+    # parameter of height 1; it is excluded, not an error.
+    code, out, _ = run_cli(["avg", "--map", "(x^2+1)/x", "--beta", "(t^2-1)/(t-1)",
+                            "--s", "", "--b", "2"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["excluded"] == [1]
+    assert payload["population"] == [7]
+
+
 def test_canheight_nan_tol_is_one_json_error(capsys):
     code, out, err = run_cli(["canheight", "--map", "x^2", "--point", "2", "--tol", "nan"],
                              capsys)
@@ -496,14 +528,12 @@ def test_verify_csv_schema(monkeypatch, capsys):
     import dynctl.cli as cli_mod
     from dynctl.reports import CheckResult, VerificationReport
 
-    def fake_checks():
-        return {
-            "passes": lambda: VerificationReport((CheckResult("a.identity", True, "3 samples, 0 bad"),)),
-            "fails": lambda seed=0: VerificationReport((CheckResult("b.bound", False, f"seed {seed}"),
-                                                        CheckResult("b.empty", True))),
-        }
-
-    monkeypatch.setattr(cli_mod, "registered_checks", fake_checks)
+    fake_checks = (
+        lambda: VerificationReport((CheckResult("a.identity", True, "3 samples, 0 bad"),)),
+        lambda seed=0: VerificationReport((CheckResult("b.bound", False, f"seed {seed}"),
+                                           CheckResult("b.empty", True))),
+    )
+    monkeypatch.setattr(cli_mod, "VERIFICATION_CHECKS", fake_checks)
     code, out, _ = run_cli(["verify", "--format", "csv", "--seed", "4"], capsys)
     assert code == 1
     lines = out.splitlines()

@@ -716,7 +716,7 @@ def test_ff_resultant_vs_fraction_field_oracle():
     for p, d in ((3, 2), (5, 3), (2, 4)):
         f = FFRat.from_poly(FFPoly.t_var(p))
         m = ff_family_map(d, f)
-        matrix = sylvester_matrix(list(m.num_forms), list(m.den_forms), d, d)
+        matrix = sylvester_matrix(list(m.num_forms), list(m.den_forms), d)
         assert _det_over_ff_fraction_field(matrix) == m.res
 
 

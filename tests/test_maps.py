@@ -6,11 +6,11 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dynctl import canonical, maps
+from dynctl import canonical
 from dynctl.canonical import canonical_height
 from dynctl.errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
 from dynctl.maps import (TAIL_FORMS, cofactor_certificates_check, cofactors, denominator_bound,
-                         evaluate, hadamard_loss, is_polynomial, make_map, map_height,
+                         evaluate, hadamard_loss, is_polynomial, make_map,
                          random_coprime_pair, random_map, second_iterate_is_polynomial,
                          tail_threshold, trap_height)
 from dynctl.points import INFINITY, ProjPointQ, normalize
@@ -116,6 +116,20 @@ def test_cofactor_gcd_divides_resultant_bruteforce():
                 continue
             g = math.gcd(PELL_2.numerator(a, b), PELL_2.denominator(a, b))
             assert g != 0 and r % g == 0
+
+
+def test_cofactor_r_is_the_resultant():
+    # The transposed Sylvester matrix has determinant Res itself, so the
+    # certificate's R is the map's resultant, sign included.
+    rng = random.Random(11)
+    for _ in range(60):
+        m = random_map(rng, rng.randint(1, 5))
+        assert cofactors(m).r == m.resultant
+
+
+def test_tail_forms_have_degree_two_or_three():
+    # tail_threshold takes the (d-1)-th root of L' as L' itself or its isqrt.
+    assert {len(g) - 1 for g in TAIL_FORMS} == {2, 3}
 
 
 def test_cofactor_random_sweep():
@@ -302,10 +316,10 @@ def test_polynomial_fixes_infinity():
 
 
 def test_map_height():
-    assert map_height(X_SQUARED) == 1
+    assert X_SQUARED.height == 1
     phi_5 = make_map([-5, 1, 0, 0], [1, 0, 0, 1])
-    assert map_height(phi_5) == 5
-    assert map_height(PELL_2) == 4
+    assert phi_5.height == 5
+    assert PELL_2.height == 4
 
 
 def _sympy_form(coeffs, x, y):
@@ -442,13 +456,6 @@ def _table_or_random_denominators(draw, bound=40):
 @settings(max_examples=200, deadline=None)
 def test_denominator_bound_matches_a_table_scan(m):
     assert denominator_bound(m) == _scanned_bound(m)
-
-
-@given(st.integers(0, 1 << 200), st.integers(1, 5))
-@settings(max_examples=200, deadline=None)
-def test_root_floor_is_the_integer_root(n, k):
-    r = maps._root_floor(n, k)
-    assert r**k <= n < (r + 1) ** k
 
 
 @given(_maps(max_degree=4, bound=9))

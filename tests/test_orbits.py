@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from dynctl.canonical import is_preperiodic
 from dynctl.errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
 from dynctl.families import phi_t_family, pell_map, specialize, three_param_family
-from dynctl.maps import (TAIL_FORMS, evaluate, is_polynomial, make_map, map_height,
+from dynctl.maps import (TAIL_FORMS, evaluate, is_polynomial, make_map,
                          random_coprime_pair, random_map, second_iterate_is_polynomial,
                          tail_threshold, trap_height)
 from dynctl.orbits import (DEFAULT_HEIGHT_BUDGET_BITS, DEFAULT_N_CAP, count_s_integral,
@@ -370,7 +370,7 @@ def _reference_scan(m, b, s, n_cap, height_budget_bits):
     d*bits(P) + slack > budget, else evaluate and keep the image, whose
     coordinates must have at most d*bits(P) + slack - 1 bits."""
     d = m.degree
-    slack = map_height(m).bit_length() + (d + 1).bit_length() + 1
+    slack = m.height.bit_length() + (d + 1).bit_length() + 1
     points = [b]
     seen = {b: 0}
     cycle_entry = None

@@ -1,9 +1,9 @@
 import pytest
 
 from dynctl.errors import NotRationalError, ParseError
-from dynctl.families import PRESET_EXPRESSIONS, phi_t_family, three_param_family
+from dynctl.families import phi_t_family, three_param_family
 from dynctl.parsing import (MAX_DEGREE, MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING,
-                            parse_map, resolve_map_text)
+                            PRESET_EXPRESSIONS, parse_map, resolve_map_text)
 
 
 def test_parse_phi_t_family():
@@ -23,6 +23,13 @@ def test_parse_constant_map():
     m = e.to_rational_map()
     assert m.numerator.coeffs == (0, 0, 0, 0, 1)
     assert m.denominator.coeffs == (4, 0, -4, 0, 1)
+
+
+def test_parse_divides_out_the_content():
+    e = parse_map("(2*x^2+2)/(4*x)")
+    reduced = parse_map("(x^2+1)/(2*x)")
+    assert (e.num, e.den) == (reduced.num, reduced.den)
+    assert e.num.content() == 1
 
 
 def test_parse_not_rational():

@@ -152,7 +152,7 @@ def test_bareiss_polynomial_entries():
 def test_sylvester_linear_case():
     # Res(x - a, x - b) = a - b with the rows-of-f-first convention.
     for a, b in [(3, 5), (-2, 7), (0, 0)]:
-        m = sylvester_matrix([-a, 1], [-b, 1], 1, 1)
+        m = sylvester_matrix([-a, 1], [-b, 1], 1)
         assert bareiss(m)[0] == a - b
 
 
