@@ -1,5 +1,5 @@
 """Arithmetic over K = F_p(t): polynomial heights, S-integrality, and the
-explicit self-map family (f+1) x^d / (x^(d-1) + f) with its check bundle.
+explicit self-map family (f+1) x^d / (x^(d-1) + f) with its checks.
 
 Heights use the degree convention (log base q of the multiplicative height),
 so every height in this module is an integer.
@@ -263,17 +263,17 @@ def is_irreducible(f: FFPoly) -> bool:
 
 @dataclass(frozen=True)
 class FFRat:
-    """Reduced fraction of F_p[t] polynomials; denominator monic and coprime to the numerator."""
+    """u/v in F_p(t), or the point [u : v] of P^1(F_p(t)): u and v coprime with
+    v monic, or [1 : 0], the point at infinity."""
 
     num: FFPoly
     den: FFPoly
 
-    @classmethod
-    def make(cls, num: FFPoly, den: FFPoly) -> "FFRat":
+    @staticmethod
+    def make(num: FFPoly, den: FFPoly) -> "FFRat":
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in F_p(t)")
-        point = normalize_ff_point(num, den)
-        return cls(point.z0, point.z1)
+        return normalize_ff_point(num, den)
 
     @classmethod
     def from_poly(cls, f: FFPoly) -> "FFRat":
@@ -285,7 +285,7 @@ class FFRat:
 
     @property
     def p(self) -> int:
-        return self.num.p if not self.num.is_zero() else self.den.p
+        return self.num.p
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -294,6 +294,7 @@ class FFRat:
         return self.num.is_constant() and self.den.is_one()
 
     def height(self) -> int:
+        """max(deg u, deg v) with nonzero constants contributing degree 0."""
         return max(self.num.degree(), self.den.degree(), 0)
 
     def __add__(self, other: "FFRat | int") -> "FFRat":
@@ -328,46 +329,33 @@ class FFRat:
         return f"({format_ffpoly(self.num)})/({format_ffpoly(self.den)})"
 
 
-@dataclass(frozen=True)
-class FFPointK:
-    """A point [z0 : z1] of P^1(F_p(t)): coprime, z1 monic, or z1 = 0 and z0 = 1."""
-
-    z0: FFPoly
-    z1: FFPoly
-
-
-def normalize_ff_point(z0: FFPoly, z1: FFPoly) -> FFPointK:
+def normalize_ff_point(z0: FFPoly, z1: FFPoly) -> FFRat:
     if z0.is_zero() and z1.is_zero():
         raise ValueError("[0 : 0] is not a point")
-    p = z0.p if not z0.is_zero() else z1.p
+    p = z0.p
     if z1.is_zero():
-        return FFPointK(FFPoly.const(p, 1), z1)
+        return FFRat(FFPoly.const(p, 1), z1)
     g = z0.gcd(z1)
     if not g.is_constant():
         z0 = z0.exact_div(g)
         z1 = z1.exact_div(g)
     inv = pow(z1.leading(), p - 2, p)
-    return FFPointK(z0 * inv, z1 * inv)
+    return FFRat(z0 * inv, z1 * inv)
 
 
-def ff_infinity(p: int) -> FFPointK:
-    return FFPointK(FFPoly.const(p, 1), FFPoly(p, ()))
+def ff_infinity(p: int) -> FFRat:
+    return FFRat(FFPoly.const(p, 1), FFPoly(p, ()))
 
 
-def ff_height(point: FFPointK) -> int:
-    """max(deg z0, deg z1) with nonzero constants contributing degree 0."""
-    return max(point.z0.degree(), point.z1.degree(), 0)
-
-
-def ff_is_s_integral(point: FFPointK, s: Sequence[FFPoly]) -> bool:
-    """True iff z1 is nonzero and all its monic irreducible factors lie in S."""
-    z1 = point.z1
-    if z1.is_zero():
+def ff_is_s_integral(point: FFRat, s: Sequence[FFPoly]) -> bool:
+    """True iff the denominator is nonzero and all its monic irreducible factors lie in S."""
+    den = point.den
+    if den.is_zero():
         return False
     for q in s:
-        while z1.degree() >= q.degree() and (z1 % q).is_zero():
-            z1 = z1.exact_div(q)
-    return z1.is_constant()
+        while den.degree() >= q.degree() and (den % q).is_zero():
+            den = den.exact_div(q)
+    return den.is_constant()
 
 
 def validate_s_set(s: Sequence[FFPoly]) -> None:
@@ -402,14 +390,14 @@ class FFMap:
         return form_shape(self.num_forms, self.den_forms)
 
 
-def evaluate_ff(m: FFMap, point: FFPointK) -> FFPointK:
+def evaluate_ff(m: FFMap, point: FFRat) -> FFRat:
     """Apply the map exactly; the gcd divided out divides the resultant, so the
     common factor is located modulo the small resultant polynomial.
 
     gcd(F(z), G(z)) = gcd(F(z), G(z), Res), so after the division the pair is
     coprime and only the monic rescaling of a full normalization remains.
     """
-    fa, gb = FORM_KERNELS[m.shape](m.num_forms, m.den_forms, point.z0, point.z1)
+    fa, gb = FORM_KERNELS[m.shape](m.num_forms, m.den_forms, point.num, point.den)
     r = m.res
     if not r.is_constant():
         g = r.gcd(fa % r)
@@ -420,9 +408,9 @@ def evaluate_ff(m: FFMap, point: FFPointK) -> FFPointK:
             gb = gb.exact_div(g)
     p = m.p
     if gb.is_zero():
-        return FFPointK(FFPoly.const(p, 1), gb)
+        return FFRat(FFPoly.const(p, 1), gb)
     inv = pow(gb.leading(), p - 2, p)
-    return FFPointK(fa * inv, gb * inv)
+    return FFRat(fa * inv, gb * inv)
 
 
 # ---------------------------------------------------------------------------
@@ -430,36 +418,8 @@ def evaluate_ff(m: FFMap, point: FFPointK) -> FFPointK:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FFFamilyChecks:
-    """Bundle of identities verified alongside the family construction."""
-
-    fixed_points_ok: bool
-    derivative_matches: bool
-    separable: bool
-    isotrivial: bool
-    second_iterate_degrees_ok: bool
-    second_iterate_not_polynomial: bool
-    scalar: FFRat
-    scalar_matches: bool
-
-    def report(self, label: str = "ff_family") -> VerificationReport:
-        return VerificationReport((
-            CheckResult(f"{label}.fixed_points", self.fixed_points_ok, "0, 1, infinity fixed"),
-            CheckResult(f"{label}.derivative", self.derivative_matches,
-                        "formal x-derivative matches the closed form"),
-            CheckResult(f"{label}.separable", self.separable, "derivative nonzero"),
-            CheckResult(f"{label}.second_iterate_degrees", self.second_iterate_degrees_ok,
-                        "numerator degree d^2, denominator degree d^2 - 1"),
-            CheckResult(f"{label}.second_iterate_not_polynomial",
-                        self.second_iterate_not_polynomial, "reduced denominator nonconstant"),
-            CheckResult(f"{label}.second_iterate_scalar", self.scalar_matches,
-                        f"direct composition = ({self.scalar}) * displayed pair"),
-        ))
-
-
 def ff_family_map(d: int, f: FFRat) -> FFMap:
-    """Just the family map, without the check bundle (sweeps call this).
+    """Just the family map, without its checks (sweeps call this).
 
     With f = u/v (reduced, v monic) the cleared forms are F = (u+v) X^d and
     G = v X^(d-1) Y + u Y^d, of unit content as gcd(u, v) = 1, and
@@ -479,21 +439,15 @@ def ff_family_map(d: int, f: FFRat) -> FFMap:
 def _fixes_zero_one_infinity(m: FFMap) -> bool:
     """True when m fixes 0, 1 and infinity, as every family map does."""
     p = m.p
-    return all(
-        evaluate_ff(m, pt) == pt
-        for pt in (
-            normalize_ff_point(FFPoly(p, ()), FFPoly.const(p, 1)),
-            normalize_ff_point(FFPoly.const(p, 1), FFPoly.const(p, 1)),
-            ff_infinity(p),
-        )
-    )
+    return all(evaluate_ff(m, pt) == pt
+               for pt in (FFRat.constant(p, 0), FFRat.constant(p, 1), ff_infinity(p)))
 
 
-def ff_family(d: int, f: FFRat) -> tuple[FFMap, FFFamilyChecks]:
-    """Build phi(f)(x) = (f+1) x^d / (x^(d-1) + f) with its verification bundle.
+def ff_family(d: int, f: FFRat, label: str) -> tuple[FFMap, VerificationReport]:
+    """Build phi(f)(x) = (f+1) x^d / (x^(d-1) + f) with its six checks, each
+    named label.<check>.
 
-    f = -1 and f = 0 are degenerate (the resultant vanishes); the family's own
-    isotriviality criterion is the constancy of f.
+    f = -1 and f = 0 are degenerate (the resultant vanishes).
     """
     m = ff_family_map(d, f)
     p = f.p
@@ -508,10 +462,7 @@ def ff_family(d: int, f: FFRat) -> tuple[FFMap, FFFamilyChecks]:
     def degree(form: Sequence[FFPoly]) -> int:
         return max((i for i, c in enumerate(form) if not c.is_zero()), default=-1)
 
-    # (i) 0, 1, infinity are fixed.
-    fixed = _fixes_zero_one_infinity(m)
-
-    # (ii) formal derivative F'G - FG' against v^2 times the closed form
+    # The formal derivative F'G - FG' against v^2 times the closed form
     # (f+1) x^(d-2) (x^d + d f x), that is w x^(d-2) (v x^d + d u x).
     num_deriv = [c * i for i, c in enumerate(num)][1:]
     den_deriv = [c * i for i, c in enumerate(den)][1:]
@@ -519,10 +470,8 @@ def ff_family(d: int, f: FFRat) -> tuple[FFMap, FFFamilyChecks]:
     expected = [zero] * (2 * d)
     expected[d - 1] = w * u * d
     expected[2 * d - 2] = w * v
-    derivative_matches = deriv_num == expected
-    separable = degree(deriv_num) >= 0
 
-    # (iv) direct second iterate: degrees, non-polynomiality, scalar vs the displayed pair.
+    # The direct second iterate: degrees, non-polynomiality, scalar vs the displayed pair.
     comp_num, comp_den = form_compose(num, den, num, den)
     deg_ok = degree(comp_num) == d * d and degree(comp_den) == d * d - 1
     # A nonzero resultant leaves no common factor, so the pair is already reduced.
@@ -530,28 +479,27 @@ def ff_family(d: int, f: FFRat) -> tuple[FFMap, FFFamilyChecks]:
                 and degree(comp_den) >= 1)
     # displayed pair: (f+1) x^(d^2) over (f+1)^(d-1) x^(d(d-1)) (x^(d-1)+f) + f (x^(d-1)+f)^d.
     # Times v^(d+1), with D = v (x^(d-1) + f): v^d w x^(d^2) over
-    # v w^(d-1) x^(d(d-1)) D + u D^d. The composition is that times (scalar, 1).
+    # v w^(d-1) x^(d(d-1)) D + u D^d. The composition is that times (w^d / v^d, 1).
     wd, vd = w ** d, v ** d
     disp_d = [u] + [zero] * (d - 2) + [v, zero]
     disp_num = [zero] * (d * d) + [vd * w]
     disp_den = [v * w ** (d - 1) * a + u * b
                 for a, b in zip([zero] * (d * (d - 1)) + disp_d,
                                 functools.reduce(form_mul, [disp_d] * d))]
-    scalar = FFRat.make(wd, vd)
     scalar_matches = (comp_den == disp_den
                       and [vd * c for c in comp_num] == [wd * c for c in disp_num])
-
-    checks = FFFamilyChecks(
-        fixed_points_ok=fixed,
-        derivative_matches=derivative_matches,
-        separable=separable,
-        isotrivial=f.is_constant(),
-        second_iterate_degrees_ok=deg_ok,
-        second_iterate_not_polynomial=not_poly,
-        scalar=scalar,
-        scalar_matches=scalar_matches,
-    )
-    return m, checks
+    return m, VerificationReport((
+        CheckResult(f"{label}.fixed_points", _fixes_zero_one_infinity(m), "0, 1, infinity fixed"),
+        CheckResult(f"{label}.derivative", deriv_num == expected,
+                    "formal x-derivative matches the closed form"),
+        CheckResult(f"{label}.separable", degree(deriv_num) >= 0, "derivative nonzero"),
+        CheckResult(f"{label}.second_iterate_degrees", deg_ok,
+                    "numerator degree d^2, denominator degree d^2 - 1"),
+        CheckResult(f"{label}.second_iterate_not_polynomial", not_poly,
+                    "reduced denominator nonconstant"),
+        CheckResult(f"{label}.second_iterate_scalar", scalar_matches,
+                    f"direct composition = ({FFRat.make(wd, vd)}) * displayed pair"),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +519,7 @@ FF_ENUMERATION_LIMIT = 10**6
 FF_DEGREE_LIMIT = 64
 
 
-def ff_scan_orbit(m: FFMap, b: FFPointK, s: Sequence[FFPoly],
+def ff_scan_orbit(m: FFMap, b: FFRat, s: Sequence[FFPoly],
                   n_cap: int = DEFAULT_N_CAP,
                   height_budget: int = DEFAULT_FF_HEIGHT_BUDGET,
                   count_only: bool = False) -> OrbitRecord:
@@ -605,13 +553,13 @@ def ff_scan_orbit(m: FFMap, b: FFPointK, s: Sequence[FFPoly],
     """
     d = m.degree
     c = (2 * d - 1) * max(poly.degree() for poly in m.num_forms + m.den_forms)
-    pre_limit = (max(height_budget, ff_height(b)) + c) // d
+    pre_limit = (max(height_budget, b.height()) + c) // d
     tail_limit = pre_limit
     if count_only and not s and d == 2:
         u, v, y2 = m.den_forms
         if y2.is_zero() and not v.is_zero():
             tail_limit = max(m.res.degree() + max(u.degree(), 0), c)
-    return walk_orbit(functools.partial(evaluate_ff, m), ff_height, b, n_cap,
+    return walk_orbit(functools.partial(evaluate_ff, m), FFRat.height, b, n_cap,
                       pre_limit, height_budget, lambda pt: ff_is_s_integral(pt, s),
                       tail_limit, pre_limit, None)
 
@@ -643,8 +591,6 @@ def enumerate_ff_elements(p: int, bound: int) -> list[FFRat]:
         for lower in itertools.product(range(p), repeat=dv):
             v = FFPoly(p, list(lower) + [1])
             for u in numerators:
-                if u.degree() > bound:
-                    continue
                 if not u.gcd(v).is_constant():
                     continue
                 f = FFRat(u, v)
@@ -696,7 +642,7 @@ def ff_orbit_avg(p: int, d: int, beta_coeffs: Sequence[int], s: Sequence[FFPoly]
     rows = []
     for f in enumerate_ff_elements(p, bs[-1]):
         m = ff_family_map(d, f)
-        basepoint = FFPointK(beta_kernel(beta, f.num, f.den), f.den ** beta_deg)
+        basepoint = FFRat(beta_kernel(beta, f.num, f.den), f.den ** beta_deg)
         rec = ff_scan_orbit(m, basepoint, s, n_cap=n_cap,
                             height_budget=DEFAULT_FF_HEIGHT_BUDGET, count_only=True)
         rows.append((f.height(), len(rec.integral_indices),
@@ -706,8 +652,8 @@ def ff_orbit_avg(p: int, d: int, beta_coeffs: Sequence[int], s: Sequence[FFPoly]
 
 
 def ff_family_verification(seed: int = 0) -> VerificationReport:
-    """Fixed points for random non-constant f over F_2 and F_3, plus the symbolic
-    identity bundle at the transcendental specialization f = t for d = 2, 3."""
+    """Fixed points for random non-constant f over F_2 and F_3, plus ff_family's
+    symbolic checks at the transcendental specialization f = t for d = 2, 3."""
     rng = random.Random(seed)
     checks: list[CheckResult] = []
     for p in (2, 3):
@@ -717,13 +663,12 @@ def ff_family_verification(seed: int = 0) -> VerificationReport:
             u = FFPoly(p, [rng.randrange(p) for _ in range(deg_u)] + [rng.randrange(1, p)])
             v = FFPoly(p, [rng.randrange(p) for _ in range(rng.randint(0, 2))] + [1])
             f = FFRat.make(u, v)
-            if f.is_constant() or f.is_zero() or (f + FFRat.constant(p, 1)).is_zero():
+            if f.is_constant():
                 f = FFRat.from_poly(FFPoly.t_var(p))
             ok = ok and _fixes_zero_one_infinity(ff_family_map(2, f))
         checks.append(CheckResult(f"ff_family.fixed_points_random_f[p={p}]", ok,
                                   "20 random non-constant f, d = 2"))
     for p, d in ((2, 2), (2, 3), (3, 2), (3, 3)):
         f = FFRat.from_poly(FFPoly.t_var(p))
-        _m, bundle = ff_family(d, f)
-        checks.extend(bundle.report(f"ff_family[p={p},d={d}]").checks)
+        checks.extend(ff_family(d, f, f"ff_family[p={p},d={d}]")[1].checks)
     return VerificationReport(tuple(checks))

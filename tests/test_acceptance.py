@@ -168,8 +168,10 @@ def test_criterion_11_function_field_family():
     scalars_ok = True
     for p, d in ((2, 2), (2, 3), (3, 2), (3, 3)):
         f = FFRat.from_poly(FFPoly.t_var(p))
-        _m, checks = ff_family(d, f)
-        scalars_ok = scalars_ok and checks.scalar_matches and checks.second_iterate_degrees_ok
+        _m, report = ff_family(d, f, "ff_family")
+        ok = {c.name: c.ok for c in report.checks}
+        scalars_ok = (scalars_ok and ok["ff_family.second_iterate_scalar"]
+                      and ok["ff_family.second_iterate_degrees"])
     avg = ff_orbit_avg(2, 2, [0, 0, 0, 0, 1], [], (1, 2, 3, 4))
     nonincreasing = all(a2 <= a1 for a1, a2 in zip(avg.averages, avg.averages[1:]))
     assert record(

@@ -9,7 +9,8 @@ docstrings and comments are not references. References are matched by name,
 not by binding, so a local variable that shares a definition's name hides it.
 
 The exemptions are references that tests compare the library against, and
-methods that code outside the package calls.
+methods that code outside the package calls. Dataclass fields must be read
+too, except those of the reports that cli serializes with asdict.
 """
 
 import ast
@@ -76,6 +77,44 @@ def test_every_definition_has_a_caller():
                 unreferenced.append(f"{filename}:{lineno} {qualname}")
     assert not unreferenced, "defined but read nowhere in src/dynctl: " + ", ".join(unreferenced)
     assert set(exempt) <= defined, "stale exemption: " + ", ".join(set(exempt) - defined)
+
+
+# Dataclasses whose fields are read by dataclasses.asdict, not by name.
+SERIALIZED = {
+    "DensityReport": "cli serializes the density report with asdict",
+    "AvgReport": "cli serializes the avg report with asdict",
+    "ThreeParamReport": "cli serializes the avg3 report with asdict",
+    "CellTally": "asdict serializes the cells of a ThreeParamReport",
+    "FFAvgReport": "cli serializes the ffavg report with asdict",
+    "CheckResult": "cli serializes each verify check with asdict",
+}
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(class name, field name, line) of each annotated field of each @dataclass."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                yield node.name, stmt.target.id, stmt.lineno
+
+
+def test_every_dataclass_field_is_read():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    referenced = {name for tree in trees.values() for name in _references(tree)}
+    classes = set()
+    unread = []
+    for filename, tree in trees.items():
+        for cls, field, lineno in _dataclass_fields(tree):
+            classes.add(cls)
+            if cls not in SERIALIZED and field not in referenced:
+                unread.append(f"{filename}:{lineno} {cls}.{field}")
+    assert not unread, "dataclass field read nowhere in src/dynctl: " + ", ".join(unread)
+    assert set(SERIALIZED) <= classes, "stale exemption: " + ", ".join(set(SERIALIZED) - classes)
 
 
 # Defaulted parameters that no call in src/dynctl passes by name or position.

@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dynctl import funcfield as funcfield_mod
 from dynctl.errors import DegenerateFamilyError, SizeBudgetExceededError
-from dynctl.funcfield import (FFMap, FFPointK, FFPoly, FFRat,
+from dynctl.funcfield import (FFMap, FFPoly, FFRat,
                               enumerate_ff_elements, evaluate_ff, ff_family, ff_family_map,
-                              ff_family_verification, ff_height, ff_infinity, ff_is_s_integral,
+                              ff_family_verification, ff_infinity, ff_is_s_integral,
                               ff_orbit_avg, ff_scan_orbit, format_ffpoly, is_irreducible,
                               normalize_ff_point, parse_ffpoly, validate_s_set)
 from dynctl.points import DEFAULT_N_CAP, Truncation
@@ -260,17 +260,17 @@ def test_ff_heights():
     p = 3
     t = FFPoly.t_var(p)
     one = FFPoly.const(p, 1)
-    assert ff_height(normalize_ff_point(t, one)) == 1
-    assert ff_height(ff_infinity(p)) == 0
-    assert ff_height(normalize_ff_point(t * t + one, t)) == 2
+    assert normalize_ff_point(t, one).height() == 1
+    assert ff_infinity(p).height() == 0
+    assert normalize_ff_point(t * t + one, t).height() == 2
 
 
 def test_ff_point_normalization_idempotent():
     p = 3
     t = FFPoly.t_var(p)
     pt = normalize_ff_point(2 * (t + FFPoly.const(p, 1)) * t, 2 * t)
-    assert pt.z1.is_zero() or pt.z1.leading() == 1
-    again = normalize_ff_point(pt.z0, pt.z1)
+    assert pt.den.is_zero() or pt.den.leading() == 1
+    again = normalize_ff_point(pt.num, pt.den)
     assert again == pt
 
 
@@ -353,20 +353,33 @@ def test_is_irreducible_at_a_large_prime_and_degree():
     assert not is_irreducible((t ** 4 + t + one) * (t ** 4 + 3 * one))
 
 
+def _named_checks(report):
+    """The CheckResults of an ff_family report by check name, without the label."""
+    return {c.name.split(".", 1)[1]: c for c in report.checks}
+
+
+def _scalar_detail(f, d):
+    """The second_iterate_scalar detail when the scalar is (f + 1)^d."""
+    return f"direct composition = ({(f + FFRat.constant(f.p, 1)) ** d}) * displayed pair"
+
+
 @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_ff_family_bundle_at_generic_f(p, d):
     f = FFRat.from_poly(FFPoly.t_var(p))
-    m, checks = ff_family(d, f)
+    m, report = ff_family(d, f, "ff_family")
+    checks = _named_checks(report)
     assert m.degree == d
-    assert checks.fixed_points_ok
-    assert checks.derivative_matches
-    assert checks.separable
-    assert not checks.isotrivial
-    assert checks.second_iterate_degrees_ok
-    assert checks.second_iterate_not_polynomial
-    assert checks.scalar_matches
-    one = FFRat.constant(p, 1)
-    assert checks.scalar == (f + one) ** d
+    assert list(checks) == ["fixed_points", "derivative", "separable", "second_iterate_degrees",
+                            "second_iterate_not_polynomial", "second_iterate_scalar"]
+    assert all(c.name.startswith("ff_family.") for c in report.checks)
+    assert checks["fixed_points"].ok
+    assert checks["derivative"].ok
+    assert checks["separable"].ok
+    assert not f.is_constant()
+    assert checks["second_iterate_degrees"].ok
+    assert checks["second_iterate_not_polynomial"].ok
+    assert checks["second_iterate_scalar"].ok
+    assert checks["second_iterate_scalar"].detail == _scalar_detail(f, d)
 
 
 @pytest.mark.parametrize("p, d", [(3, 2), (3, 3), (5, 4)])
@@ -383,32 +396,35 @@ def test_ff_family_bundle_fails_on_a_wrong_map(p, d, monkeypatch):
         return FFMap(m.p, m.degree, m.num_forms, (v, *middle, u, top), m.res)
 
     monkeypatch.setattr(funcfield_mod, "ff_family_map", swapped)
-    _m, checks = ff_family(d, FFRat.from_poly(FFPoly.t_var(p)))
-    assert not checks.derivative_matches
-    assert not checks.scalar_matches
-    assert not checks.report().ok
+    _m, report = ff_family(d, FFRat.from_poly(FFPoly.t_var(p)), "ff_family")
+    checks = _named_checks(report)
+    assert not checks["derivative"].ok
+    assert not checks["second_iterate_scalar"].ok
+    assert not report.ok
 
 
 def test_ff_family_isotrivial_flag():
     # over F_3 the constant 2 is -1 (degenerate), so use F_5 for the flag
-    m, checks = ff_family(2, FFRat.constant(5, 2))
-    assert checks.isotrivial
-    assert checks.fixed_points_ok
+    f = FFRat.constant(5, 2)
+    _m, report = ff_family(2, f, "ff_family")
+    assert f.is_constant()
+    assert _named_checks(report)["fixed_points"].ok
 
 
 def test_ff_family_degenerate_values():
     with pytest.raises(DegenerateFamilyError):
-        ff_family(2, FFRat.constant(3, 2))  # 2 = -1 over F_3
+        ff_family(2, FFRat.constant(3, 2), "ff_family")  # 2 = -1 over F_3
     with pytest.raises(DegenerateFamilyError):
-        ff_family(2, FFRat.constant(5, 0))
+        ff_family(2, FFRat.constant(5, 0), "ff_family")
 
 
 def test_ff_family_second_iterate_example_p3_d2():
     # denominator of phi^2 for d = 2, f = t: (x + t)((t+1) x^2 + t x + t^2)
     p = 3
     f = FFRat.from_poly(FFPoly.t_var(p))
-    _m, checks = ff_family(2, f)
-    assert checks.second_iterate_degrees_ok  # denominator degree 3 = d^2 - 1
+    _m, report = ff_family(2, f, "ff_family")
+    # denominator degree 3 = d^2 - 1
+    assert _named_checks(report)["second_iterate_degrees"].ok
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -424,9 +440,10 @@ def test_ff_second_iterate_scalar_five_samples(d):
         FFRat.make(t + one, t * t + one),
     ]
     for f in samples:
-        _m, checks = ff_family(d, f)
-        assert checks.scalar_matches
-        assert checks.scalar == (f + FFRat.constant(p, 1)) ** d
+        _m, report = ff_family(d, f, "ff_family")
+        scalar = _named_checks(report)["second_iterate_scalar"]
+        assert scalar.ok
+        assert scalar.detail == _scalar_detail(f, d)
 
 
 def test_ff_height_transition_bound():
@@ -438,7 +455,7 @@ def test_ff_height_transition_bound():
         for elem in enumerate_ff_elements(p, 3) + constants:
             pt = normalize_ff_point(elem.num, elem.den)
             img = evaluate_ff(m, pt)
-            drift = ff_height(img) - m.degree * ff_height(pt)
+            drift = img.height() - m.degree * pt.height()
             assert -c <= drift <= c
 
 
@@ -450,9 +467,9 @@ def test_ff_family_verification_builds_a_bundle_only_at_f_equal_t(monkeypatch):
     calls = []
     real = funcfield_mod.ff_family
 
-    def counting(d, f):
+    def counting(d, f, label):
         calls.append((f.p, d))
-        return real(d, f)
+        return real(d, f, label)
 
     monkeypatch.setattr(funcfield_mod, "ff_family", counting)
     assert ff_family_verification(seed=1).ok
@@ -503,7 +520,7 @@ def _reference_scan(m, b, s, n_cap, height_budget):
             cycle_entry = (seen[nxt], len(points) - seen[nxt])
             truncation = Truncation.COMPLETED
             break
-        if ff_height(nxt) > height_budget:
+        if nxt.height() > height_budget:
             truncation = Truncation.HEIGHT_BUDGET
             break
         seen[nxt] = len(points)
@@ -554,7 +571,7 @@ def test_ff_scan_orbit_matches_evaluate_then_discard():
     # record. Some basepoints sit above the budget.
     above = 0
     for m, b, budget in _scan_cases():
-        above += ff_height(b) > budget
+        above += b.height() > budget
         rec = ff_scan_orbit(m, b, [], height_budget=budget)
         want = _reference_scan(m, b, [], DEFAULT_N_CAP, budget)
         assert (rec.points, rec.cycle_entry, rec.truncation) == want, (m, b, budget)
@@ -564,7 +581,7 @@ def test_ff_scan_orbit_matches_evaluate_then_discard():
 def test_ff_height_lower_bound_is_certified():
     # h(phi(P)) >= d*h(P) - C exactly, on the maps and points of the scan sweep.
     for m, b, _ in _scan_cases():
-        assert ff_height(evaluate_ff(m, b)) >= m.degree * ff_height(b) - _degree_constant(m)
+        assert evaluate_ff(m, b).height() >= m.degree * b.height() - _degree_constant(m)
 
 
 def test_ff_scan_orbit_fixed_basepoint_above_budget():
@@ -578,7 +595,7 @@ def test_ff_scan_orbit_fixed_basepoint_above_budget():
     den = [w, FFPoly(p, ()), FFPoly(p, ())]
     m = make_ff_map([FFRat.from_poly(c) for c in num], [FFRat.from_poly(c) for c in den])
     b = normalize_ff_point(u, v)
-    assert evaluate_ff(m, b) == b and ff_height(b) == 3
+    assert evaluate_ff(m, b) == b and b.height() == 3
     rec = ff_scan_orbit(m, b, [], height_budget=1)
     assert rec.truncation is Truncation.COMPLETED
     assert rec.cycle_entry == (0, 1) and rec.points == (b,)
@@ -636,7 +653,7 @@ def test_ff_basepoint_at_u_v_is_the_normalized_ffrat_value(p, data):
     assume(not f.is_constant())
     kernel = FORM_KERNELS[form_shape(beta)]
     value = kernel(beta, f, 1)
-    point = FFPointK(kernel(beta, f.num, f.den), f.den ** (len(beta) - 1))
+    point = FFRat(kernel(beta, f.num, f.den), f.den ** (len(beta) - 1))
     assert point == normalize_ff_point(value.num, value.den)
 
 
@@ -782,7 +799,7 @@ def test_ff_count_only_scan_agrees_with_the_whole_scan(p, data):
     u, v = f.num, f.den
     tail = max(2 * ((u + v).degree() + u.degree()) + max(u.degree(), 0),
                3 * max(u.degree(), v.degree(), (u + v).degree()))
-    above = [ff_height(pt) > tail for pt in cut.points]
+    above = [pt.height() > tail for pt in cut.points]
     if cut.truncation is Truncation.CERTIFIED_TAIL:
         assert above[-1] and not any(above[:-1])
     else:
