@@ -25,7 +25,7 @@ from .points import (DEFAULT_N_CAP, EMPTY_S, ProjPointQ, SIntSpec, by_population
                      check_b_values, enumerate_points, is_s_integral, normalize,
                      tally_by_height)
 from .polynomials import (FORM_KERNELS, IntPoly, _power_lines, form_compose, form_shape,
-                          resultant_from_coeffs)
+                          gcd_degree, resultant_from_coeffs)
 from .reports import CheckResult, VerificationReport
 
 T_VAR = ("t",)
@@ -451,13 +451,11 @@ class BasepointSpec:
         den = tuple(self.den.coefficient((i,)) for i in range(e + 1))
         return form_shape(num, den), num, den
 
-    def eval_at_param(self, p: ProjPointQ) -> ProjPointQ | None:
-        """Homogeneous evaluation at a parameter point of P^1; None if (0, 0)."""
+    def eval_at_param(self, p: ProjPointQ) -> ProjPointQ:
+        """Homogeneous evaluation at a parameter point of P^1. avg_experiment
+        refuses a beta whose forms share a root, so the value is never [0 : 0]."""
         shape, num, den = self._forms
-        n_val, d_val = FORM_KERNELS[shape](num, den, p.a, p.b)
-        if n_val == 0 and d_val == 0:
-            return None
-        return normalize(n_val, d_val)
+        return normalize(*FORM_KERNELS[shape](num, den, p.a, p.b))
 
 
 @dataclass(frozen=True)
@@ -491,11 +489,18 @@ def avg_experiment(map_or_family: RationalMapQ | FamilySpec, beta: BasepointSpec
     P^1(Q); for a family, the parameters _member_map accepts. Parameters whose
     specialization fails are excluded, not errors. Heights on the parameter
     line are the parameter's own height (for a fixed beta this rescales B and
-    leaves the zero/bounded verdicts untouched).
+    leaves the zero/bounded verdicts untouched). A beta whose numerator and
+    denominator forms share a root (Res = 0: not in lowest terms, or a
+    constant such as t/t) is refused, as make_map refuses such a map, so
+    every parameter has a basepoint.
     """
     bs = check_b_values(b_values)
     if beta.degree < 1:
         raise ValueError("beta must be non-constant")
+    _, num, den = beta._forms
+    if gcd_degree(num, den) > 0:
+        raise ValueError("beta's numerator and denominator share a root (Res = 0); "
+                         "write beta in lowest terms")
     constant = isinstance(map_or_family, RationalMapQ)
     if constant and second_iterate_is_polynomial(map_or_family):
         raise ValueError("constant-family averages need a map whose second iterate is not a polynomial")
@@ -513,11 +518,7 @@ def avg_experiment(map_or_family: RationalMapQ | FamilySpec, beta: BasepointSpec
             if m is None:
                 excluded_h.append(h)
                 continue
-        base = beta.eval_at_param(p)
-        if base is None:
-            excluded_h.append(h)
-            continue
-        tasks.append((h, m, base))
+        tasks.append((h, m, beta.eval_at_param(p)))
 
     worker = functools.partial(_orbit_count_for_param, s=s, n_cap=n_cap,
                                height_budget_bits=height_budget_bits)

@@ -547,9 +547,8 @@ def ff_scan_orbit(m: FFMap, b: FFRat, s: Sequence[FFPoly],
     when deg z0 = deg z1 + deg u - deg v. An integral phi(P) needs
     deg G(z) <= deg Res, as G(z) / gcd is a unit and the gcd divides Res; and
     h(phi(P)) >= 2h - C > h past C, so heights rise strictly and no cycle
-    closes. The record then has the whole orbit's integral points. It
-    passes pre_limit as walk_orbit's last_from, so no step is settled
-    without being taken.
+    closes. The record then has the whole orbit's integral points. The
+    walk never hands off.
     """
     d = m.degree
     c = (2 * d - 1) * max(poly.degree() for poly in m.num_forms + m.den_forms)
@@ -561,7 +560,7 @@ def ff_scan_orbit(m: FFMap, b: FFRat, s: Sequence[FFPoly],
             tail_limit = max(m.res.degree() + max(u.degree(), 0), c)
     return walk_orbit(functools.partial(evaluate_ff, m), FFRat.height, b, n_cap,
                       pre_limit, height_budget, lambda pt: ff_is_s_integral(pt, s),
-                      tail_limit, pre_limit, None)
+                      tail_limit, None)
 
 
 def enumerate_ff_elements(p: int, bound: int) -> list[FFRat]:

@@ -88,18 +88,17 @@ class RationalMapQ:
         return self.height.bit_length() + (self.degree + 1).bit_length() + 1
 
     @functools.cached_property
-    def last_step_constants(self) -> tuple[int, int, int]:
-        """(bits(hadamard_loss(m)), |Res|, |Res| * 2^64 + 1): the constants of
-        the count-only scan's last-step test, orbits._no_integral_image."""
-        res = abs(self.resultant)
-        return hadamard_loss(self).bit_length(), res, (res << 64) + 1
-
-    @functools.cached_property
-    def tail_bits(self) -> int | None:
-        """bits(tail_threshold(m)): a point with more bits is above the threshold;
-        None when the map has no threshold."""
-        t = tail_threshold(self)
-        return None if t is None else t.bit_length()
+    def scan_bits(self) -> tuple[int | None, int | None, int]:
+        """(tail_bits, switch_bits, lam) of a count-only scan with S = {}, from
+        one hadamard_loss(m): lam is its bits; past switch_bits =
+        ceil(lam / (d-1)) + 1 bits heights rise strictly, so the scan walks
+        residues (orbits._residue_walk), and d = 1 has no switch (None);
+        tail_bits is bits(tail_threshold(m)), so a point with more bits is
+        above the threshold, or None when the map has none."""
+        loss = hadamard_loss(self)
+        d, lam, tail = self.degree, loss.bit_length(), tail_threshold(self, loss)
+        return (None if tail is None else tail.bit_length(),
+                None if d == 1 else -(-lam // (d - 1)) + 1, lam)
 
 
 def _canonical_pair(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -294,9 +293,10 @@ def trap_height(m: RationalMapQ) -> int | None:
     return math.isqrt(abs(m.resultant) * k // c)
 
 
-def tail_threshold(m: RationalMapQ) -> int | None:
-    """The least T with c * T^2 > k * |Res| and T^(d-1) > hadamard_loss(m), for
-    (c, k) = denominator_bound(m); None when there is no such bound.
+def tail_threshold(m: RationalMapQ, loss: int) -> int | None:
+    """The least T with c * T^2 > k * |Res| and T^(d-1) > loss, for
+    loss = hadamard_loss(m) and (c, k) = denominator_bound(m); None when
+    there is no such bound.
 
     From an orbit point P with H(P) > T no later point is integral (S = {})
     and no cycle closes. P lies above trap_height(m), so phi(P) is not
@@ -309,7 +309,6 @@ def tail_threshold(m: RationalMapQ) -> int | None:
     trap = trap_height(m)
     if trap is None:
         return None
-    loss = hadamard_loss(m)
     growth = (loss if m.degree == 2 else math.isqrt(loss)) + 1
     return max(trap + 1, growth)
 

@@ -19,11 +19,15 @@ from .polynomials import FORM_KERNELS
 
 
 DEFAULT_HEIGHT_BUDGET_BITS = 10**6
-# The CLI refuses a --height-budget-bits above this before any work. The cost
-# of a step climbs steeply with its coordinates' bits: one orbit of
-# x^4/(x^2-2)^2 from 3/2 takes ~1.1 s at the default, ~18 s at this limit and
-# over a minute at 10^7. The default is the largest budget of any README,
-# golden, test or bench input: 2x headroom.
+# The CLI refuses a --height-budget-bits above this before any work. It bounds
+# the scans that keep every coordinate: orbit, verify and count-only scans
+# with S nonempty. Count-only scans with S = {} walk residues past the growth
+# switch and do not pay for the budget. The cost of a step climbs steeply
+# with its coordinates' bits. The worst accepted input, with the longest
+# orbit, is `orbit --map "(x^2+2)/x" --point 3 --s "" --ncap 100`: ~9 s at the
+# default and ~32 s at this limit on a 2-vCPU machine. `nmax --map "pell(2)"
+# --s 2 --b 10` takes ~6 s there. The default is the largest budget of any
+# README, golden, test or bench input: 2x headroom.
 HEIGHT_BUDGET_BITS_LIMIT = 2 * 10**6
 
 
@@ -45,44 +49,89 @@ def scan_orbit(m: RationalMapQ, b: ProjPointQ, s: SIntSpec,
     A count_only scan with S = {} also stops, as CERTIFIED_TAIL, before
     stepping from a point above maps.tail_threshold, where one exists: the
     record then has the whole orbit's integral points and largest integral
-    index, and still counts as truncated. It also settles its last step
-    without taking it where _no_integral_image proves that phi(P) is not
-    integral and has more than pre_limit bits: the record then lacks that
-    one point, with the same integral indices, cycle entry and truncation
-    (walk_orbit's last_step). Scans that report every point (orbit,
-    verify) keep the whole record.
+    index, and still counts as truncated. From a point P over the switch of
+    m.scan_bits it walks the rest of the orbit on residues, not coordinates
+    (_residue_walk), so its cost no longer depends on the budget: the record
+    then ends at P, with the integral indices, cycle entry and truncation of
+    the whole walk. Where the residues cannot decide, the step from P is
+    taken exactly and the next point tries again. Scans that report every
+    point (orbit, verify) and scans with S nonempty keep the whole record.
     """
     pre_limit, tail_limit = _scan_limits(m, s, height_budget_bits, count_only)
-    last_from = pre_limit // m.degree if count_only and not s.primes else pre_limit
+    hand_off = None
+    if count_only and not s.primes and m.degree > 1:
+        hand_off = functools.partial(_residue_walk, m, pre_limit, tail_limit)
     return walk_orbit(functools.partial(evaluate, m), _bits, b, n_cap,
                       pre_limit, height_budget_bits, lambda p: is_s_integral(p, s),
-                      tail_limit, last_from, functools.partial(_no_integral_image, m, pre_limit))
+                      tail_limit, hand_off)
 
 
-def _no_integral_image(m: RationalMapQ, pre_limit: int, p: ProjPointQ, h: int) -> bool:
-    """True when phi(p), for p of h bits, is not integral (S = {}) and has
-    more than pre_limit bits, from two integer tests: one on h, and one that
-    evaluates G alone at the residues of p's coordinates mod M.
+def _residue_walk(m: RationalMapQ, pre_limit: int, tail_limit: int, p: ProjPointQ,
+                  h: int, steps: int) -> Truncation | None:
+    """The truncation of a count-only scan with S = {} from p, a point of
+    h bits with at most steps steps left, walked on the residues of the
+    coordinates, no point after p being integral; None where p is not over
+    the switch or the residues cannot decide, and the scan steps from p
+    exactly. m.scan_bits holds the switch and lam.
 
-    Height: with lam = bits(hadamard_loss(m)), H(p)^d <= L' * H(phi(p)) and
-    L' < 2^lam, so h > ceil((pre_limit + lam) / d) puts phi(p) over
-    pre_limit, and h > ceil(lam / (d - 1)) makes heights rise from p on, as
-    in maps.tail_threshold. Residue: an integral phi(p) needs
-    0 < |G(a, b)| <= |Res|, since G(a, b) / gcd(F(a, b), G(a, b)) is +-1 and
-    the gcd divides Res. For M = |Res| * 2^64 + 1 > 2 |Res|, the residue of
-    G(a, b) mod M centred on 0 then equals G(a, b); so a residue outside
-    0 < |v| <= |Res| proves phi(p) is not integral. A residue inside sends
-    the step to evaluate, which decides it.
+    Bits: with lam = bits(hadamard_loss(m)), H(P)^d <= L' * H(phi(P)) and
+    L' < 2^lam, so lo <= bits(P) <= hi gives lo' <= bits(phi(P)) <= hi' for
+    lo' = d (lo - 1) + 1 - lam and hi' = d hi + step_bits - 1. Past the
+    switch, H(P)^(d-1) > L', so heights rise strictly from p on and no
+    cycle closes. A point steps when its bits are within
+    limit = min(pre_limit, tail_limit), so its image is within the budget
+    and kept. A bracket that straddles limit falls back, and so does one
+    over limit that straddles pre_limit, which parts HEIGHT_BUDGET from
+    CERTIFIED_TAIL.
 
-    Only called for h > pre_limit // d and h <= pre_limit (walk_orbit's
-    limits), so never for d = 1, whose pre_limit // 1 is pre_limit.
+    Integral: the coordinates are known mod N, from N = (|Res| 2^64 + 1) |Res|^k
+    for the k steps the cap and the bracket allow. The gcd g that evaluate
+    divides out divides Res, so g = gcd(|Res|, F mod N, G mod N), and the
+    residues and N are divided by g. They are kept up to one common sign,
+    which forms of degree d carry through. A kept point is integral exactly
+    when its b is 1, so b = +-1 mod N is a candidate, and a candidate falls
+    back.
+
+    A bracket that straddles limit = pre_limit with a step to spare is still
+    settled when the image is no candidate and its bracket is over
+    pre_limit: the scan then ends at the height budget whether the point
+    steps or not, with no further integral point.
     """
-    lam, res, modulus = m.last_step_constants
-    d = m.degree
-    if h <= max(-(-(pre_limit + lam) // d), -(-lam // (d - 1))):
-        return False
-    r = m.denominator(p.a % modulus, p.b % modulus) % modulus
-    return not (0 < r <= res or r >= modulus - res)
+    _, switch_bits, lam = m.scan_bits
+    if h <= switch_bits:
+        return None
+    d, res = m.degree, abs(m.resultant)
+    limit = min(pre_limit, tail_limit)
+    k, lo = 0, h
+    while k < steps and lo <= limit:
+        k, lo = k + 1, d * (lo - 1) + 1 - lam
+    modulus = ((res << 64) + 1) * res**k
+    kernel, f, g = FORM_KERNELS[m.shape], m.numerator.coeffs, m.denominator.coeffs
+    step_bits = m.step_bits
+    a, b = p.a % modulus, p.b % modulus
+    lo = hi = h
+    while steps:
+        if lo > limit:
+            if lo > pre_limit:
+                return Truncation.HEIGHT_BUDGET
+            return Truncation.CERTIFIED_TAIL if hi <= pre_limit else None
+        straddles = hi > limit
+        if straddles and (limit < pre_limit or steps == 1):
+            return None
+        fa, gb = kernel(f, g, a, b)
+        a, b = fa % modulus, gb % modulus
+        e = math.gcd(res, a, b)
+        if e > 1:
+            modulus //= e
+            a //= e
+            b //= e
+        if b == 1 or b == modulus - 1:
+            return None
+        lo, hi = d * (lo - 1) + 1 - lam, d * hi + step_bits - 1
+        steps -= 1
+        if straddles:
+            return Truncation.HEIGHT_BUDGET if lo > pre_limit else None
+    return Truncation.ITERATION_CAP
 
 
 def _scan_limits(m: RationalMapQ, s: SIntSpec, height_budget_bits: int,
@@ -90,7 +139,7 @@ def _scan_limits(m: RationalMapQ, s: SIntSpec, height_budget_bits: int,
     """scan_orbit's (pre_limit, tail_limit) for walk_orbit: a point steps only
     if its bits are at most both."""
     pre_limit = (height_budget_bits - m.step_bits) // m.degree
-    tail_limit = m.tail_bits if count_only and not s.primes else None
+    tail_limit = m.scan_bits[0] if count_only and not s.primes else None
     return pre_limit, pre_limit if tail_limit is None else tail_limit
 
 

@@ -282,10 +282,9 @@ class OrbitRecord:
 
     When cycle_entry = (index, period) is present the orbit is fully known and
     the stored distinct points carry the whole infinite orbit's integral count.
-    A walk that settles its last step without taking it (walk_orbit's
-    last_step) stores one point fewer than a walk that takes it: a point that
-    is not integral and is over the height budget's pre_limit. The integral
-    indices, cycle entry and truncation are the same either way.
+    A walk that hands off (walk_orbit's hand_off) stores the orbit up to the
+    point it hands off at and drops the rest, none of which is integral; its
+    integral indices, cycle entry and truncation are those of the whole walk.
     """
 
     points: tuple[Any, ...]
@@ -305,8 +304,8 @@ def check_n_cap(n_cap: int) -> None:
 
 def walk_orbit(step: Callable[[Any], Any], size: Callable[[Any], int], b: Any, n_cap: int,
                pre_limit: int, post_limit: int, integral: Callable[[Any], bool],
-               tail_limit: int, last_from: int,
-               last_step: Callable[[Any, int], bool] | None) -> OrbitRecord:
+               tail_limit: int,
+               hand_off: Callable[[Any, int, int], Truncation | None] | None) -> OrbitRecord:
     """The orbit of b under step, over Q or F_p(t): the one orbit loop of dynctl.
 
     The walk ends when a cycle closes (COMPLETED), when n_cap steps are kept
@@ -318,16 +317,13 @@ def walk_orbit(step: Callable[[Any], Any], size: Callable[[Any], int], b: Any, n
     is integral and no cycle closes, so the record holds the whole orbit's
     integral points; a tail_limit >= pre_limit never cuts.
 
-    Before stepping from a point P whose size h is over last_from, the walk
-    asks last_step(P, h). True is the caller's proof that phi(P) is not
-    integral and that its size is over pre_limit and within post_limit. Such
-    a step closes no cycle, since every stored point has stepped or is P, so
-    its size is at most pre_limit; and the walk would keep phi(P) and then
-    end. So it ends at P instead, as that step would have ended it:
-    ITERATION_CAP if the step fills the cap, else HEIGHT_BUDGET. The record
-    is then one non-integral point shorter, with the same integral indices,
-    cycle entry and truncation. A last_from >= pre_limit never asks, and
-    last_step may then be None.
+    Before each step, from a point P of size h within both limits, a walk
+    given hand_off asks hand_off(P, h, steps), with the steps that n_cap
+    still allows from P. A truncation back is the caller's proof that no
+    point after P is integral and no cycle closes, and that the walk from P
+    would end with that truncation; the record then ends at P, with the
+    integral indices, cycle entry and truncation of the whole walk. None
+    takes the step exactly.
 
     size runs once per point. Truncation is data, not an error; counts on
     records other than COMPLETED are lower bounds. A cap above N_CAP_LIMIT
@@ -345,10 +341,11 @@ def walk_orbit(step: Callable[[Any], Any], size: Callable[[Any], int], b: Any, n
             truncation = (Truncation.HEIGHT_BUDGET if h > pre_limit
                           else Truncation.CERTIFIED_TAIL)
             break
-        if h > last_from and last_step(points[-1], h):
-            truncation = (Truncation.ITERATION_CAP if len(points) == n_cap
-                          else Truncation.HEIGHT_BUDGET)
-            break
+        if hand_off is not None:
+            cut = hand_off(points[-1], h, n_cap + 1 - len(points))
+            if cut is not None:
+                truncation = cut
+                break
         nxt = step(points[-1])
         if nxt in seen:
             cycle_entry = (seen[nxt], len(points) - seen[nxt])

@@ -305,6 +305,36 @@ def resultant_from_coeffs(f_coeffs: Sequence, g_coeffs: Sequence, degree: int):
     return bareiss(sylvester_matrix(f_coeffs, g_coeffs, degree))[0]
 
 
+def gcd_degree(f_coeffs: Sequence[int], g_coeffs: Sequence[int]) -> int:
+    """The degree of gcd(f, g) in Q[t] for integer polynomials given by
+    ascending coefficients; -1 when both are zero.
+
+    Forms of degree e = max(deg f, deg g) built from f and g share no root
+    at infinity, so their resultant is zero exactly when this degree is
+    positive. The primitive pseudo-remainder sequence decides that in
+    O(e^2) integer operations, its members being primitive parts of
+    subresultants, where resultant_from_coeffs eliminates a 2e x 2e matrix.
+    """
+    def trim(c):
+        c = list(c)
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    f, g = trim(f_coeffs), trim(g_coeffs)
+    while g:
+        lead = g[-1]
+        while len(f) >= len(g):
+            top, shift = f[-1], len(f) - len(g)
+            f = [x * lead for x in f]
+            for i, y in enumerate(g):
+                f[i + shift] -= top * y
+            f = trim(f)
+        content = math.gcd(*f)
+        f, g = g, [x // content for x in f] if content > 1 else f
+    return len(f) - 1
+
+
 # ---------------------------------------------------------------------------
 # Binary-form coefficient lists over an arbitrary commutative ring
 # ---------------------------------------------------------------------------

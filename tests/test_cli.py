@@ -503,15 +503,24 @@ def test_avg_beta_in_x_is_one_json_error(capsys):
                                "message": "beta must be a function of the parameter only"}
 
 
-def test_avg_excludes_a_parameter_where_beta_is_zero_over_zero(capsys):
-    # beta = (t^2 - 1)/(t - 1) evaluates to [0 : 0] at t = 1, the one such
-    # parameter of height 1; it is excluded, not an error.
-    code, out, _ = run_cli(["avg", "--map", "(x^2+1)/x", "--beta", "(t^2-1)/(t-1)",
+def test_avg_refuses_a_beta_not_in_lowest_terms(capsys):
+    # (t^2 - 1)/(t - 1) is [0 : 0] at t = 1, and t/t is the constant 1: the
+    # forms of each share a root (Res = 0), so each is one JSON error, as a
+    # map with Res = 0 is.
+    for beta in ("(t^2-1)/(t-1)", "t/t"):
+        code, out, err = run_cli(["avg", "--map", "(x^2+1)/x", "--beta", beta,
+                                  "--s", "", "--b", "2"], capsys)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "beta's numerator and denominator share a root (Res = 0); "
+                       "write beta in lowest terms"}
+    # In lowest terms, t + 1 keeps t = 1 in the population.
+    code, out, _ = run_cli(["avg", "--map", "(x^2+1)/x", "--beta", "t+1",
                             "--s", "", "--b", "2"], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["excluded"] == [1]
-    assert payload["population"] == [7]
+    assert payload["excluded"] == [0] and payload["population"] == [8]
 
 
 def test_canheight_nan_tol_is_one_json_error(capsys):

@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from dynctl import canonical, maps, orbits
 from dynctl.cli import main
 
 GOLDEN = {
@@ -93,3 +94,39 @@ def test_report_bytes_unchanged(case, tmp_path, capsys):
     assert main(argv + ["--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+# At the default height budget of 10^6 bits. Count-only scans walk residues
+# from the first point past the growth switch on, so no coordinate that
+# evaluate returns grows past the first images: the largest has 25 bits on
+# pell(2) and 13 on (x^2+2)/x, against about 250000 for an exact walk to the
+# budget.
+DEFAULT_BUDGET = {
+    "nmax_pell2_default_budget_json": (
+        ["nmax", "--map", "pell(2)", "--s", "", "--b", "40"],
+        "f9f20c18df4f9574420a87142a2986f5f963bbbbdcf4b2c510f7ee47f8227ffb", 25),
+    "nmax_inversion_default_budget_json": (
+        ["nmax", "--map", "(x^2+2)/x", "--s", "", "--b", "40"],
+        "6da6d707379e14afd7cd8299a11e8f49da5e2a13ffff8e1613c32f31ee6f2e37", 13),
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(DEFAULT_BUDGET))
+def test_default_budget_report_bytes_and_coordinate_bits(case, workers, monkeypatch, capsys):
+    argv, digest, top_bits = DEFAULT_BUDGET[case]
+    peak = [0]
+    evaluate = maps.evaluate
+
+    def spy(m, p):
+        q = evaluate(m, p)
+        peak[0] = max(peak[0], abs(q.a).bit_length(), q.b.bit_length())
+        return q
+
+    for module in (maps, orbits, canonical):
+        monkeypatch.setattr(module, "evaluate", spy)
+    assert main(argv + ["--workers", workers]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    # With two workers the scans run in the pool's processes; the parent still
+    # evaluates every first image.
+    assert 0 < peak[0] <= top_bits

@@ -422,7 +422,7 @@ def test_denominator_bound_is_none_without_an_elementary_bound():
     assert denominator_bound(PELL_2) is None  # (X^2 - 2Y^2)^2 has irrational roots
     assert denominator_bound(X_SQUARED) is None  # Y^2
     assert denominator_bound(make_map([0, 0, 1], [2, 0, 3])) is None  # 2Y^2 + 3X^2
-    assert tail_threshold(PELL_2) is None and PELL_2.tail_bits is None
+    assert tail_threshold(PELL_2, hadamard_loss(PELL_2)) is None and PELL_2.scan_bits[0] is None
 
 
 def _scanned_bound(m):
@@ -464,6 +464,23 @@ def test_hadamard_loss_bounds_the_cofactor_constant(m):
     assert hadamard_loss(m) >= canonical.transition_constants(m)[1]
 
 
+@given(_maps(max_degree=4, bound=9), st.integers(-10**30, 10**30), st.integers(1, 10**30))
+@settings(max_examples=150, deadline=None)
+def test_heights_rise_past_the_switch(m, a, b):
+    # A point with more than switch_bits bits has H^(d-1) > hadamard_loss,
+    # so its image is higher still; degree 1 has no switch.
+    d, (_, switch_bits, lam) = m.degree, m.scan_bits
+    assert lam == hadamard_loss(m).bit_length()
+    if d == 1:
+        assert switch_bits is None
+        return
+    assert (1 << switch_bits) ** (d - 1) > hadamard_loss(m)
+    p = normalize(a, b)
+    if max(abs(p.a), abs(p.b)).bit_length() > switch_bits:
+        q = evaluate(m, p)
+        assert max(abs(q.a), q.b) > max(abs(p.a), p.b)
+
+
 def _least(ok):
     """The least T >= 0 with ok(T), for ok monotone, by doubling and bisection."""
     hi = 1
@@ -485,8 +502,9 @@ def test_tail_threshold_is_the_least_certified_height(m):
     c, k = denominator_bound(m)
     res, loss, d = abs(m.resultant), hadamard_loss(m), m.degree
     want = _least(lambda t: c * t**2 > k * res and t ** (d - 1) > loss)
-    assert tail_threshold(m) == want
-    assert 1 << (m.tail_bits - 1) <= want < 1 << m.tail_bits
+    assert tail_threshold(m, loss) == want
+    tail_bits = m.scan_bits[0]
+    assert 1 << (tail_bits - 1) <= want < 1 << tail_bits
 
 
 @given(tail_maps(bound=40))
@@ -495,7 +513,7 @@ def test_trap_height_is_the_largest_trapped_height(m):
     c, k = denominator_bound(m)
     res = abs(m.resultant)
     assert trap_height(m) == _least(lambda t: c * (t + 1) ** 2 > k * res)
-    assert tail_threshold(m) >= trap_height(m) + 1
+    assert tail_threshold(m, hadamard_loss(m)) >= trap_height(m) + 1
 
 
 @given(tail_maps())

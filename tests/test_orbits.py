@@ -3,16 +3,17 @@ import operator
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import dynctl.orbits as orbits_mod
 from dynctl.canonical import is_preperiodic
 from dynctl.errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
 from dynctl.families import phi_t_family, pell_map, specialize, three_param_family
 from dynctl.maps import (TAIL_FORMS, evaluate, is_polynomial, make_map,
                          random_coprime_pair, random_map, second_iterate_is_polynomial,
-                         tail_threshold, trap_height)
-from dynctl.orbits import (DEFAULT_HEIGHT_BUDGET_BITS, DEFAULT_N_CAP, count_s_integral,
-                           density_of_integral_preimages, empirical_max_iterate, scan_orbit)
+                         trap_height)
+from dynctl.orbits import (DEFAULT_N_CAP, count_s_integral, density_of_integral_preimages,
+                           empirical_max_iterate, scan_orbit)
 from dynctl.parallel import map_chunks
 from dynctl.polynomials import form_compose
 from dynctl.points import (EMPTY_S, N_CAP_LIMIT, ProjPointQ, SIntSpec, Truncation, count_points,
@@ -454,12 +455,15 @@ def test_count_only_scan_agrees_with_the_whole_scan(case, n_cap, budget):
     assert count_s_integral(cut) == count_s_integral(full)
     assert max(cut.integral_indices, default=-1) == max(full.integral_indices, default=-1)
     assert cut.points == full.points[:len(cut.points)]
-    # The cut is taken at the first point over the threshold, and only there.
-    above = [_bits(p) > tail_threshold(m).bit_length() for p in cut.points]
+    # The cut is taken at the first point over the threshold, and only there,
+    # unless the scan handed off to the residue walk before it.
+    above = [_bits(p) > m.scan_bits[0] for p in cut.points]
     if cut.truncation is Truncation.CERTIFIED_TAIL:
-        assert above[-1] and not any(above[:-1])
+        assert not any(above[:-1])
+        assert above[-1] or _handed_off(cut, m)
+        assert not any(is_s_integral(p, EMPTY_S) for p in full.points[len(cut.points):])
     else:
-        _assert_settled_last_step(cut, full, m, budget)
+        _assert_residue_cut(cut, full, m)
         assert not any(above[:-1])
 
 
@@ -483,16 +487,17 @@ def test_count_only_scan_with_s_or_without_a_threshold_keeps_the_whole_record():
     b = ProjPointQ(2**6 * 3**6 * 5**6, 1)
     s = SIntSpec([2])
     assert scan_orbit(m, b, s, count_only=True) == scan_orbit(m, b, s)
-    # Without a threshold only the last step may be settled untaken.
+    # Without a threshold the scan hands off at its first point over the switch.
     b = normalize(3, 2)
     cut = scan_orbit(PELL_2, b, EMPTY_S, count_only=True)
     full = scan_orbit(PELL_2, b, EMPTY_S)
-    _assert_settled_last_step(cut, full, PELL_2, DEFAULT_HEIGHT_BUDGET_BITS)
+    _assert_residue_cut(cut, full, PELL_2)
+    assert cut.points == full.points[:2] and len(full.points) == 10
     assert count_s_integral(cut) == count_s_integral(full) == (1, False)
 
 
 # ---------------------------------------------------------------------------
-# The last step a count-only scan settles by a residue test on G alone
+# The residue walk of count-only scans past the growth switch
 # ---------------------------------------------------------------------------
 
 
@@ -500,40 +505,69 @@ def _pre_limit(m, budget):
     return (budget - m.step_bits) // m.degree
 
 
-def _assert_settled_last_step(cut, full, m, budget):
-    """cut is the whole scan full with at most its last point dropped, and a
-    dropped point is not integral and over the scan's pre_limit."""
+def _handed_off(cut, m):
+    """True when cut ends at a point over the switch, where a walk may hand off."""
+    switch_bits = m.scan_bits[1]
+    return switch_bits is not None and _bits(cut.points[-1]) > switch_bits
+
+
+def _assert_residue_cut(cut, full, m):
+    """cut is the whole scan full with the same integral indices, cycle entry
+    and truncation; its points are a prefix of full's; and where points are
+    dropped, none of them is integral and cut ends at a point over the
+    switch, where the walk handed off."""
     assert cut.integral_indices == full.integral_indices
     assert cut.cycle_entry == full.cycle_entry
     assert cut.truncation is full.truncation
     assert cut.points == full.points[:len(cut.points)]
     dropped = full.points[len(cut.points):]
-    assert len(dropped) <= 1
-    for p in dropped:
-        assert not is_s_integral(p, EMPTY_S) and _bits(p) > _pre_limit(m, budget)
+    assert not any(is_s_integral(p, EMPTY_S) for p in dropped)
+    if dropped:
+        assert _handed_off(cut, m)
 
 
 @st.composite
 def _threshold_free_maps(draw):
-    """A map with no tail threshold, so only the last-step test cuts its
+    """A map with no tail threshold, so only the residue walk cuts its
     count-only scans: random_map of degree 2-4, or pell(D) for D in {2, 3, 5};
     and a basepoint."""
     if draw(st.booleans()):
         m = random_map(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(2, 4)))
-        assume(tail_threshold(m) is None)
+        assume(m.scan_bits[0] is None)
     else:
         m = pell_map(draw(st.sampled_from((2, 3, 5))))
     a, b = draw(st.integers(-10**4, 10**4)), draw(st.integers(1, 10**3))
     return m, normalize(a, b)
 
 
-@given(_threshold_free_maps(), st.integers(0, DEFAULT_N_CAP), st.integers(200, 4000))
-@settings(max_examples=300, deadline=None)
+def _pell_unit_point(sign):
+    """pell(2) with its denominator times sign, and u/v for
+    u + v sqrt(2) = (3 + 2 sqrt(2))^251: G(u, v) = sign, so phi(u/v) = sign * u^4
+    is integral and u/v, of 638 bits, is over the switch at budget 10000."""
+    m = make_map(PELL_2.numerator.coeffs, [sign * c for c in PELL_2.denominator.coeffs])
+    u, v = 1, 0
+    for _ in range(251):
+        u, v = 3 * u + 4 * v, 2 * u + 3 * v
+    return m, normalize(u, v)
+
+
+# The residue walk's oracle runs under one fixed profile: the same draws on every run.
+RESIDUE_ORACLE = settings(max_examples=1500, deadline=None, derandomize=True)
+
+
+@RESIDUE_ORACLE
+@given(_threshold_free_maps(), st.integers(0, DEFAULT_N_CAP), st.integers(64, 20000))
+@example(_pell_unit_point(1), DEFAULT_N_CAP, 10000)
+@example(_pell_unit_point(-1), DEFAULT_N_CAP, 10000)
+@example((PELL_2, normalize(3, 2)), 7, 10000)
 def test_count_only_scan_settles_only_a_non_integral_last_step(case, n_cap, budget):
+    # The oracle of the residue walk. The examples fall back: a candidate
+    # b = +-1 at the first residue step, and a bracket that straddles
+    # pre_limit with one step left.
     m, b = case
     full = scan_orbit(m, b, EMPTY_S, n_cap=n_cap, height_budget_bits=budget)
     cut = scan_orbit(m, b, EMPTY_S, n_cap=n_cap, height_budget_bits=budget, count_only=True)
-    _assert_settled_last_step(cut, full, m, budget)
+    _assert_residue_cut(cut, full, m)
     assert count_s_integral(cut) == count_s_integral(full)
     # A scan with S nonempty keeps the whole record.
     s = SIntSpec([2])
@@ -542,19 +576,19 @@ def test_count_only_scan_settles_only_a_non_integral_last_step(case, n_cap, budg
 
 
 def test_count_only_scan_settles_the_last_step_of_most_wandering_orbits():
-    # The budgets above are ones at which the cut fires: over fixed seeds it
-    # drops the last point of most scans that end at the height budget.
+    # The budgets above are ones at which the residue walk cuts: over fixed
+    # seeds it drops points from most scans that end at the height budget.
     rng = random.Random(25)
     ended = settled = 0
     for _ in range(200):
         m = pell_map(2) if rng.random() < 0.2 else random_map(rng, rng.randint(2, 4))
-        if tail_threshold(m) is not None:
+        if m.scan_bits[0] is not None:
             continue
         b = normalize(*random_coprime_pair(rng))
         budget = rng.randint(200, 4000)
         full = scan_orbit(m, b, EMPTY_S, height_budget_bits=budget)
         cut = scan_orbit(m, b, EMPTY_S, height_budget_bits=budget, count_only=True)
-        _assert_settled_last_step(cut, full, m, budget)
+        _assert_residue_cut(cut, full, m)
         if full.truncation is Truncation.HEIGHT_BUDGET:
             ended += 1
             settled += len(cut.points) < len(full.points)
@@ -563,37 +597,45 @@ def test_count_only_scan_settles_the_last_step_of_most_wandering_orbits():
 
 def test_settled_last_step_ends_as_the_taken_step_would():
     # pell(2) from 3/2 at budget 10000 keeps points of 2, 7, 26, 102, 408,
-    # 1630 and 6520 bits: the step from the 1630-bit point is settled. With
-    # n_cap = 6 it fills the cap (iteration_cap), with more it ends at the
-    # budget (height_budget), and with fewer it is never reached.
+    # 1630 and 6520 bits, and pre_limit is 2498. The count-only scan hands
+    # off at the 7-bit point (switch_bits 6) and ends there, as the whole
+    # walk would: at the cap up to n_cap = 6, at the budget from n_cap = 8.
+    # At n_cap = 7 the bracket of the 6520-bit point, [1371, 9214] bits,
+    # straddles pre_limit with one step left, so the residue walk falls back:
+    # the scan takes one step exactly and hands off again from the 26-bit point.
+    assert PELL_2.scan_bits == (None, 6, 14) and _pre_limit(PELL_2, 10000) == 2498
     seen = set()
-    for n_cap in range(9):
+    for n_cap in range(10):
         full = scan_orbit(PELL_2, normalize(3, 2), EMPTY_S, n_cap=n_cap, height_budget_bits=10000)
         cut = scan_orbit(PELL_2, normalize(3, 2), EMPTY_S, n_cap=n_cap,
                          height_budget_bits=10000, count_only=True)
-        _assert_settled_last_step(cut, full, PELL_2, 10000)
-        assert len(cut.points) == len(full.points) - (n_cap >= 6)
+        _assert_residue_cut(cut, full, PELL_2)
+        assert len(cut.points) == {0: 1, 1: 2, 7: 3}.get(n_cap, 2)
         seen.add((full.truncation, len(cut.points) < len(full.points)))
     assert seen == {(Truncation.ITERATION_CAP, False), (Truncation.ITERATION_CAP, True),
                     (Truncation.HEIGHT_BUDGET, True)}
+    p = scan_orbit(PELL_2, normalize(3, 2), EMPTY_S, n_cap=1).points[1]
+    assert orbits_mod._residue_walk(PELL_2, 2498, 2498, p, 7, 6) is None
+    assert orbits_mod._residue_walk(PELL_2, 2498, 2498, p, 7, 7) is Truncation.HEIGHT_BUDGET
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_count_only_scan_takes_a_last_step_that_passes_the_residue_test(sign):
     # u + v sqrt(2) = (3 + 2 sqrt(2))^251 solves u^2 - 2 v^2 = 1, and u/v has
-    # 638 bits: past the height test at budget 10000, but G(u, v) =
-    # +-(u^2 - 2 v^2)^2 = +-1 passes the residue test (G = -1 from its other
-    # side, the residue M - 1), so the step is taken and phi(u/v) = +-u^4 is
-    # integral.
+    # 638 bits: over the switch at budget 10000, but G(u, v) =
+    # +-(u^2 - 2 v^2)^2 = +-1, so the residue of phi(u/v)'s b is +-1 (M - 1
+    # from G's other side): a candidate. The residue walk falls back, the
+    # step is taken exactly, and phi(u/v) = +-u^4 is integral.
     m = make_map(PELL_2.numerator.coeffs, [sign * c for c in PELL_2.denominator.coeffs])
     u, v = 1, 0
     for _ in range(251):
         u, v = 3 * u + 4 * v, 2 * u + 3 * v
     b = normalize(u, v)
     assert u * u - 2 * v * v == 1 and _bits(b) == 638
-    lam = m.last_step_constants[0]
-    assert _bits(b) > -(-(_pre_limit(m, 10000) + lam) // 4) and _bits(b) > -(-lam // 3)
+    assert m.scan_bits[1] < _bits(b) <= _pre_limit(m, 10000)
     assert m.denominator(u, v) == sign
+    pre_limit = _pre_limit(m, 10000)
+    assert orbits_mod._residue_walk(m, pre_limit, pre_limit, b, 638, DEFAULT_N_CAP) is None
     cut = scan_orbit(m, b, EMPTY_S, height_budget_bits=10000, count_only=True)
     assert cut == scan_orbit(m, b, EMPTY_S, height_budget_bits=10000)
     assert cut.points == (b, ProjPointQ(sign * u**4, 1)) and cut.integral_indices == (1,)
@@ -601,14 +643,13 @@ def test_count_only_scan_takes_a_last_step_that_passes_the_residue_test(sign):
 
 
 def test_degree_one_map_never_takes_the_last_step_test(monkeypatch):
-    import dynctl.orbits as orbits_mod
-
     def refuse(*args):
-        raise AssertionError("a scan asked the last-step test")
+        raise AssertionError("a scan handed off to the residue walk")
 
-    monkeypatch.setattr(orbits_mod, "_no_integral_image", refuse)
+    monkeypatch.setattr(orbits_mod, "_residue_walk", refuse)
     # x -> 2x + 1 from 0 climbs one bit a step, all of them integral, to the budget.
     m = make_map([1, 2], [1, 0])
+    assert m.scan_bits[1] is None
     rec = scan_orbit(m, ProjPointQ(0, 1), EMPTY_S, n_cap=500, height_budget_bits=60,
                      count_only=True)
     assert rec.truncation is Truncation.HEIGHT_BUDGET
@@ -621,6 +662,6 @@ def test_degree_one_map_never_takes_the_last_step_test(monkeypatch):
             cut = scan_orbit(m, b, EMPTY_S, n_cap=500, height_budget_bits=budget,
                              count_only=True)
             assert cut == scan_orbit(m, b, EMPTY_S, n_cap=500, height_budget_bits=budget)
-    # The same scan of a degree-2 map does ask it.
-    with pytest.raises(AssertionError, match="asked"):
+    # The same scan of a degree-2 map does hand off.
+    with pytest.raises(AssertionError, match="handed off"):
         scan_orbit(PELL_2, normalize(3, 2), EMPTY_S, count_only=True)

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from dynctl import polynomials
 from dynctl.maps import cofactors, random_map
 from dynctl.polynomials import (FORM_KERNELS, IntPoly, bareiss, form_compose, form_mul,
-                                form_shape, resultant_from_coeffs, sylvester_matrix)
+                                form_shape, gcd_degree, resultant_from_coeffs,
+                                sylvester_matrix)
 
 T = ("t",)
 RS = ("r", "s")
@@ -175,6 +176,37 @@ def test_resultant_vs_sympy_oracle():
         fx = sum(c * x**i for i, c in enumerate(f))
         gx = sum(c * x**i for i, c in enumerate(g))
         assert mine == sympy.resultant(fx, gx, x)
+
+
+_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=5)
+
+
+@given(_polys, _polys, _polys)
+@settings(max_examples=150, deadline=None)
+def test_gcd_degree_matches_sympy_and_the_resultant(a, b, common):
+    # f = a * common and g = b * common, so the gcd often has positive degree.
+    sympy = pytest.importorskip("sympy")
+    f, g = (form_mul(p, common) if p and common else [] for p in (a, b))
+    x = sympy.Symbol("x")
+    fx, gx = (sum(c * x**i for i, c in enumerate(p)) for p in (f, g))
+    want = -1 if fx == 0 and gx == 0 else sympy.degree(sympy.gcd(fx, gx), x)
+    assert gcd_degree(f, g) == want
+    # As forms of degree e = max(deg f, deg g), Res = 0 exactly when the gcd
+    # has positive degree.
+    e = max(sympy.degree(fx, x), sympy.degree(gx, x))
+    if e >= 1:
+        pad = lambda p: (list(p) + [0] * (e + 1))[:e + 1]
+        assert (resultant_from_coeffs(pad(f), pad(g), e) == 0) == (want > 0)
+
+
+def test_gcd_degree_of_large_coprime_powers_is_zero():
+    # (t + 1000)^64 and (t - 999)^64: the Sylvester resultant of these
+    # degree-64 forms takes about a minute; the remainder sequence does not.
+    f, g = [1], [1]
+    for _ in range(64):
+        f, g = form_mul(f, [1000, 1]), form_mul(g, [-999, 1])
+    assert gcd_degree(f, g) == 0
+    assert gcd_degree(form_mul(f, [2, 1]), form_mul(g, [2, 1])) == 1
 
 
 def _forms(max_degree, bound):
