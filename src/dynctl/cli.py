@@ -17,7 +17,7 @@ from dataclasses import asdict
 from . import funcfield as funcfield_mod
 from .canonical import canonical_height, is_preperiodic, transition_constants_check
 from .errors import DynctlError, ParseError, SizeBudgetExceededError
-from .families import (BasepointSpec, avg_experiment, cube_sum_bound_check, pell_checks,
+from .families import (avg_experiment, cube_sum_bound_check, pell_checks,
                        phi_t_identities, preimage_height_bound_check,
                        resultant_specialization_grid_check, three_param_avg,
                        three_param_slice_bounds_check)
@@ -135,11 +135,7 @@ def cmd_density(args) -> tuple[dict, list | None]:
 
 def cmd_avg(args) -> tuple[dict, list | None]:
     expr = parse_map(resolve_map_text(args.map))
-    beta_expr = parse_map(args.beta)
-    if beta_expr.x_degree > 0:
-        raise DynctlError("beta must be a function of the parameter only")
-    var = ("t",)
-    beta = BasepointSpec(beta_expr.num.restrict_vars(var), beta_expr.den.restrict_vars(var))
+    beta = parse_map(args.beta).to_basepoint()
     target = expr.to_rational_map() if expr.is_constant_map() else expr.to_family()
     s = _parse_s(args.s)
     report = avg_experiment(target, beta, s, _parse_ints(args.b), n_cap=args.ncap,

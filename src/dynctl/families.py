@@ -430,32 +430,28 @@ def pell_checks() -> VerificationReport:
 
 @dataclass(frozen=True)
 class BasepointSpec:
-    """Basepoint family: an integer-coefficient rational function of one variable.
+    """Basepoint family beta(t): numerator and denominator as ascending integer
+    coefficient tuples of one length, read as binary forms of one degree.
 
-    The numerator and denominator as binary forms of one degree, with their
-    evaluation shape, are built on the first evaluation and cached.
+    The evaluation shape of the pair is computed on first use and cached.
     """
 
-    num: IntPoly
-    den: IntPoly
+    num: tuple[int, ...]
+    den: tuple[int, ...]
 
     @property
     def degree(self) -> int:
-        return max(self.num.total_degree(), self.den.total_degree())
+        return len(self.num) - 1
 
     @functools.cached_property
-    def _forms(self) -> tuple:
-        """(shape, numerator form, denominator form), both forms of degree max(degree, 0)."""
-        e = max(self.degree, 0)
-        num = tuple(self.num.coefficient((i,)) for i in range(e + 1))
-        den = tuple(self.den.coefficient((i,)) for i in range(e + 1))
-        return form_shape(num, den), num, den
+    def shape(self) -> tuple[int, ...]:
+        """polynomials.form_shape of the pair."""
+        return form_shape(self.num, self.den)
 
     def eval_at_param(self, p: ProjPointQ) -> ProjPointQ:
         """Homogeneous evaluation at a parameter point of P^1. avg_experiment
         refuses a beta whose forms share a root, so the value is never [0 : 0]."""
-        shape, num, den = self._forms
-        return normalize(*FORM_KERNELS[shape](num, den, p.a, p.b))
+        return normalize(*FORM_KERNELS[self.shape](self.num, self.den, p.a, p.b))
 
 
 @dataclass(frozen=True)
@@ -497,8 +493,7 @@ def avg_experiment(map_or_family: RationalMapQ | FamilySpec, beta: BasepointSpec
     bs = check_b_values(b_values)
     if beta.degree < 1:
         raise ValueError("beta must be non-constant")
-    _, num, den = beta._forms
-    if gcd_degree(num, den) > 0:
+    if gcd_degree(beta.num, beta.den) > 0:
         raise ValueError("beta's numerator and denominator share a root (Res = 0); "
                          "write beta in lowest terms")
     constant = isinstance(map_or_family, RationalMapQ)

@@ -353,8 +353,11 @@ def ff_is_s_integral(point: FFRat, s: Sequence[FFPoly]) -> bool:
     if den.is_zero():
         return False
     for q in s:
-        while den.degree() >= q.degree() and (den % q).is_zero():
-            den = den.exact_div(q)
+        while den.degree() >= q.degree():
+            quo, rem = divmod(den, q)
+            if not rem.is_zero():
+                break
+            den = quo
     return den.is_constant()
 
 

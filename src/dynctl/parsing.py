@@ -2,17 +2,16 @@
 
 Rational expressions in x with integer literals, the parameter symbols
 t, r, s, f, the operators + - * / ^ (integer exponents), and parentheses.
-A parsed expression becomes a map (no parameters) or a family (t alone,
-f alone, or r, s, t).
+A parsed expression becomes a map (no parameters), a family (t alone,
+f alone, or r, s, t), or the basepoint family beta(t) of avg.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from .errors import NotRationalError, ParseError
-from .families import FamilySpec
+from .errors import DynctlError, NotRationalError, ParseError
+from .families import BasepointSpec, FamilySpec
 from .maps import RationalMapQ, make_map
 from .polynomials import IntPoly
 
@@ -26,7 +25,7 @@ MAX_DEGREE = 64  # total degree of any polynomial the parser builds
 MAX_COEFF_BITS = 100_000
 MAX_TERM_PAIRS = 100_000  # term products in one polynomial multiplication
 # Open parentheses and unary signs around any one token. Each level costs the
-# recursive-descent parser up to four Python frames, so this keeps a parse far
+# recursive-descent parser up to five Python frames, so this keeps a parse far
 # inside the default recursion limit of 1000.
 MAX_NESTING = 100
 
@@ -185,7 +184,7 @@ class _Parser:
             negate = tok.text == "-"
         value = self.term()
         if negate:
-            value = _Rat.const(0).sub(value, tok.pos)
+            value = _Rat(-value.num, value.den)
         while True:
             tok = self.peek()
             if tok is None or tok.kind != "op" or tok.text not in "+-":
@@ -195,14 +194,25 @@ class _Parser:
             value = value.add(rhs, tok.pos) if tok.text == "+" else value.sub(rhs, tok.pos)
 
     def term(self) -> _Rat:
-        value = self.power()
+        value = self.operand()
         while True:
             tok = self.peek()
             if tok is None or tok.kind != "op" or tok.text not in "*/":
                 return value
             self.take()
-            rhs = self.power()
+            rhs = self.operand()
             value = value.mul(rhs, tok.pos) if tok.text == "*" else value.div(rhs, tok.pos)
+
+    def operand(self) -> _Rat:
+        """Signs, then one power: as in Python, -x^2 is -(x^2) wherever it stands."""
+        tok = self.peek()
+        if tok is None or tok.kind != "op" or tok.text not in "+-":
+            return self.power()
+        self.take()
+        self.nest(tok)
+        value = self.operand()
+        self.depth -= 1
+        return value if tok.text == "+" else _Rat(-value.num, value.den)
 
     def power(self) -> _Rat:
         base = self.atom()
@@ -250,17 +260,13 @@ class _Parser:
                 raise ParseError("expected ')'", closing.pos)
             self.depth -= 1
             return value
-        if tok.kind == "op" and tok.text in "+-":
-            self.nest(tok)
-            inner = self.atom()
-            self.depth -= 1
-            return inner if tok.text == "+" else _Rat.const(0).sub(inner, tok.pos)
         raise ParseError(f"unexpected {tok.text!r}", tok.pos)
 
 
 @dataclass(frozen=True)
 class MapExpression:
-    """Parsed rational function in x, possibly with parameter symbols."""
+    """Parsed rational function in x, possibly with parameter symbols, nothing
+    divided out: to_rational_map, to_family and to_basepoint give its forms."""
 
     num: IntPoly
     den: IntPoly
@@ -304,9 +310,19 @@ class MapExpression:
             den_coeffs=tuple(den),
         )
 
+    def to_basepoint(self) -> BasepointSpec:
+        """beta(t) as two ascending coefficient tuples of one length."""
+        if self.x_degree > 0 or self.params not in ((), ("t",)):
+            raise DynctlError("beta must be a function of the parameter only")
+        (num,), (den,) = self._coefficient_polys()
+        e = range(max(num.total_degree(), den.total_degree(), 0) + 1)
+        return BasepointSpec(tuple(num.coefficient((i,)) for i in e),
+                             tuple(den.coefficient((i,)) for i in e))
+
 
 def parse_map(text: str) -> MapExpression:
-    """Parse, clear denominators to integers, and canonicalize content and sign.
+    """Parse and clear denominators to integers; make_map, not the parser,
+    divides out the content and fixes the sign.
 
     The parameters must form a supported family shape: t alone, f alone, or
     r, s, t together. Anything else is a ParseError.
@@ -320,14 +336,6 @@ def parse_map(text: str) -> MapExpression:
     if num.is_zero():
         num = IntPoly.const(0, ALL_VARS)
         den = IntPoly.const(1, ALL_VARS)
-    content = math.gcd(num.content(), den.content())
-    if content > 1:
-        num = num.exact_div(IntPoly.const(content, ALL_VARS))
-        den = den.exact_div(IntPoly.const(content, ALL_VARS))
-    lead_poly = num if not num.is_zero() else den
-    if lead_poly.terms[max(lead_poly.terms)] < 0:
-        num = -num
-        den = -den
     x_deg = max(num.degree_in("x"), den.degree_in("x"), 0)
     used = num.used_vars() | den.used_vars()
     if "f" in used and len(used & {"t", "r", "s"}) > 0:

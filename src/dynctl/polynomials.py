@@ -37,16 +37,6 @@ class IntPoly:
             raise ValueError(f"{name!r} not among {variables}")
         return cls(variables, {e: 1})
 
-    def restrict_vars(self, variables: tuple[str, ...]) -> "IntPoly":
-        """Drop variables that never occur; raises if a used variable is dropped."""
-        used = self.used_vars()
-        missing = used - set(variables)
-        if missing:
-            raise ValueError(f"cannot drop used variables {sorted(missing)}")
-        idx = [self.vars.index(v) for v in variables]
-        terms = {tuple(e[i] for i in idx): c for e, c in self.terms.items()}
-        return IntPoly(variables, terms)
-
     # -- predicates and views ------------------------------------------
 
     def is_zero(self) -> bool:
@@ -75,9 +65,6 @@ class IntPoly:
 
     def coefficient(self, exponents: tuple[int, ...]) -> int:
         return self.terms.get(tuple(exponents), 0)
-
-    def content(self) -> int:
-        return math.gcd(*self.terms.values()) if self.terms else 0
 
     def used_vars(self) -> set[str]:
         used = set()

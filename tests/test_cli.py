@@ -496,11 +496,12 @@ def test_family_under_the_wrong_subcommand_names_the_right_one(args, message, ca
 
 
 def test_avg_beta_in_x_is_one_json_error(capsys):
-    code, out, err = run_cli(["avg", "--map", "x^2+1", "--beta", "x", "--b", "2"], capsys)
-    assert code == 1
-    assert out == ""
-    assert json.loads(err) == {"error": "DynctlError",
-                               "message": "beta must be a function of the parameter only"}
+    for beta in ("x", "f"):
+        code, out, err = run_cli(["avg", "--map", "x^2+1", "--beta", beta, "--b", "2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "DynctlError",
+                                   "message": "beta must be a function of the parameter only"}
 
 
 def test_avg_refuses_a_beta_not_in_lowest_terms(capsys):

@@ -1,7 +1,11 @@
-import pytest
+import operator
+from fractions import Fraction
 
-from dynctl.errors import NotRationalError, ParseError
-from dynctl.families import phi_t_family, three_param_family
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from dynctl.errors import DynctlError, NotRationalError, ParseError
+from dynctl.families import BasepointSpec, phi_t_family, three_param_family
 from dynctl.parsing import (MAX_DEGREE, MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING,
                             PRESET_EXPRESSIONS, parse_map, resolve_map_text)
 
@@ -26,10 +30,17 @@ def test_parse_constant_map():
 
 
 def test_parse_divides_out_the_content():
-    e = parse_map("(2*x^2+2)/(4*x)")
-    reduced = parse_map("(x^2+1)/(2*x)")
-    assert (e.num, e.den) == (reduced.num, reduced.den)
-    assert e.num.content() == 1
+    assert (parse_map("(2*x^2+2)/(4*x)").to_rational_map()
+            == parse_map("(x^2+1)/(2*x)").to_rational_map())
+
+
+def test_basepoint_is_two_coefficient_tuples_in_t():
+    assert parse_map("t^3+2").to_basepoint() == BasepointSpec((2, 0, 0, 1), (1, 0, 0, 0))
+    assert parse_map("2/(t-1)").to_basepoint() == BasepointSpec((2, 0), (-1, 1))
+    assert parse_map("3").to_basepoint() == BasepointSpec((3,), (1,))
+    for text in ("x", "f", "x*t", "t/x"):
+        with pytest.raises(DynctlError, match="beta must be a function of the parameter only"):
+            parse_map(text).to_basepoint()
 
 
 def test_parse_not_rational():
@@ -162,3 +173,76 @@ def test_nesting_limit_accepts_its_bound_and_refuses_past_it(wrap):
         pass  # x^(x^(...)): refused by the grammar, not by the nesting limit
     with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING}"):
         parse_map(wrap(MAX_NESTING + 1, "x"))
+
+
+# The grammar oracle. A tree is a leaf (a small integer or a symbol), a unary
+# sign (op, child), a binary node (op, left, right) for + - * /, or
+# ("^", base, signs, k): base to the power signs-then-k, as in x^-2 or x^--3.
+# _show prints a tree with parentheses only where Python's precedence needs
+# them, so a sign may follow any operator; _value evaluates the tree exactly.
+_SUM, _PRODUCT, _SIGNED, _POWER, _ATOM = range(5)
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_POINTS = ({"x": Fraction(7, 3), "t": Fraction(-5, 11)},
+           {"x": Fraction(-13, 4), "t": Fraction(9, 2)},
+           {"x": Fraction(2, 17), "t": Fraction(3)})
+GRAMMAR_ORACLE = settings(derandomize=True, deadline=None, max_examples=1000)
+
+_trees = st.recursive(
+    st.integers(0, 5) | st.sampled_from("xt"),
+    lambda children: (st.tuples(st.sampled_from("+-"), children)
+                      | st.tuples(st.sampled_from("+-*/"), children, children)
+                      | st.tuples(st.just("^"), children, st.sampled_from(["", "-", "+", "--", "+-"]),
+                                  st.integers(0, 3))),
+    max_leaves=8)
+
+
+def _show(tree, need: int) -> str:
+    if not isinstance(tree, tuple):
+        text, level = str(tree), _ATOM
+    elif tree[0] == "^":
+        _, base, signs, k = tree
+        text, level = f"{_show(base, _ATOM)}^{signs}{k}", _POWER
+    elif len(tree) == 2:
+        text, level = tree[0] + _show(tree[1], _SIGNED), _SIGNED
+    elif tree[0] in "+-":
+        text, level = _show(tree[1], _SUM) + tree[0] + _show(tree[2], _PRODUCT), _SUM
+    else:
+        text, level = _show(tree[1], _PRODUCT) + tree[0] + _show(tree[2], _SIGNED), _PRODUCT
+    return text if level >= need else f"({text})"
+
+
+def _value(tree, point) -> Fraction:
+    if isinstance(tree, int):
+        return Fraction(tree)
+    if isinstance(tree, str):
+        return point[tree]
+    if tree[0] == "^":
+        _, base, signs, k = tree
+        return _value(base, point) ** (-k if signs.count("-") % 2 else k)
+    if len(tree) == 2:
+        value = _value(tree[1], point)
+        return -value if tree[0] == "-" else value
+    return _BINARY[tree[0]](_value(tree[1], point), _value(tree[2], point))
+
+
+@GRAMMAR_ORACLE
+@example(("+", "x", ("-", ("^", "x", "", 2))))  # x+-x^2 is x - x^2
+@example(("*", ("+", ("-", ("^", 3, "", 2))), "x"))  # +-3^2*x is -9x
+@given(_trees)
+def test_parse_agrees_with_the_tree_it_prints(tree):
+    text = _show(tree, _SUM)
+    values = []
+    for point in _POINTS:
+        try:
+            values.append((point, _value(tree, point)))
+        except ZeroDivisionError:
+            pass  # a pole of the tree at this point
+    try:
+        e = parse_map(text)
+    except ParseError as err:
+        assume("above" not in str(err))  # a size limit, not the grammar
+        # A divisor that is identically zero divides by zero at every point.
+        assert not values, (text, str(err))
+        return
+    for point, value in values:
+        assert Fraction(e.num.evaluate(point)) / e.den.evaluate(point) == value, text

@@ -199,9 +199,8 @@ def _empty_b_value_runs():
     from dynctl.families import BasepointSpec, avg_experiment, pell_map, three_param_avg
     from dynctl.funcfield import ff_orbit_avg
     from dynctl.orbits import density_of_integral_preimages
-    from dynctl.polynomials import IntPoly
 
-    beta = BasepointSpec(IntPoly.var("t", ("t",)), IntPoly.const(1, ("t",)))
+    beta = BasepointSpec((0, 1), (1, 0))
     return {
         "density": lambda: density_of_integral_preimages(pell_map(2), EMPTY_S, ()),
         "avg": lambda: avg_experiment(pell_map(2), beta, EMPTY_S, ()),

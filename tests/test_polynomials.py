@@ -38,7 +38,6 @@ def test_multivariate():
 
 
 def test_content_and_const():
-    assert tpoly(4, 8, 12).content() == 4
     assert IntPoly.const(7, T).const_value() == 7
     assert IntPoly.const(0, T).is_zero()
 
@@ -75,15 +74,6 @@ def test_evaluation_is_a_ring_map(a, b, t):
     values = {"t": t}
     assert (a * b).evaluate(values) == a.evaluate(values) * b.evaluate(values)
     assert (a + b).evaluate(values) == a.evaluate(values) + b.evaluate(values)
-
-
-def test_restrict_and_extend_vars():
-    p = tpoly(1, 2)
-    q = IntPoly(("t", "u"), {(0, 0): 1, (1, 0): 2})
-    assert q.vars == ("t", "u")
-    assert q.restrict_vars(T) == p
-    with pytest.raises(ValueError):
-        (IntPoly.var("u", ("t", "u"))).restrict_vars(T)
 
 
 def _det_fraction_oracle(rows):
