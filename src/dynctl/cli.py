@@ -14,27 +14,31 @@ import re
 import sys
 from dataclasses import asdict
 
-from . import funcfield as funcfield_mod
-from .canonical import canonical_height, is_preperiodic, transition_constants_check
 from .errors import DynctlError, ParseError, SizeBudgetExceededError
-from .families import (avg_experiment, cube_sum_bound_check, pell_checks,
-                       phi_t_identities, preimage_height_bound_check,
-                       resultant_specialization_grid_check, three_param_avg,
-                       three_param_slice_bounds_check)
-from .funcfield import ff_family_verification, ff_orbit_avg, parse_ffpoly
-from .maps import RationalMapQ, cofactor_certificates_check
-from .orbits import (DEFAULT_HEIGHT_BUDGET_BITS, HEIGHT_BUDGET_BITS_LIMIT, count_s_integral,
-                     density_of_integral_preimages, empirical_max_iterate, scan_orbit)
-from .parsing import parse_map, resolve_map_text
-from .points import (DEFAULT_N_CAP, SIntSpec, check_n_cap, format_point, parse_int,
+from .points import (DEFAULT_FF_HEIGHT_BUDGET, DEFAULT_HEIGHT_BUDGET_BITS, DEFAULT_N_CAP,
+                     HEIGHT_BUDGET_BITS_LIMIT, SIntSpec, check_n_cap, format_point, parse_int,
                      parse_point)
 from .reports import emit_csv, emit_json, error_json, report_rows
 
-# The checks `verify` runs, in this order.
-VERIFICATION_CHECKS = (cofactor_certificates_check, transition_constants_check, phi_t_identities,
-                       cube_sum_bound_check, preimage_height_bound_check, pell_checks,
-                       three_param_slice_bounds_check, resultant_specialization_grid_check,
-                       ff_family_verification)
+# Each cmd_* imports the layers it runs when it runs, so a start pays for one
+# subcommand's modules only: ffavg never loads the Q side, avg3 never loads
+# parsing. Where a command parses a map, it parses before importing orbits or
+# canonical; importing orbits first raised the peak RSS of `nmax --b 1` by 1 MB.
+
+
+def verification_checks() -> tuple:
+    """The checks `verify` runs, in this order."""
+    from .canonical import transition_constants_check
+    from .families import (cube_sum_bound_check, pell_checks, phi_t_identities,
+                           preimage_height_bound_check, resultant_specialization_grid_check,
+                           three_param_slice_bounds_check)
+    from .funcfield import ff_family_verification
+    from .maps import cofactor_certificates_check
+
+    return (cofactor_certificates_check, transition_constants_check, phi_t_identities,
+            cube_sum_bound_check, preimage_height_bound_check, pell_checks,
+            three_param_slice_bounds_check, resultant_specialization_grid_check,
+            ff_family_verification)
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -75,7 +79,10 @@ def _parse_s(text: str) -> SIntSpec:
     return SIntSpec(_parse_ints(text))
 
 
-def _map_from_args(args) -> RationalMapQ:
+def _map_from_args(args):
+    """The RationalMapQ of --map."""
+    from .parsing import parse_map, resolve_map_text
+
     return parse_map(resolve_map_text(args.map)).to_rational_map()
 
 
@@ -86,6 +93,8 @@ def _map_from_args(args) -> RationalMapQ:
 
 def cmd_orbit(args) -> tuple[dict, list | None]:
     m = _map_from_args(args)
+    from .orbits import count_s_integral, scan_orbit
+
     point = parse_point(args.point)
     s = _parse_s(args.s)
     rec = scan_orbit(m, point, s, n_cap=args.ncap, height_budget_bits=args.height_budget_bits)
@@ -101,6 +110,8 @@ def cmd_orbit(args) -> tuple[dict, list | None]:
 
 def cmd_canheight(args) -> tuple[dict, list | None]:
     m = _map_from_args(args)
+    from .canonical import canonical_height
+
     point = parse_point(args.point)
     est = canonical_height(m, point, args.tol)
     return {"map": args.map, "point": format_point(point), "value": est.value,
@@ -109,6 +120,8 @@ def cmd_canheight(args) -> tuple[dict, list | None]:
 
 def cmd_preper(args) -> tuple[dict, list | None]:
     m = _map_from_args(args)
+    from .canonical import is_preperiodic
+
     point = parse_point(args.point)
     return {"map": args.map, "point": format_point(point),
             "preperiodic": is_preperiodic(m, point)}, None
@@ -116,6 +129,8 @@ def cmd_preper(args) -> tuple[dict, list | None]:
 
 def cmd_nmax(args) -> tuple[dict, list | None]:
     m = _map_from_args(args)
+    from .orbits import empirical_max_iterate
+
     s = _parse_s(args.s)
     n_emp, witness = empirical_max_iterate(m, s, args.b, n_cap=args.ncap,
                                            height_budget_bits=args.height_budget_bits,
@@ -126,6 +141,8 @@ def cmd_nmax(args) -> tuple[dict, list | None]:
 
 def cmd_density(args) -> tuple[dict, list | None]:
     m = _map_from_args(args)
+    from .orbits import density_of_integral_preimages
+
     s = _parse_s(args.s)
     report = density_of_integral_preimages(m, s, _parse_ints(args.b),
                                            workers=args.workers)
@@ -134,6 +151,9 @@ def cmd_density(args) -> tuple[dict, list | None]:
 
 
 def cmd_avg(args) -> tuple[dict, list | None]:
+    from .families import avg_experiment
+    from .parsing import parse_map, resolve_map_text
+
     expr = parse_map(resolve_map_text(args.map))
     beta = parse_map(args.beta).to_basepoint()
     target = expr.to_rational_map() if expr.is_constant_map() else expr.to_family()
@@ -145,6 +165,8 @@ def cmd_avg(args) -> tuple[dict, list | None]:
 
 
 def cmd_avg3(args) -> tuple[dict, list | None]:
+    from .families import three_param_avg
+
     report = three_param_avg(args.n1, args.n2, args.n3, _parse_ints(args.b),
                              n_cap=args.ncap, height_budget_bits=args.height_budget_bits,
                              workers=args.workers)
@@ -152,6 +174,8 @@ def cmd_avg3(args) -> tuple[dict, list | None]:
 
 
 def cmd_ffavg(args) -> tuple[dict, list | None]:
+    from .funcfield import ff_orbit_avg, parse_ffpoly
+
     s_polys = []
     if args.s.strip():
         s_polys = [parse_ffpoly(args.p, chunk) for chunk in args.s.split(",")]
@@ -164,7 +188,7 @@ def cmd_ffavg(args) -> tuple[dict, list | None]:
 
 def cmd_verify(args) -> tuple[dict, list | None]:
     results = []
-    for fn in VERIFICATION_CHECKS:
+    for fn in verification_checks():
         kwargs = {"seed": args.seed} if "seed" in inspect.signature(fn).parameters else {}
         results.extend(fn(**kwargs).checks)
     return ({"ok": all(c.ok for c in results), "checks": [asdict(c) for c in results]},
@@ -258,7 +282,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
             help="function-field average over non-constant f",
             description="Function-field average over non-constant f. Orbit heights over "
                         "F_p(t) are degrees, bounded by a fixed budget of "
-                        f"{funcfield_mod.DEFAULT_FF_HEIGHT_BUDGET}, so there is no "
+                        f"{DEFAULT_FF_HEIGHT_BUDGET}, so there is no "
                         "--height-budget-bits. The sweep runs serially.")
     p.add_argument("--p", type=_int_flag, required=True)
     p.add_argument("--d", type=_int_flag, required=True)

@@ -19,10 +19,10 @@ from typing import Callable, Sequence
 from .errors import (DegenerateFamilyError, DegenerateMapError, DegreeDropError,
                      SizeBudgetExceededError)
 from .maps import RationalMapQ, evaluate, make_map, second_iterate_is_polynomial
-from .orbits import DEFAULT_HEIGHT_BUDGET_BITS, count_s_integral, scan_orbit
+from .orbits import count_s_integral, scan_orbit
 from .parallel import map_chunks
-from .points import (DEFAULT_N_CAP, EMPTY_S, ProjPointQ, SIntSpec, by_population,
-                     check_b_values, enumerate_points, is_s_integral, normalize,
+from .points import (DEFAULT_HEIGHT_BUDGET_BITS, DEFAULT_N_CAP, EMPTY_S, ProjPointQ, SIntSpec,
+                     by_population, check_b_values, enumerate_points, is_s_integral, normalize,
                      tally_by_height)
 from .polynomials import (FORM_KERNELS, IntPoly, _power_lines, form_compose, form_shape,
                           gcd_degree, resultant_from_coeffs)

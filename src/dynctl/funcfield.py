@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import random
 import re
 import sys
 from array import array
@@ -18,10 +17,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateFamilyError, SizeBudgetExceededError
-from .points import (DEFAULT_N_CAP, OrbitRecord, Truncation, by_population, check_b_values,
-                     is_prime, tally_by_height, walk_orbit)
-from .parsing import MAX_EXPONENT
-from .polynomials import (FORM_KERNELS, form_compose, form_mul, form_shape,
+from .points import (DEFAULT_FF_HEIGHT_BUDGET, DEFAULT_N_CAP, OrbitRecord, Truncation,
+                     by_population, check_b_values, is_prime, tally_by_height, walk_orbit)
+from .polynomials import (FORM_KERNELS, MAX_EXPONENT, form_compose, form_mul, form_shape,
                           resultant_from_coeffs)
 from .reports import CheckResult, VerificationReport
 
@@ -134,7 +132,9 @@ class FFPoly:
             n >>= 1
         return out
 
-    def __divmod__(self, other: "FFPoly") -> tuple["FFPoly", "FFPoly"]:
+    def _long_division(self, other: "FFPoly", keep_quotient: bool) -> tuple[list[int], "FFPoly"]:
+        """The quotient's coefficients (empty unless keep_quotient) and the
+        remainder of self by other."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -147,18 +147,24 @@ class FFPoly:
         # negated so the update is an addition. Remainder slots are reduced
         # when read; the constructor reduces the final remainder.
         lower = [(j, p - d) for j, d in enumerate(dv[:dd]) if d]
-        quo = [0] * max(len(rem) - dd, 0)
-        for base in range(len(quo) - 1, -1, -1):
+        steps = max(len(rem) - dd, 0)
+        quo = [0] * steps if keep_quotient else []
+        for base in range(steps - 1, -1, -1):
             c = rem[base + dd] % p
             if c:
                 q = c * inv_lead % p
-                quo[base] = q
+                if keep_quotient:
+                    quo[base] = q
                 for j, nd in lower:
                     rem[base + j] += q * nd
-        return FFPoly._reduced(p, quo), FFPoly(p, rem[:dd])
+        return quo, FFPoly(p, rem[:dd])
+
+    def __divmod__(self, other: "FFPoly") -> tuple["FFPoly", "FFPoly"]:
+        quo, rem = self._long_division(other, True)
+        return FFPoly._reduced(self.p, quo), rem
 
     def __mod__(self, other: "FFPoly") -> "FFPoly":
-        return divmod(self, other)[1]
+        return self._long_division(other, False)[1]
 
     def exact_div(self, other: "FFPoly") -> "FFPoly":
         q, r = divmod(self, other)
@@ -509,7 +515,6 @@ def ff_family(d: int, f: FFRat, label: str) -> tuple[FFMap, VerificationReport]:
 # Orbits and the function-field average experiment
 # ---------------------------------------------------------------------------
 
-DEFAULT_FF_HEIGHT_BUDGET = 512  # heights here are degrees; ~5 doubling steps from desk-scale points
 # enumerate_ff_elements(p, B) visits (p^(B+1) - 1)/(p - 1) monic denominators
 # times p^(B+1) numerators and refuses more pairs than this (B > 8 at p = 2).
 # The largest README, acceptance and bench input, p = 2 and B = 4, visits
@@ -656,6 +661,8 @@ def ff_orbit_avg(p: int, d: int, beta_coeffs: Sequence[int], s: Sequence[FFPoly]
 def ff_family_verification(seed: int = 0) -> VerificationReport:
     """Fixed points for random non-constant f over F_2 and F_3, plus ff_family's
     symbolic checks at the transcendental specialization f = t for d = 2, 3."""
+    import random
+
     rng = random.Random(seed)
     checks: list[CheckResult] = []
     for p in (2, 3):

@@ -11,24 +11,11 @@ from dataclasses import dataclass
 from .canonical import _require_degree_two, is_preperiodic
 from .maps import RationalMapQ, evaluate, is_polynomial, second_iterate_is_polynomial
 from .parallel import map_chunks
-from .points import (DEFAULT_N_CAP, OrbitRecord, ProjPointQ, SIntSpec, Truncation,
-                     check_b_values, check_enumeration_bound, check_n_cap, coprime_count,
-                     coprime_row, enumerate_points, is_s_integral, strip_s_part,
+from .points import (DEFAULT_HEIGHT_BUDGET_BITS, DEFAULT_N_CAP, OrbitRecord, ProjPointQ,
+                     SIntSpec, Truncation, check_b_values, check_enumeration_bound, check_n_cap,
+                     coprime_count, coprime_row, enumerate_points, is_s_integral, strip_s_part,
                      tally_by_height, walk_orbit)
 from .polynomials import FORM_KERNELS
-
-
-DEFAULT_HEIGHT_BUDGET_BITS = 10**6
-# The CLI refuses a --height-budget-bits above this before any work. It bounds
-# the scans that keep every coordinate: orbit, verify and count-only scans
-# with S nonempty. Count-only scans with S = {} walk residues past the growth
-# switch and do not pay for the budget. The cost of a step climbs steeply
-# with its coordinates' bits. The worst accepted input, with the longest
-# orbit, is `orbit --map "(x^2+2)/x" --point 3 --s "" --ncap 100`: ~9 s at the
-# default and ~32 s at this limit on a 2-vCPU machine. `nmax --map "pell(2)"
-# --s 2 --b 10` takes ~6 s there. The default is the largest budget of any
-# README, golden, test or bench input: 2x headroom.
-HEIGHT_BUDGET_BITS_LIMIT = 2 * 10**6
 
 
 def _bits(p: ProjPointQ) -> int:

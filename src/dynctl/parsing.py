@@ -13,14 +13,14 @@ from dataclasses import dataclass
 from .errors import DynctlError, NotRationalError, ParseError
 from .families import BasepointSpec, FamilySpec
 from .maps import RationalMapQ, make_map
-from .polynomials import IntPoly
+from .polynomials import MAX_EXPONENT, IntPoly
 
 ALL_VARS = ("x", "t", "r", "s", "f")
 
-# Input size limits, each checked before the work it bounds. Every expression
-# in the tests, README and goldens is far inside them (exponents up to 24).
+# Input size limits, each checked before the work it bounds, with
+# polynomials.MAX_EXPONENT. Every expression in the tests, README and goldens
+# is far inside them (exponents up to 24).
 MAX_LITERAL_DIGITS = 1000
-MAX_EXPONENT = 64
 MAX_DEGREE = 64  # total degree of any polynomial the parser builds
 MAX_COEFF_BITS = 100_000
 MAX_TERM_PAIRS = 100_000  # term products in one polynomial multiplication

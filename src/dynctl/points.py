@@ -25,6 +25,19 @@ ENUMERATION_LIMIT = 4 * 10**7
 N_CAP_LIMIT = 10**5
 # The iteration cap of every orbit scan over Q and over F_p(t) unless --ncap says otherwise.
 DEFAULT_N_CAP = 16
+DEFAULT_HEIGHT_BUDGET_BITS = 10**6
+# The CLI refuses a --height-budget-bits above this before any work. It bounds
+# the scans that keep every coordinate: orbit, verify and count-only scans
+# with S nonempty. Count-only scans with S = {} walk residues past the growth
+# switch and do not pay for the budget. The cost of a step climbs steeply
+# with its coordinates' bits. The worst accepted input, with the longest
+# orbit, is `orbit --map "(x^2+2)/x" --point 3 --s "" --ncap 100`: ~9 s at the
+# default and ~32 s at this limit on a 2-vCPU machine. `nmax --map "pell(2)"
+# --s 2 --b 10` takes ~6 s there. The default is the largest budget of any
+# README, golden, test or bench input: 2x headroom.
+HEIGHT_BUDGET_BITS_LIMIT = 2 * 10**6
+# Heights over F_p(t) are degrees; ~5 doubling steps from desk-scale points.
+DEFAULT_FF_HEIGHT_BUDGET = 512
 # The least strong pseudoprime to the bases 2, 3, ..., 41 that is_prime tries:
 # below it is_prime is exact, at it is_prime is wrong, so SIntSpec refuses a
 # member this large before testing it.

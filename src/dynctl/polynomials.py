@@ -10,6 +10,9 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+# The largest exponent the map grammar and parse_ffpoly accept.
+MAX_EXPONENT = 64
+
 
 class IntPoly:
     """Immutable sparse polynomial over Z in a fixed ordered tuple of variables.

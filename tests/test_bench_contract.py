@@ -6,8 +6,10 @@ up by name. A rename in src/dynctl would make those runs fail, so it fails
 here first. For each workload in bench/workloads.py the setup runs once in
 a fresh interpreter, and the CLI arguments run once under
 bench/traced_cli.py: the CLI exits 0, the report has the pinned sha256, and
-the per-layer call counts keep the prediction table. Nothing in bench/ is
-changed; this file only reads it.
+the per-layer call counts keep the prediction table. The setup also loads
+the same dynctl modules as the untraced CLI run, so that setup_s subtracts
+what the run pays for its imports. Nothing in bench/ is changed; this file
+only reads it.
 """
 
 import importlib.util
@@ -47,6 +49,23 @@ def test_workload_setup_runs(name):
     setup = "import dynctl.cli\n" + workloads.WORKLOADS[name].setup
     run = _run([sys.executable, "-c", setup])
     assert run.returncode == 0, run.stderr
+
+
+def _dynctl_imports(stderr):
+    """The dynctl modules named in -X importtime lines."""
+    names = {line.rpartition("|")[2].strip() for line in stderr.splitlines()
+             if line.startswith("import time:")}
+    return {name for name in names if name.partition(".")[0] == "dynctl"}
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_setup_loads_the_modules_its_run_loads(name):
+    wl = workloads.WORKLOADS[name]
+    setup = _run([sys.executable, "-X", "importtime", "-c", "import dynctl.cli\n" + wl.setup])
+    run = _run([sys.executable, "-X", "importtime", "-m", "dynctl.cli", *wl.argv])
+    assert setup.returncode == 0 and run.returncode == 0
+    # The run executes dynctl.cli as __main__, so importtime does not name it.
+    assert _dynctl_imports(setup.stderr) == _dynctl_imports(run.stderr) | {"dynctl.cli"}
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -543,7 +547,7 @@ def test_verify_csv_schema(monkeypatch, capsys):
         lambda seed=0: VerificationReport((CheckResult("b.bound", False, f"seed {seed}"),
                                            CheckResult("b.empty", True))),
     )
-    monkeypatch.setattr(cli_mod, "VERIFICATION_CHECKS", fake_checks)
+    monkeypatch.setattr(cli_mod, "verification_checks", lambda: fake_checks)
     code, out, _ = run_cli(["verify", "--format", "csv", "--seed", "4"], capsys)
     assert code == 1
     lines = out.splitlines()
@@ -659,3 +663,29 @@ def test_integer_literal_error_names_its_position(capsys):
     code, _, err = run_cli(["density", "--map", "x^2", "--b", "10,2_0"], capsys)
     assert code == 1
     assert json.loads(err)["message"] == "bad integer literal '2_0' (at position 3)"
+
+
+def _dynctl_imports(argv):
+    """The dynctl modules a fresh `python -m dynctl.cli argv` imports, read
+    from its -X importtime lines. The CLI itself runs as __main__."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "dynctl.cli", *argv],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr.splitlines()[-1]
+    names = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()
+             if line.startswith("import time:")}
+    return {name for name in names if name.partition(".")[0] == "dynctl"}
+
+
+def test_each_subcommand_imports_only_the_layers_it_runs():
+    ffavg = _dynctl_imports(["ffavg", "--p", "2", "--d", "2", "--beta-coeffs",
+                             "0,0,0,0,1", "--s", "", "--b", "1"])
+    assert ffavg == {"dynctl", "dynctl.errors", "dynctl.points", "dynctl.polynomials",
+                     "dynctl.reports", "dynctl.funcfield"}
+    avg3 = _dynctl_imports(["avg3", "--b", "2"])
+    assert "dynctl.families" in avg3
+    assert not avg3 & {"dynctl.funcfield", "dynctl.parsing"}
+    for argv in (["nmax", "--map", "pell(2)", "--s", "", "--b", "1"],
+                 ["density", "--map", "(x-1)/(x^3+1)", "--s", "", "--b", "2"]):
+        loaded = _dynctl_imports(argv)
+        assert "dynctl.orbits" in loaded and "dynctl.funcfield" not in loaded, argv[0]

@@ -153,6 +153,7 @@ def test_ffpoly_kernels_match_sympy(p, data):
     if not b.is_zero():
         sq, sr = sa.div(sb)
         assert divmod(a, b) == (_from_sympy(p, sq), _from_sympy(p, sr))
+        assert a % b == _from_sympy(p, sr)
     if not (a.is_zero() and b.is_zero()):
         assert a.gcd(b) == _from_sympy(p, sa.gcd(sb))
 
