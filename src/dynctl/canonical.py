@@ -32,8 +32,8 @@ def transition_constants(m: RationalMapQ) -> tuple[int, int]:
     coefficient, |R| * H(P)^D <= 2d * M * H(P)^(D-d) * max(|F|,|G|)(a,b),
     and the gcd divided out in evaluation divides R, so L = 2d * M.
 
-    H(phi), the certificate and M are cached on the map, so sweeps over
-    basepoints compute them once per map.
+    The certificate, and so M, is cached on the map: canheight and verify
+    solve it once per map. is_preperiodic does not need it.
     """
     d = m.degree
     return (d + 1) * m.height, 2 * d * m.certificate.max_coefficient
@@ -85,10 +85,11 @@ def canonical_height(m: RationalMapQ, p: ProjPointQ, tol: float) -> CanonicalHei
     The one-step drift |h(phi(P)) - d*h(P)| is at most c = max(ln U, ln L)
     for the transition constants U and L, so after n steps the tail is
     bounded by c / (d^n (d-1)); iteration stops at the first n where that
-    bound is <= tol. A walk point with a coordinate over HEIGHT_ITER_BITS
-    bits raises SizeBudgetExceededError, and so does a walk that
-    H(P)^d <= L * H(phi(P)) shows will reach one, before the step that
-    would pay for it.
+    bound is <= tol. A tol that no such n reaches before d^n (d-1) passes
+    the largest float is refused (ValueError), before any step. A walk
+    point with a coordinate over HEIGHT_ITER_BITS bits raises
+    SizeBudgetExceededError, and so does a walk that H(P)^d <= L * H(phi(P))
+    shows will reach one, before the step that would pay for it.
     """
     _require_degree_two(m)
     if not tol > 0:  # also rejects NaN
@@ -98,8 +99,11 @@ def canonical_height(m: RationalMapQ, p: ProjPointQ, tol: float) -> CanonicalHei
             math.log(2 * d) + log_of_int(m.certificate.max_coefficient))
     n = 0
     scale = d - 1
-    while c / (d**n * scale) > tol:
-        n += 1
+    try:
+        while c / (d**n * scale) > tol:
+            n += 1
+    except OverflowError:
+        raise ValueError("tol is too small: d^n*(d-1) would pass the largest float") from None
     loss = transition_constants(m)[1].bit_length()
     cur = p
     for left in range(n, 0, -1):
@@ -117,17 +121,20 @@ def is_preperiodic(m: RationalMapQ, p: ProjPointQ) -> bool:
 
     Every point Q of a preperiodic orbit satisfies H(Q)^(d-1) <= L: the
     orbit is finite, and its highest point Q* has H(Q*)^d <= L * H(phi(Q*))
-    <= L * H(Q*). The orbit either repeats a point (preperiodic) or reaches
-    a point above that ceiling (wandering); either way the walk terminates
-    because only finitely many rationals sit below any height bound.
+    <= L * H(Q*). The ceiling is the orbit scan's switch (maps.make_map):
+    a Q of more than switch_bits = ceil(lam / (d-1)) + 1 bits has
+    H(Q)^(d-1) >= 2^lam > L' >= L, for L' = maps.hadamard_loss, so no
+    cofactor solve is needed. The orbit either repeats a point
+    (preperiodic) or reaches a point above that ceiling (wandering); either
+    way the walk terminates because only finitely many rationals sit below
+    any height bound.
     """
     _require_degree_two(m)
-    _, low = transition_constants(m)
-    exponent = m.degree - 1
+    switch_bits = m.scan[2]
     seen = {p}
     cur = p
     while True:
-        if max(abs(cur.a), abs(cur.b)) ** exponent > low:
+        if max(abs(cur.a), abs(cur.b)).bit_length() > switch_bits:
             return False
         cur = evaluate(m, cur)
         if cur in seen:

@@ -303,32 +303,6 @@ class FFRat:
         """max(deg u, deg v) with nonzero constants contributing degree 0."""
         return max(self.num.degree(), self.den.degree(), 0)
 
-    def __add__(self, other: "FFRat | int") -> "FFRat":
-        if isinstance(other, int):
-            # num + c*den stays coprime to den, and den stays monic.
-            return FFRat(self.num + self.den * other, self.den)
-        return FFRat.make(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "FFRat") -> "FFRat":
-        return FFRat.make(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other) -> "FFRat":
-        if isinstance(other, int):
-            return FFRat.make(self.num * other, self.den)
-        return FFRat.make(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "FFRat") -> "FFRat":
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero in F_p(t)")
-        return FFRat.make(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, n: int) -> "FFRat":
-        if n < 0:
-            return FFRat.make(self.den, self.num) ** (-n)
-        return FFRat.make(self.num**n, self.den**n)
-
     def __str__(self) -> str:
         if self.den.is_one():
             return format_ffpoly(self.num)

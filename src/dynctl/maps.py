@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -53,14 +54,16 @@ class RationalMapQ:
     The stored pair is content-reduced and sign-canonicalized (the first
     nonzero coefficient, scanning numerator then denominator from the leading
     coefficient down, is positive). Constructed only by make_map, which
-    computes Res(F, G). The cofactor certificate, the evaluation shape of the
-    pair and the orbit scan's constants are cached on the map on first use,
-    and travel with it when pickled.
+    computes Res(F, G) and the orbit scan's constants. The cofactor
+    certificate and the evaluation shape of the pair are cached on the map
+    on first use; all of these travel with the map when pickled.
     """
 
     numerator: BinaryForm
     denominator: BinaryForm
     resultant: int = field(repr=False, compare=False)
+    # The orbit scan's constants (step_bits, tail_bits, switch_bits, lam); see make_map.
+    scan: tuple[int, int | None, int | None, int] = field(repr=False, compare=False)
 
     @property
     def degree(self) -> int:
@@ -76,40 +79,27 @@ class RationalMapQ:
         """polynomials.form_shape of (F, G)."""
         return form_shape(self.numerator.coeffs, self.denominator.coeffs)
 
-    @functools.cached_property
+    @property
     def height(self) -> int:
         """Projective height H(phi) of the (2d+2)-tuple of coefficients: the largest |c|."""
-        return max(map(abs, self.numerator.coeffs + self.denominator.coeffs))
-
-    @functools.cached_property
-    def step_bits(self) -> int:
-        """bits(H(phi)) + bits(d+1) + 1: each coordinate of phi(P) has fewer than
-        d * bits(P) + step_bits bits, as |F(a, b)|, |G(a, b)| <= (d+1) H(phi) H(P)^d."""
-        return self.height.bit_length() + (self.degree + 1).bit_length() + 1
-
-    @functools.cached_property
-    def scan_bits(self) -> tuple[int | None, int | None, int]:
-        """(tail_bits, switch_bits, lam) of a count-only scan with S = {}, from
-        one hadamard_loss(m): lam is its bits; past switch_bits =
-        ceil(lam / (d-1)) + 1 bits heights rise strictly, so the scan walks
-        residues (orbits._residue_walk), and d = 1 has no switch (None);
-        tail_bits is bits(tail_threshold(m)), so a point with more bits is
-        above the threshold, or None when the map has none."""
-        loss = hadamard_loss(self)
-        d, lam, tail = self.degree, loss.bit_length(), tail_threshold(self, loss)
-        return (None if tail is None else tail.bit_length(),
-                None if d == 1 else -(-lam // (d - 1)) + 1, lam)
+        return _height(self.numerator.coeffs, self.denominator.coeffs)
 
 
-def _canonical_pair(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Divide out the pair content and fix the sign convention."""
+def _height(f: tuple[int, ...], g: tuple[int, ...]) -> int:
+    return max(map(abs, f + g))
+
+
+def _canonical_pair(num: Sequence[int],
+                    den: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Divide out the pair content and fix the sign convention; also return
+    the content divided out, of the sign that fixed it."""
     content = math.gcd(*num, *den)
     lead = next(filter(None, reversed(num)), 0) or next(filter(None, reversed(den)), 0)
     if lead < 0:
         content = -content
     if content in (0, 1):
-        return tuple(num), tuple(den)
-    return tuple([c // content for c in num]), tuple([c // content for c in den])
+        return tuple(num), tuple(den), content
+    return tuple([c // content for c in num]), tuple([c // content for c in den]), content
 
 
 def make_map(num_coeffs: Sequence[int], den_coeffs: Sequence[int],
@@ -120,6 +110,18 @@ def make_map(num_coeffs: Sequence[int], den_coeffs: Sequence[int],
     replaces the Sylvester determinant. Dividing out the content c divides it
     by c^(2d) exactly, since Res(cF, cG) = c^(2d) Res(F, G), and the sign fix
     leaves it unchanged.
+
+    The map's `scan` is the orbit scan's constants (step_bits, tail_bits,
+    switch_bits, lam), from the canonical pair and Res:
+    - step_bits = bits(H(phi)) + bits(d+1) + 1: each coordinate of phi(P)
+      has fewer than d * bits(P) + step_bits bits, as |F(a, b)|, |G(a, b)|
+      <= (d+1) H(phi) H(P)^d;
+    - lam = bits(L') for L' = hadamard_loss(F, G) >= L, so that
+      H(P)^d <= L' * H(phi(P)) with L' < 2^lam;
+    - switch_bits = ceil(lam / (d-1)) + 1: past it heights rise strictly,
+      as H(P)^(d-1) > L'; None for d = 1;
+    - tail_bits = bits(tail_threshold(G, Res, L')), so a point with more
+      bits is above the threshold; None when the map has none.
     """
     num = list(map(int, num_coeffs))
     den = list(map(int, den_coeffs))
@@ -132,14 +134,20 @@ def make_map(num_coeffs: Sequence[int], den_coeffs: Sequence[int],
         raise DegenerateMapError("a defining form is identically zero")
     if num[d] == 0 and den[d] == 0:
         raise DegreeDropError("both forms are divisible by Y; true degree < declared degree")
-    num_t, den_t = _canonical_pair(num, den)
+    f, g, content = _canonical_pair(num, den)
     if resultant is None:
-        res = resultant_from_coeffs(num_t, den_t, d)
+        res = resultant_from_coeffs(f, g, d)
     else:
-        res = resultant // math.gcd(*num, *den) ** (2 * d)
+        res = resultant // content ** (2 * d)
     if res == 0:
         raise DegenerateMapError("the defining forms share a projective root (Res = 0)")
-    return RationalMapQ(BinaryForm(num_t), BinaryForm(den_t), res)
+    loss = hadamard_loss(f, g)
+    lam = loss.bit_length()
+    tail = tail_threshold(g, res, loss)
+    scan = (_height(f, g).bit_length() + (d + 1).bit_length() + 1,
+            None if tail is None else tail.bit_length(),
+            None if d == 1 else -(-lam // (d - 1)) + 1, lam)
+    return RationalMapQ(BinaryForm(f), BinaryForm(g), res, scan)
 
 
 @dataclass(frozen=True)
@@ -246,16 +254,16 @@ def second_iterate_is_polynomial(m: RationalMapQ) -> bool:
             and not any(b * x - a * y for x, y in zip(f[1:], g[1:])))
 
 
-def denominator_bound(m: RationalMapQ) -> tuple[int, int] | None:
+def denominator_bound(g: Sequence[int]) -> tuple[int, int] | None:
     """(|c|, k) with k * |G(a, b)| >= |c| * H(a, b)^2 at every coprime (a, b)
-    where G(a, b) != 0, for G = c * g with g in TAIL_FORMS; None for any other G.
+    where G(a, b) != 0, for the denominator form G = c * g, by ascending
+    coefficients, with g in TAIL_FORMS; None for any other G.
 
     c is G's content, of the sign of G's first nonzero coefficient, so
     g = G / c is primitive with a positive first nonzero coefficient, as the
     keys of TAIL_FORMS are. Both are integers, so callers compare without
     building the fraction |c| / k.
     """
-    g = m.denominator.coeffs
     c = math.gcd(*g)
     if next(filter(None, g)) < 0:
         c = -c
@@ -263,8 +271,9 @@ def denominator_bound(m: RationalMapQ) -> tuple[int, int] | None:
     return None if k is None else (abs(c), k)
 
 
-def hadamard_loss(m: RationalMapQ) -> int:
-    """L' >= L, the constant of H(P)^d <= L * H(phi(P)), without a cofactor solve.
+def hadamard_loss(f: Sequence[int], g: Sequence[int]) -> int:
+    """L' >= L, the constant of H(P)^d <= L * H(phi(P)) for phi = [F : G]
+    given by ascending coefficients, without a cofactor solve.
 
     L = 2d * M for M the largest cofactor coefficient (canonical.transition_constants),
     and each cofactor coefficient is a (2d-1)-minor of the Sylvester matrix,
@@ -272,44 +281,45 @@ def hadamard_loss(m: RationalMapQ) -> int:
     it by the product of the kept column norms, so with NF = |F|^2 and
     NG = |G|^2, M^2 <= NF^d * NG^d / min(NF, NG) and L' = 2d * (isqrt(...) + 1).
     """
-    d = m.degree
-    nf = sum(c * c for c in m.numerator.coeffs)
-    ng = sum(c * c for c in m.denominator.coeffs)
+    d = len(f) - 1
+    nf = sum(map(operator.mul, f, f))
+    ng = sum(map(operator.mul, g, g))
     return 2 * d * (math.isqrt(nf**d * ng**d // min(nf, ng)) + 1)
 
 
-def trap_height(m: RationalMapQ) -> int | None:
-    """The largest H with c * H^2 <= k * |Res|, for (c, k) = denominator_bound(m);
-    None when there is no such bound.
+def trap_height(g: Sequence[int], res: int) -> int | None:
+    """The largest H with c * H^2 <= k * |Res|, for the denominator form G,
+    the resultant Res and (c, k) = denominator_bound(G); None when there is
+    no such bound.
 
     The divisor trap with S = {}: if phi([a : b]) is integral, or if G(a, b)
     divides Res, then 0 < |G(a, b)| <= |Res|, so c * H(a, b)^2 <= k * |Res|
-    and H(a, b) <= trap_height(m).
+    and H(a, b) <= trap_height(G, Res).
     """
-    bound = denominator_bound(m)
+    bound = denominator_bound(g)
     if bound is None:
         return None
     c, k = bound
-    return math.isqrt(abs(m.resultant) * k // c)
+    return math.isqrt(abs(res) * k // c)
 
 
-def tail_threshold(m: RationalMapQ, loss: int) -> int | None:
-    """The least T with c * T^2 > k * |Res| and T^(d-1) > loss, for
-    loss = hadamard_loss(m) and (c, k) = denominator_bound(m); None when
-    there is no such bound.
+def tail_threshold(g: Sequence[int], res: int, loss: int) -> int | None:
+    """The least T with c * T^2 > k * |Res| and T^(d-1) > loss, for the
+    denominator form G of degree d, the resultant Res, loss = hadamard_loss(F, G)
+    and (c, k) = denominator_bound(G); None when there is no such bound.
 
     From an orbit point P with H(P) > T no later point is integral (S = {})
-    and no cycle closes. P lies above trap_height(m), so phi(P) is not
+    and no cycle closes. P lies above trap_height(G, Res), so phi(P) is not
     integral. And H(P)^d <= L * H(phi(P)) with H(P)^(d-1) > L' >= L
     gives H(phi(P)) > H(P), so heights rise strictly from P on: no later
     point repeats one, since a repeat would put P on a cycle. The keys of
     TAIL_FORMS have degree 2 or 3, so the least T with T^(d-1) > L' is
     L' + 1 or isqrt(L') + 1.
     """
-    trap = trap_height(m)
+    trap = trap_height(g, res)
     if trap is None:
         return None
-    growth = (loss if m.degree == 2 else math.isqrt(loss)) + 1
+    growth = (loss if len(g) == 3 else math.isqrt(loss)) + 1
     return max(trap + 1, growth)
 
 

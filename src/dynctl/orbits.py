@@ -29,15 +29,16 @@ def scan_orbit(m: RationalMapQ, b: ProjPointQ, s: SIntSpec,
     """points.walk_orbit of b under m, cut before a point whose coordinates outgrow the budget.
 
     The walk stops before evaluating a point P of bits(P) bits when
-    d * bits(P) + m.step_bits > budget, so the scan never pays for a point
-    it would discard. The post check never fires: each coordinate of the
-    image has at most d * bits(P) + m.step_bits - 1 bits.
+    d * bits(P) + step_bits > budget, for step_bits of the map's scan
+    constants (maps.make_map), so the scan never pays for a point it would
+    discard. The post check never fires: each coordinate of the image has
+    at most d * bits(P) + step_bits - 1 bits.
 
     A count_only scan with S = {} also stops, as CERTIFIED_TAIL, before
     stepping from a point above maps.tail_threshold, where one exists: the
     record then has the whole orbit's integral points and largest integral
-    index, and still counts as truncated. From a point P over the switch of
-    m.scan_bits it walks the rest of the orbit on residues, not coordinates
+    index, and still counts as truncated. From a point P over the map's
+    switch_bits it walks the rest of the orbit on residues, not coordinates
     (_residue_walk), so its cost no longer depends on the budget: the record
     then ends at P, with the integral indices, cycle entry and truncation of
     the whole walk. Where the residues cannot decide, the step from P is
@@ -46,7 +47,7 @@ def scan_orbit(m: RationalMapQ, b: ProjPointQ, s: SIntSpec,
     """
     pre_limit, tail_limit = _scan_limits(m, s, height_budget_bits, count_only)
     hand_off = None
-    if count_only and not s.primes and m.degree > 1:
+    if count_only and not s.primes and len(m.numerator.coeffs) > 2:
         hand_off = functools.partial(_residue_walk, m, pre_limit, tail_limit)
     return walk_orbit(functools.partial(evaluate, m), _bits, b, n_cap,
                       pre_limit, height_budget_bits, lambda p: is_s_integral(p, s),
@@ -59,9 +60,10 @@ def _residue_walk(m: RationalMapQ, pre_limit: int, tail_limit: int, p: ProjPoint
     h bits with at most steps steps left, walked on the residues of the
     coordinates, no point after p being integral; None where p is not over
     the switch or the residues cannot decide, and the scan steps from p
-    exactly. m.scan_bits holds the switch and lam.
+    exactly. The map's scan constants (maps.make_map) hold the switch,
+    lam and step_bits.
 
-    Bits: with lam = bits(hadamard_loss(m)), H(P)^d <= L' * H(phi(P)) and
+    Bits: with lam = bits(hadamard_loss(F, G)), H(P)^d <= L' * H(phi(P)) and
     L' < 2^lam, so lo <= bits(P) <= hi gives lo' <= bits(phi(P)) <= hi' for
     lo' = d (lo - 1) + 1 - lam and hi' = d hi + step_bits - 1. Past the
     switch, H(P)^(d-1) > L', so heights rise strictly from p on and no
@@ -84,17 +86,16 @@ def _residue_walk(m: RationalMapQ, pre_limit: int, tail_limit: int, p: ProjPoint
     pre_limit: the scan then ends at the height budget whether the point
     steps or not, with no further integral point.
     """
-    _, switch_bits, lam = m.scan_bits
+    step_bits, _, switch_bits, lam = m.scan
     if h <= switch_bits:
         return None
-    d, res = m.degree, abs(m.resultant)
+    d, res = len(m.numerator.coeffs) - 1, abs(m.resultant)
     limit = min(pre_limit, tail_limit)
     k, lo = 0, h
     while k < steps and lo <= limit:
         k, lo = k + 1, d * (lo - 1) + 1 - lam
     modulus = ((res << 64) + 1) * res**k
     kernel, f, g = FORM_KERNELS[m.shape], m.numerator.coeffs, m.denominator.coeffs
-    step_bits = m.step_bits
     a, b = p.a % modulus, p.b % modulus
     lo = hi = h
     while steps:
@@ -125,9 +126,11 @@ def _scan_limits(m: RationalMapQ, s: SIntSpec, height_budget_bits: int,
                  count_only: bool) -> tuple[int, int]:
     """scan_orbit's (pre_limit, tail_limit) for walk_orbit: a point steps only
     if its bits are at most both."""
-    pre_limit = (height_budget_bits - m.step_bits) // m.degree
-    tail_limit = m.scan_bits[0] if count_only and not s.primes else None
-    return pre_limit, pre_limit if tail_limit is None else tail_limit
+    step_bits, tail_bits, _, _ = m.scan
+    pre_limit = (height_budget_bits - step_bits) // (len(m.numerator.coeffs) - 1)
+    if tail_bits is None or not count_only or s.primes:
+        return pre_limit, pre_limit
+    return pre_limit, tail_bits
 
 
 def count_s_integral(record: OrbitRecord) -> tuple[int, bool]:

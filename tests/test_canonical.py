@@ -3,15 +3,16 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dynctl import canonical
 from dynctl.canonical import (canonical_height, is_preperiodic, transition_constants,
                               transition_constants_check)
-from dynctl.errors import SizeBudgetExceededError
+from dynctl.errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
 from dynctl.families import pell_map
 from dynctl.maps import evaluate, make_map, random_map
 from dynctl.points import INFINITY, ProjPointQ, enumerate_points, log_of_int, normalize
+from dynctl.polynomials import form_mul
 
 X_SQUARED = make_map([0, 0, 1], [1, 0, 0])
 X_SQ_MINUS_1 = make_map([-1, 0, 1], [1, 0, 0])
@@ -157,6 +158,104 @@ def test_preperiodic_points_sit_below_the_ceiling(m):
     for p in enumerate_points(10):
         if _orbit_table_oracle(m, p):
             assert _height(p) ** (m.degree - 1) <= low, p
+
+
+def _ceiling_oracle(m, p):
+    """The preperiodicity decision under the certificate's ceiling: cycle
+    detection until H^(d-1) > L, with L from the cofactor solve."""
+    _, low = transition_constants(m)
+    seen = {p}
+    cur = p
+    while _height(cur) ** (m.degree - 1) <= low:
+        cur = evaluate(m, cur)
+        if cur in seen:
+            return True
+        seen.add(cur)
+    return False
+
+
+def _map_through(draw, pairs, degree):
+    """A map of the given degree with phi(P) = Q for each (P, Q) of pairs, by
+    interpolation through the lines L_j = b_j X - a_j Y of the P_j = [a_j : b_j]:
+    F = sum_i Q_i.a A_i prod_(j != i) L_j + H prod_j L_j, and G likewise with
+    Q_i.b and another H, for random forms A_i and H. Then F(P_i) and G(P_i)
+    are Q_i.a and Q_i.b times one integer, which is not 0 unless Res(F, G) = 0."""
+    k = len(pairs)
+    coeff = st.integers(-3, 3)
+    lines = [(-p.a, p.b) for p, _ in pairs]
+
+    def form(deg):
+        return tuple(draw(st.lists(coeff, min_size=deg + 1, max_size=deg + 1)))
+
+    def product(forms):
+        out = (1,)
+        for f in forms:
+            out = form_mul(out, f)
+        return out
+
+    spans = [form_mul(form(degree - k + 1), product(lines[:i] + lines[i + 1:]))
+             for i in range(k)]
+    whole = product(lines)
+    num, den = [], []
+    for target, pick in ((num, lambda q: q.a), (den, lambda q: q.b)):
+        terms = [tuple(pick(q) * c for c in span) for (_, q), span in zip(pairs, spans)]
+        if degree >= k:
+            terms.append(form_mul(form(degree - k), whole))
+        target.extend(map(sum, zip(*terms)))
+    try:
+        return make_map(num, den)
+    except (DegenerateMapError, DegreeDropError):
+        assume(False)
+
+
+@st.composite
+def _maps_with_a_preperiodic_point(draw):
+    """A map of degree 2-4 and a point known to be preperiodic under it: a
+    fixed point, a point of a 2-cycle, or a preimage of either."""
+    coord = st.integers(-6, 6)
+    points = st.tuples(coord, coord).filter(any).map(lambda ab: normalize(*ab))
+    p, q, r = draw(st.lists(points, min_size=3, max_size=3, unique=True))
+    kind = draw(st.sampled_from(("fixed", "two_cycle", "fixed_preimage", "cycle_preimage")))
+    pairs = {"fixed": [(p, p)], "two_cycle": [(p, q), (q, p)],
+             "fixed_preimage": [(p, p), (r, p)],
+             "cycle_preimage": [(p, q), (q, p), (r, q)]}[kind]
+    m = _map_through(draw, pairs, draw(st.integers(2, 4)))
+    return m, r if kind.endswith("preimage") else p, True
+
+
+@st.composite
+def _random_maps_and_points(draw):
+    """A random map of degree 2-4 and a point of height at most 9, half the
+    time one that the oracle finds preperiodic where there is one.
+    Coefficients in [-1, 1] keep L small, so that such points come near the
+    ceiling."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m = random_map(rng, draw(st.integers(2, 4)), draw(st.sampled_from((1, 9))))
+    points = enumerate_points(9)
+    preperiodic = [p for p in points if _ceiling_oracle(m, p)]
+    if preperiodic and draw(st.booleans()):
+        return m, draw(st.sampled_from(preperiodic)), True
+    return m, draw(st.sampled_from(points)), False
+
+
+X_SQ_MINUS_2 = make_map([-2, 0, 1], [1, 0, 0])
+
+
+# The oracle runs under one fixed profile: the same draws on every run.
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(_maps_with_a_preperiodic_point(), _random_maps_and_points()))
+@example((pell_map(2), INFINITY, True))  # oo -> 1 -> 1
+@example((pell_map(2), normalize(3, 2), False))
+@example((pell_map(3), ProjPointQ(0, 1), True))
+@example((pell_map(3), ProjPointQ(1, 1), False))
+@example((X_SQ_MINUS_2, ProjPointQ(0, 1), True))  # 0 -> -2 -> 2 -> 2
+@example((X_SQ_MINUS_2, ProjPointQ(1, 1), True))  # 1 -> -1 -> -1
+@example((X_SQ_MINUS_2, ProjPointQ(3, 1), False))
+def test_is_preperiodic_agrees_with_the_certificate_ceiling(case):
+    m, p, known = case
+    assert is_preperiodic(m, p) == _ceiling_oracle(m, p)
+    if known:
+        assert is_preperiodic(m, p)
 
 
 def test_preperiodic_iff_hhat_near_zero():

@@ -536,6 +536,40 @@ def test_canheight_nan_tol_is_one_json_error(capsys):
     assert json.loads(err) == {"error": "ValueError", "message": "tol must be positive"}
 
 
+@pytest.mark.parametrize("case", ["nmax_json", "preper_json", "avg3_json"])
+def test_nmax_preper_and_avg3_solve_no_cofactors(case, monkeypatch, capsys):
+    # Preperiodicity reads the scan's switch, so these commands keep their
+    # golden bytes with the cofactor solve refused.
+    import hashlib
+
+    import dynctl.maps as maps_mod
+    from test_golden import GOLDEN
+
+    def refuse(m):
+        raise AssertionError("a cofactor certificate was solved")
+
+    monkeypatch.setattr(maps_mod, "cofactors", refuse)
+    argv, digest = GOLDEN[case]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("tol", ["1e-320", "5e-324"])
+def test_canheight_tol_past_the_float_range_is_one_json_error(tol, capsys):
+    # Reaching such a tol needs d^n*(d-1) above the largest float; it is refused
+    # before any step, as --tol 0 is.
+    code, out, err = run_cli(["canheight", "--map", "x^2-2", "--point", "2", "--tol", tol],
+                             capsys)
+    assert code == 1
+    assert out == ""
+    message = "tol is too small: d^n*(d-1) would pass the largest float"
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+    code, out, _ = run_cli(["canheight", "--map", "x^2-2", "--point", "2", "--tol", "1e-306"],
+                           capsys)
+    assert code == 0 and json.loads(out)["iterations"] == 1018
+
+
 def test_verify_csv_schema(monkeypatch, capsys):
     import csv
 

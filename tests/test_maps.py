@@ -411,7 +411,7 @@ def _coprime_box(bound):
 def test_denominator_bound_holds_on_a_box(m):
     # k * |G(a, b)| >= c * H^e wherever G(a, b) != 0, by brute force over |a|, |b| <= 25;
     # make_map's content division and sign fix leave G = c * g with c of either sign.
-    c, k = denominator_bound(m)
+    c, k = denominator_bound(m.denominator.coeffs)
     assert c >= 1 and k >= 1
     for a, b in _coprime_box(25):
         g = m.denominator(a, b)
@@ -419,10 +419,13 @@ def test_denominator_bound_holds_on_a_box(m):
 
 
 def test_denominator_bound_is_none_without_an_elementary_bound():
-    assert denominator_bound(PELL_2) is None  # (X^2 - 2Y^2)^2 has irrational roots
-    assert denominator_bound(X_SQUARED) is None  # Y^2
-    assert denominator_bound(make_map([0, 0, 1], [2, 0, 3])) is None  # 2Y^2 + 3X^2
-    assert tail_threshold(PELL_2, hadamard_loss(PELL_2)) is None and PELL_2.scan_bits[0] is None
+    # (X^2 - 2Y^2)^2 has irrational roots
+    assert denominator_bound(PELL_2.denominator.coeffs) is None
+    assert denominator_bound(X_SQUARED.denominator.coeffs) is None  # Y^2
+    assert denominator_bound(make_map([0, 0, 1], [2, 0, 3]).denominator.coeffs) is None  # 2Y^2+3X^2
+    assert tail_threshold(PELL_2.denominator.coeffs, PELL_2.resultant,
+                          hadamard_loss(*_forms(PELL_2))) is None
+    assert PELL_2.scan[1] is None
 
 
 def _scanned_bound(m):
@@ -455,13 +458,13 @@ def _table_or_random_denominators(draw, bound=40):
 @given(_table_or_random_denominators())
 @settings(max_examples=200, deadline=None)
 def test_denominator_bound_matches_a_table_scan(m):
-    assert denominator_bound(m) == _scanned_bound(m)
+    assert denominator_bound(m.denominator.coeffs) == _scanned_bound(m)
 
 
 @given(_maps(max_degree=4, bound=9))
 @settings(max_examples=80, deadline=None)
 def test_hadamard_loss_bounds_the_cofactor_constant(m):
-    assert hadamard_loss(m) >= canonical.transition_constants(m)[1]
+    assert hadamard_loss(*_forms(m)) >= canonical.transition_constants(m)[1]
 
 
 @given(_maps(max_degree=4, bound=9), st.integers(-10**30, 10**30), st.integers(1, 10**30))
@@ -469,12 +472,13 @@ def test_hadamard_loss_bounds_the_cofactor_constant(m):
 def test_heights_rise_past_the_switch(m, a, b):
     # A point with more than switch_bits bits has H^(d-1) > hadamard_loss,
     # so its image is higher still; degree 1 has no switch.
-    d, (_, switch_bits, lam) = m.degree, m.scan_bits
-    assert lam == hadamard_loss(m).bit_length()
+    d, (_, _, switch_bits, lam) = m.degree, m.scan
+    loss = hadamard_loss(*_forms(m))
+    assert lam == loss.bit_length()
     if d == 1:
         assert switch_bits is None
         return
-    assert (1 << switch_bits) ** (d - 1) > hadamard_loss(m)
+    assert (1 << switch_bits) ** (d - 1) > loss
     p = normalize(a, b)
     if max(abs(p.a), abs(p.b)).bit_length() > switch_bits:
         q = evaluate(m, p)
@@ -499,21 +503,24 @@ def _least(ok):
 @given(tail_maps(bound=40))
 @settings(max_examples=100, deadline=None)
 def test_tail_threshold_is_the_least_certified_height(m):
-    c, k = denominator_bound(m)
-    res, loss, d = abs(m.resultant), hadamard_loss(m), m.degree
+    g = m.denominator.coeffs
+    c, k = denominator_bound(g)
+    res, loss, d = abs(m.resultant), hadamard_loss(*_forms(m)), m.degree
     want = _least(lambda t: c * t**2 > k * res and t ** (d - 1) > loss)
-    assert tail_threshold(m, loss) == want
-    tail_bits = m.scan_bits[0]
+    assert tail_threshold(g, m.resultant, loss) == want
+    tail_bits = m.scan[1]
     assert 1 << (tail_bits - 1) <= want < 1 << tail_bits
 
 
 @given(tail_maps(bound=40))
 @settings(max_examples=100, deadline=None)
 def test_trap_height_is_the_largest_trapped_height(m):
-    c, k = denominator_bound(m)
+    g = m.denominator.coeffs
+    c, k = denominator_bound(g)
     res = abs(m.resultant)
-    assert trap_height(m) == _least(lambda t: c * (t + 1) ** 2 > k * res)
-    assert tail_threshold(m, hadamard_loss(m)) >= trap_height(m) + 1
+    trap = trap_height(g, m.resultant)
+    assert trap == _least(lambda t: c * (t + 1) ** 2 > k * res)
+    assert tail_threshold(g, m.resultant, hadamard_loss(*_forms(m))) >= trap + 1
 
 
 @given(tail_maps())
@@ -521,11 +528,50 @@ def test_trap_height_is_the_largest_trapped_height(m):
 def test_trap_box_holds_every_divisor_of_the_resultant(m):
     # Every coprime (a, b) with |a|, |b| <= 25 and 0 < |G(a, b)| <= |Res| has
     # H <= trap_height: the hits and trap hits of density, with S = {}.
-    res, trap = abs(m.resultant), trap_height(m)
+    res, trap = abs(m.resultant), trap_height(m.denominator.coeffs, m.resultant)
     for a, b in _coprime_box(25):
         assert not 0 < abs(m.denominator(a, b)) <= res or max(abs(a), abs(b)) <= trap
 
 
 def test_trap_height_is_none_without_a_denominator_bound():
-    assert trap_height(PELL_2) is None and trap_height(X_SQUARED) is None
-    assert trap_height(PHI_1) == 2  # |Res| = 2, (c, k) = (1, 4): H^2 <= 8
+    assert trap_height(PELL_2.denominator.coeffs, PELL_2.resultant) is None
+    assert trap_height(X_SQUARED.denominator.coeffs, X_SQUARED.resultant) is None
+    # |Res| = 2, (c, k) = (1, 4): H^2 <= 8
+    assert trap_height(PHI_1.denominator.coeffs, PHI_1.resultant) == 2
+
+
+@given(st.one_of(_maps(max_degree=4, bound=9), tail_maps(bound=40)))
+@settings(max_examples=150, deadline=None)
+def test_scan_record_holds_the_helpers_values(m):
+    # make_map's record (step_bits, tail_bits, switch_bits, lam) against
+    # hadamard_loss, denominator_bound, trap_height and tail_threshold on the
+    # map's own forms and resultant.
+    f, g = _forms(m)
+    d, res = m.degree, m.resultant
+    step_bits, tail_bits, switch_bits, lam = m.scan
+    assert step_bits == m.height.bit_length() + (d + 1).bit_length() + 1
+    loss = hadamard_loss(f, g)
+    assert lam == loss.bit_length()
+    if d == 1:
+        assert switch_bits is None
+    else:  # switch_bits - 1 = ceil(lam / (d-1))
+        assert (switch_bits - 2) * (d - 1) < lam <= (switch_bits - 1) * (d - 1)
+    tail = tail_threshold(g, res, loss)
+    assert (tail is None) == (denominator_bound(g) is None) == (trap_height(g, res) is None)
+    if tail is None:
+        assert tail_bits is None
+    else:
+        assert tail >= trap_height(g, res) + 1
+        assert 1 << (tail_bits - 1) <= tail < 1 << tail_bits
+
+
+@given(_maps(max_degree=4, bound=9), st.integers(-12, 12).filter(bool))
+@settings(max_examples=100, deadline=None)
+def test_given_resultant_is_divided_by_the_content(m, c):
+    # A pair scaled by c has Res times c^(2d); make_map divides that back out
+    # and builds the same map, resultant and scan record as the unscaled pair.
+    f, g = _forms(m)
+    scaled = ([c * x for x in f], [c * x for x in g])
+    built = make_map(*scaled, resultant=resultant_from_coeffs(*scaled, m.degree))
+    assert built == m == make_map(*scaled)
+    assert built.resultant == m.resultant and built.scan == m.scan

@@ -216,7 +216,7 @@ def test_density_evaluates_only_inside_the_trap_box(monkeypatch):
 
     monkeypatch.setattr(orbits_mod, "_density_point", recording_point)
     report = density_of_integral_preimages(PHI_1, EMPTY_S, (50,))
-    assert trap_height(PHI_1) == 2
+    assert trap_height(PHI_1.denominator.coeffs, PHI_1.resultant) == 2
     assert heights and max(heights) <= 2 and len(heights) <= count_points(2)
     assert report.totals == (count_points(50),) and report.hits == (3,)
     heights.clear()
@@ -237,7 +237,7 @@ def test_density_sieves_on_g_without_a_denominator_bound(monkeypatch):
     monkeypatch.setattr(orbits_mod, "_density_point", recording_point)
     # (x^2 + 2)/x: G = XY has no TAIL_FORMS bound, and |Res| = 2.
     f = make_map([2, 0, 1], [0, 1, 0])
-    assert trap_height(f) is None
+    assert trap_height(f.denominator.coeffs, f.resultant) is None
     bs = (10, 30)
     report = density_of_integral_preimages(f, EMPTY_S, bs)
     totals, hits, trap_hits, _ = _brute_density(f, EMPTY_S, bs)
@@ -252,7 +252,8 @@ def test_density_counts_a_hit_on_the_edge_of_the_trap_box(t):
     # (x^2 - x + t + 1)/(x^2 + 1) has |Res| = t^2 + 1, so trap_height = t, and
     # phi(t) = 1: the box H <= trap_height is tight, with a hit on its edge.
     f = make_map([t + 1, -1, 1], [1, 0, 1])
-    assert trap_height(f) == t and is_s_integral(evaluate(f, ProjPointQ(t, 1)), EMPTY_S)
+    assert trap_height(f.denominator.coeffs, f.resultant) == t
+    assert is_s_integral(evaluate(f, ProjPointQ(t, 1)), EMPTY_S)
     bs = (t - 1, t, 3 * t)
     report = density_of_integral_preimages(f, EMPTY_S, bs)
     totals, hits, trap_hits, _ = _brute_density(f, EMPTY_S, bs)
@@ -457,7 +458,7 @@ def test_count_only_scan_agrees_with_the_whole_scan(case, n_cap, budget):
     assert cut.points == full.points[:len(cut.points)]
     # The cut is taken at the first point over the threshold, and only there,
     # unless the scan handed off to the residue walk before it.
-    above = [_bits(p) > m.scan_bits[0] for p in cut.points]
+    above = [_bits(p) > m.scan[1] for p in cut.points]
     if cut.truncation is Truncation.CERTIFIED_TAIL:
         assert not any(above[:-1])
         assert above[-1] or _handed_off(cut, m)
@@ -502,12 +503,12 @@ def test_count_only_scan_with_s_or_without_a_threshold_keeps_the_whole_record():
 
 
 def _pre_limit(m, budget):
-    return (budget - m.step_bits) // m.degree
+    return (budget - m.scan[0]) // m.degree
 
 
 def _handed_off(cut, m):
     """True when cut ends at a point over the switch, where a walk may hand off."""
-    switch_bits = m.scan_bits[1]
+    switch_bits = m.scan[2]
     return switch_bits is not None and _bits(cut.points[-1]) > switch_bits
 
 
@@ -533,7 +534,7 @@ def _threshold_free_maps(draw):
     and a basepoint."""
     if draw(st.booleans()):
         m = random_map(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(2, 4)))
-        assume(m.scan_bits[0] is None)
+        assume(m.scan[1] is None)
     else:
         m = pell_map(draw(st.sampled_from((2, 3, 5))))
     a, b = draw(st.integers(-10**4, 10**4)), draw(st.integers(1, 10**3))
@@ -582,7 +583,7 @@ def test_count_only_scan_settles_the_last_step_of_most_wandering_orbits():
     ended = settled = 0
     for _ in range(200):
         m = pell_map(2) if rng.random() < 0.2 else random_map(rng, rng.randint(2, 4))
-        if m.scan_bits[0] is not None:
+        if m.scan[1] is not None:
             continue
         b = normalize(*random_coprime_pair(rng))
         budget = rng.randint(200, 4000)
@@ -603,7 +604,7 @@ def test_settled_last_step_ends_as_the_taken_step_would():
     # At n_cap = 7 the bracket of the 6520-bit point, [1371, 9214] bits,
     # straddles pre_limit with one step left, so the residue walk falls back:
     # the scan takes one step exactly and hands off again from the 26-bit point.
-    assert PELL_2.scan_bits == (None, 6, 14) and _pre_limit(PELL_2, 10000) == 2498
+    assert PELL_2.scan == (7, None, 6, 14) and _pre_limit(PELL_2, 10000) == 2498
     seen = set()
     for n_cap in range(10):
         full = scan_orbit(PELL_2, normalize(3, 2), EMPTY_S, n_cap=n_cap, height_budget_bits=10000)
@@ -632,7 +633,7 @@ def test_count_only_scan_takes_a_last_step_that_passes_the_residue_test(sign):
         u, v = 3 * u + 4 * v, 2 * u + 3 * v
     b = normalize(u, v)
     assert u * u - 2 * v * v == 1 and _bits(b) == 638
-    assert m.scan_bits[1] < _bits(b) <= _pre_limit(m, 10000)
+    assert m.scan[2] < _bits(b) <= _pre_limit(m, 10000)
     assert m.denominator(u, v) == sign
     pre_limit = _pre_limit(m, 10000)
     assert orbits_mod._residue_walk(m, pre_limit, pre_limit, b, 638, DEFAULT_N_CAP) is None
@@ -649,7 +650,7 @@ def test_degree_one_map_never_takes_the_last_step_test(monkeypatch):
     monkeypatch.setattr(orbits_mod, "_residue_walk", refuse)
     # x -> 2x + 1 from 0 climbs one bit a step, all of them integral, to the budget.
     m = make_map([1, 2], [1, 0])
-    assert m.scan_bits[1] is None
+    assert m.scan[2] is None
     rec = scan_orbit(m, ProjPointQ(0, 1), EMPTY_S, n_cap=500, height_budget_bits=60,
                      count_only=True)
     assert rec.truncation is Truncation.HEIGHT_BUDGET
