@@ -87,9 +87,10 @@ SYMBOLIC_RESULTANT_BUDGET = 2 * 10**6
 # three_param_avg refuses, before building any triple, a box of more than
 # THREE_PARAM_TRIPLE_LIMIT triples ((2B+1)^3, so B <= 49) and basepoints
 # r^n1 s^n2 t^n3 that may exceed THREE_PARAM_BASE_BITS bits
-# ((n1+n2+n3) * bit_length(B)). The largest README, acceptance, golden and
-# bench box, B = 10 with n1 = n2 = n3 = 6, has 9261 triples (108x headroom)
-# and basepoints of at most 72 bits (1388x).
+# ((n1+n2+n3) * bit_length(B)). The worst accepted box, `avg3 --b 49` with
+# 970299 triples, takes ~17 s at one worker on a 2-vCPU machine. The largest
+# README, acceptance, golden and bench box, B = 10 with n1 = n2 = n3 = 6, has
+# 9261 triples (108x headroom) and basepoints of at most 72 bits (1388x).
 THREE_PARAM_TRIPLE_LIMIT = 10**6
 THREE_PARAM_BASE_BITS = 10**5
 
@@ -171,18 +172,20 @@ def specialize(family: FamilySpec, params: Sequence[Fraction | int]) -> Rational
 
     Degree drop and vanishing resultant surface as the map-construction errors;
     those parameter values are exactly the complement of the good locus.
+    Denominators are cleared only when some value has one (lcm > 1).
     """
     if len(params) != family.arity:
         raise ValueError(f"family takes {family.arity} parameter(s)")
     num, den, res = family.compiled(params)
     lcm = math.lcm(*[v.denominator for v in num + den])
+    if lcm > 1:
+        num = [v.numerator * (lcm // v.denominator) for v in num]
+        den = [v.numerator * (lcm // v.denominator) for v in den]
     if res is not None:
         # Res is homogeneous of degree 2d in the coefficients, so clearing
         # denominators by lcm scales it by lcm^(2d).
         res = int(res * lcm ** (2 * family.degree))
-    return make_map([v.numerator * (lcm // v.denominator) for v in num],
-                    [v.numerator * (lcm // v.denominator) for v in den],
-                    resultant=res)
+    return make_map(num, den, resultant=res)
 
 
 def _member_map(family: FamilySpec, params: Sequence[Fraction | int]) -> RationalMapQ | None:
@@ -564,6 +567,21 @@ def _three_param_cell(r: int, s: int, t: int) -> str:
     return "open"
 
 
+def _slice_map(s: int, t: int) -> RationalMapQ:
+    """(s x + t)/(x^2 + 1), the map of the r = 0 and s = 0 slices, with its
+    resultant in closed form: Res(Y (sX + tY), X^2 + Y^2) = s^2 + t^2."""
+    return make_map([t, s, 0], [1, 0, 1], resultant=s * s + t * t)
+
+
+# 512 holds every slice map for B <= 11, and the s = 0 slice's 2B for B <= 49.
+@functools.lru_cache(maxsize=512)
+def _slice_count(s: int, t: int, s_spec: SIntSpec, n_cap: int,
+                 height_budget_bits: int) -> tuple[int, bool]:
+    """count_s_integral of the orbit of 0 under _slice_map(s, t), once per process."""
+    return count_s_integral(scan_orbit(_slice_map(s, t), ProjPointQ(0, 1), s_spec, n_cap,
+                                       height_budget_bits, count_only=True))
+
+
 def _three_param_orbit_count(triple: tuple[int, int, int], exponents: tuple[int, int, int],
                              family: FamilySpec, s_spec: SIntSpec, n_cap: int,
                              height_budget_bits: int) -> tuple[int, int, bool, str]:
@@ -578,18 +596,14 @@ def _three_param_orbit_count(triple: tuple[int, int, int], exponents: tuple[int,
         # beta = 0 and the numerator's constant coefficient is t = 0, so the
         # orbit is exactly {0} for every r, s (including degenerate maps).
         return h, 1, False, cell
-    if cell == "s_zero":
-        m = make_map([t, 0, 0], [1, 0, 1])
-        base = ProjPointQ(0, 1)
-    elif cell == "r_zero":
-        m = make_map([t, s, 0], [1, 0, 1])
-        base = ProjPointQ(0, 1)
-    else:
-        m = specialize(family, (r, s, t))
+    if cell == "open":
         n1, n2, n3 = exponents
-        base = ProjPointQ(r**n1 * s**n2 * t**n3, 1)
-    rec = scan_orbit(m, base, s_spec, n_cap, height_budget_bits, count_only=True)
-    count, exact = count_s_integral(rec)
+        rec = scan_orbit(specialize(family, (r, s, t)), ProjPointQ(r**n1 * s**n2 * t**n3, 1),
+                         s_spec, n_cap, height_budget_bits, count_only=True)
+        count, exact = count_s_integral(rec)
+    else:
+        # r s x^3 vanishes on both slices, and beta = 0 there.
+        count, exact = _slice_count(s, t, s_spec, n_cap, height_budget_bits)
     return h, count, not exact, cell
 
 
@@ -600,8 +614,10 @@ def three_param_avg(n1: int, n2: int, n3: int, b_values: Sequence[int],
     """Average over all integer triples in the box, with per-slice tallies.
 
     The t = 0 slice contributes exactly 1 per point; the s = 0 and r = 0
-    slices run on the reduced degree-2 maps t/(x^2+1) and (s x + t)/(x^2+1),
-    whose real-line bounds keep those orbits small. A box or exponents over
+    slices run on the one reduced degree-2 map (s x + t)/(x^2+1), whose
+    real-line bounds keep those orbits small. Its resultant s^2 + t^2 is
+    given in closed form, and each (s, t) is scanned once per process, so
+    the s = 0 slice scans each t once, not once per r. A box or exponents over
     THREE_PARAM_TRIPLE_LIMIT or THREE_PARAM_BASE_BITS are refused first.
     """
     if min(n1, n2, n3) < 6:
@@ -660,7 +676,7 @@ def three_param_slice_bounds_check() -> VerificationReport:
     for t in range(-box, box + 1):
         if t == 0:
             continue
-        rec = scan_orbit(make_map([t, 0, 0], [1, 0, 1]), zero, EMPTY_S)
+        rec = scan_orbit(_slice_map(0, t), zero, EMPTY_S)
         for p in rec.points:
             if abs(p.a) > abs(t) * p.b:
                 s_zero_bad += 1
@@ -669,7 +685,7 @@ def three_param_slice_bounds_check() -> VerificationReport:
         for t in range(-box, box + 1):
             if s == 0 and t == 0:
                 continue
-            rec = scan_orbit(make_map([t, s, 0], [1, 0, 1]), zero, EMPTY_S)
+            rec = scan_orbit(_slice_map(s, t), zero, EMPTY_S)
             for p in rec.points:
                 if abs(p.a) > (abs(s) + abs(t)) * p.b:
                     r_zero_bad += 1

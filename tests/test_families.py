@@ -19,7 +19,7 @@ from dynctl.families import (SYMBOLIC_RESULTANT_BUDGET, AvgReport, BasepointSpec
 from dynctl import families as families_mod
 from dynctl import maps as maps_mod
 from dynctl.maps import evaluate, make_map
-from dynctl.orbits import scan_orbit
+from dynctl.orbits import count_s_integral, scan_orbit
 from dynctl.parsing import parse_map
 from dynctl.points import (EMPTY_S, ProjPointQ, Truncation, enumerate_points, is_s_integral,
                            normalize)
@@ -209,6 +209,75 @@ def test_three_param_avg_small_box():
 
 def test_three_param_slice_bounds():
     assert three_param_slice_bounds_check().ok
+
+
+def _assert_same_map(got, want):
+    # resultant and scan are compare=False, so they are checked on their own.
+    assert got == want
+    assert got.resultant == want.resultant and type(got.resultant) is int
+    assert got.scan == want.scan
+
+
+def _check_slice_map(s, t):
+    closed = families_mod._slice_map(s, t)
+    assert closed.resultant == s * s + t * t == resultant_from_coeffs([t, s, 0], [1, 0, 1], 2)
+    _assert_same_map(closed, make_map([t, s, 0], [1, 0, 1]))
+
+
+def test_slice_resultant_closed_form_on_the_box():
+    for s, t in itertools.product(range(-10, 11), repeat=2):
+        if (s, t) != (0, 0):
+            _check_slice_map(s, t)
+
+
+@given(st.integers(-2**300, 2**300), st.integers(-2**300, 2**300))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_slice_resultant_closed_form_on_large_ints(s, t):
+    if (s, t) != (0, 0):
+        _check_slice_map(s, t)
+
+
+def test_specialize_integer_fraction_and_cleared_members_agree():
+    fam = three_param_family()
+    for params in ((1, 1, 1), (2, -1, 3), (-4, 3, -2), (5, -5, 7)):
+        ints = specialize(fam, params)
+        _assert_same_map(ints, specialize(fam, tuple(Fraction(v, 1) for v in params)))
+        r, s, t = params
+        _assert_same_map(ints, make_map([t, s, 0, r * s], [1, 0, 1, 0]))
+    # phi_t at t = 1/2: (x - 1/2)/(x^3 + 1), cleared by lcm 2.
+    _assert_same_map(specialize(phi_t_family(), (Fraction(1, 2),)),
+                     make_map([-1, 2, 0, 0], [2, 0, 0, 2]))
+
+
+def _bareiss_orbit_count(triple, exponents, family, s_spec, n_cap, height_budget_bits):
+    """The per-triple count with every slice map built by make_map's own
+    Bareiss resultant and scanned afresh: no closed form, no cache."""
+    r, s, t = triple
+    h = max(abs(r), abs(s), abs(t))
+    if t == 0:
+        return h, 1, False, "t_zero"
+    if s == 0 or r == 0:
+        m, base = make_map([t, s, 0], [1, 0, 1]), ProjPointQ(0, 1)
+    else:
+        m = specialize(family, triple)
+        base = ProjPointQ(r ** exponents[0] * s ** exponents[1] * t ** exponents[2], 1)
+    rec = scan_orbit(m, base, s_spec, n_cap, height_budget_bits, count_only=True)
+    count, exact = count_s_integral(rec)
+    return h, count, not exact, "s_zero" if s == 0 else "r_zero" if r == 0 else "open"
+
+
+def test_three_param_avg_matches_an_uncached_bareiss_oracle(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(families_mod, "_three_param_orbit_count", _bareiss_orbit_count)
+        want = three_param_avg(6, 6, 6, (1, 2, 3), **SWEEP)
+    families_mod._slice_count.cache_clear()
+    assert three_param_avg(6, 6, 6, (1, 2, 3), **SWEEP) == want
+    # B = 3: the s = 0 slice holds 7 * 6 triples and 6 maps, the r = 0 slice 6 * 6 maps.
+    info = families_mod._slice_count.cache_info()
+    assert (info.misses, info.hits) == (6 + 36, 7 * 6 - 6)
+    assert three_param_avg(6, 6, 6, (1, 2, 3), **SWEEP) == want  # a warm cache
+    families_mod._slice_count.cache_clear()  # each forked worker starts cold
+    assert three_param_avg(6, 6, 6, (1, 2, 3), workers=2, **SWEEP) == want
 
 
 def test_lemma_3dim_shadow_random_rational_triples():
