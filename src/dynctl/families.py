@@ -88,7 +88,7 @@ SYMBOLIC_RESULTANT_BUDGET = 2 * 10**6
 # THREE_PARAM_TRIPLE_LIMIT triples ((2B+1)^3, so B <= 49) and basepoints
 # r^n1 s^n2 t^n3 that may exceed THREE_PARAM_BASE_BITS bits
 # ((n1+n2+n3) * bit_length(B)). The worst accepted box, `avg3 --b 49` with
-# 970299 triples, takes ~17 s at one worker on a 2-vCPU machine. The largest
+# 970299 triples, takes 17-19 s at one worker on a 2-vCPU machine. The largest
 # README, acceptance, golden and bench box, B = 10 with n1 = n2 = n3 = 6, has
 # 9261 triples (108x headroom) and basepoints of at most 72 bits (1388x).
 THREE_PARAM_TRIPLE_LIMIT = 10**6
@@ -568,17 +568,16 @@ def _three_param_cell(r: int, s: int, t: int) -> str:
 
 
 def _slice_map(s: int, t: int) -> RationalMapQ:
-    """(s x + t)/(x^2 + 1), the map of the r = 0 and s = 0 slices, with its
-    resultant in closed form: Res(Y (sX + tY), X^2 + Y^2) = s^2 + t^2."""
+    """(s x + t)/(x^2 + 1) of both slices; Res(Y(sX + tY), X^2 + Y^2) = s^2 + t^2."""
     return make_map([t, s, 0], [1, 0, 1], resultant=s * s + t * t)
 
 
-# 512 holds every slice map for B <= 11, and the s = 0 slice's 2B for B <= 49.
-@functools.lru_cache(maxsize=512)
-def _slice_count(s: int, t: int, s_spec: SIntSpec, n_cap: int,
-                 height_budget_bits: int) -> tuple[int, bool]:
-    """count_s_integral of the orbit of 0 under _slice_map(s, t), once per process."""
-    return count_s_integral(scan_orbit(_slice_map(s, t), ProjPointQ(0, 1), s_spec, n_cap,
+# The s = 0 slice repeats t/(x^2 + 1) for every r; 128 holds its 2B <= 98 maps.
+@functools.lru_cache(maxsize=128)
+def _s_zero_count(t: int, s_spec: SIntSpec, n_cap: int,
+                  height_budget_bits: int) -> tuple[int, bool]:
+    """count_s_integral of the orbit of 0 under _slice_map(0, t), once per process."""
+    return count_s_integral(scan_orbit(_slice_map(0, t), ProjPointQ(0, 1), s_spec, n_cap,
                                        height_budget_bits, count_only=True))
 
 
@@ -596,14 +595,18 @@ def _three_param_orbit_count(triple: tuple[int, int, int], exponents: tuple[int,
         # beta = 0 and the numerator's constant coefficient is t = 0, so the
         # orbit is exactly {0} for every r, s (including degenerate maps).
         return h, 1, False, cell
-    if cell == "open":
-        n1, n2, n3 = exponents
-        rec = scan_orbit(specialize(family, (r, s, t)), ProjPointQ(r**n1 * s**n2 * t**n3, 1),
-                         s_spec, n_cap, height_budget_bits, count_only=True)
-        count, exact = count_s_integral(rec)
+    if cell == "s_zero":
+        # r s x^3 and beta vanish on both slices; s = 0 is one map for every r.
+        count, exact = _s_zero_count(t, s_spec, n_cap, height_budget_bits)
+        return h, count, not exact, cell
+    if cell == "r_zero":
+        m, base = _slice_map(s, t), ProjPointQ(0, 1)
     else:
-        # r s x^3 vanishes on both slices, and beta = 0 there.
-        count, exact = _slice_count(s, t, s_spec, n_cap, height_budget_bits)
+        m = specialize(family, (r, s, t))
+        n1, n2, n3 = exponents
+        base = ProjPointQ(r**n1 * s**n2 * t**n3, 1)
+    rec = scan_orbit(m, base, s_spec, n_cap, height_budget_bits, count_only=True)
+    count, exact = count_s_integral(rec)
     return h, count, not exact, cell
 
 
@@ -614,10 +617,9 @@ def three_param_avg(n1: int, n2: int, n3: int, b_values: Sequence[int],
     """Average over all integer triples in the box, with per-slice tallies.
 
     The t = 0 slice contributes exactly 1 per point; the s = 0 and r = 0
-    slices run on the one reduced degree-2 map (s x + t)/(x^2+1), whose
-    real-line bounds keep those orbits small. Its resultant s^2 + t^2 is
-    given in closed form, and each (s, t) is scanned once per process, so
-    the s = 0 slice scans each t once, not once per r. A box or exponents over
+    slices run on (s x + t)/(x^2+1), with closed-form resultant s^2 + t^2 and
+    real-line bounds that keep those orbits small, the s = 0 slice scanned
+    once per t in each process. A box or exponents over
     THREE_PARAM_TRIPLE_LIMIT or THREE_PARAM_BASE_BITS are refused first.
     """
     if min(n1, n2, n3) < 6:

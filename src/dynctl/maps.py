@@ -254,8 +254,7 @@ def second_iterate_is_polynomial(m: RationalMapQ) -> bool:
             and not any(b * x - a * y for x, y in zip(f[1:], g[1:])))
 
 
-@functools.lru_cache(maxsize=32)
-def denominator_bound(g: tuple[int, ...]) -> tuple[int, int] | None:
+def denominator_bound(g: Sequence[int]) -> tuple[int, int] | None:
     """(|c|, k) with k * |G(a, b)| >= |c| * H(a, b)^2 at every coprime (a, b)
     where G(a, b) != 0, for the denominator form G = c * g, by ascending
     coefficients, with g in TAIL_FORMS; None for any other G.
@@ -263,8 +262,7 @@ def denominator_bound(g: tuple[int, ...]) -> tuple[int, int] | None:
     c is G's content, of the sign of G's first nonzero coefficient, so
     g = G / c is primitive with a positive first nonzero coefficient, as the
     keys of TAIL_FORMS are. Both are integers, so callers compare without
-    building the fraction |c| / k. Memoized on the tuple g: a family sweep
-    has one denominator up to sign, so nearly every call hits.
+    building the fraction |c| / k.
     """
     c = math.gcd(*g)
     if next(filter(None, g)) < 0:

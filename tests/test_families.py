@@ -270,13 +270,13 @@ def test_three_param_avg_matches_an_uncached_bareiss_oracle(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(families_mod, "_three_param_orbit_count", _bareiss_orbit_count)
         want = three_param_avg(6, 6, 6, (1, 2, 3), **SWEEP)
-    families_mod._slice_count.cache_clear()
+    families_mod._s_zero_count.cache_clear()
     assert three_param_avg(6, 6, 6, (1, 2, 3), **SWEEP) == want
-    # B = 3: the s = 0 slice holds 7 * 6 triples and 6 maps, the r = 0 slice 6 * 6 maps.
-    info = families_mod._slice_count.cache_info()
-    assert (info.misses, info.hits) == (6 + 36, 7 * 6 - 6)
+    # B = 3: the s = 0 slice holds 7 * 6 triples and 6 maps.
+    info = families_mod._s_zero_count.cache_info()
+    assert (info.misses, info.hits) == (6, 7 * 6 - 6)
     assert three_param_avg(6, 6, 6, (1, 2, 3), **SWEEP) == want  # a warm cache
-    families_mod._slice_count.cache_clear()  # each forked worker starts cold
+    families_mod._s_zero_count.cache_clear()  # each forked worker starts cold
     assert three_param_avg(6, 6, 6, (1, 2, 3), workers=2, **SWEEP) == want
 
 

@@ -461,17 +461,6 @@ def test_denominator_bound_matches_a_table_scan(m):
     assert denominator_bound(m.denominator.coeffs) == _scanned_bound(m)
 
 
-@given(_table_or_random_denominators())
-@settings(max_examples=200, deadline=None, derandomize=True)
-def test_denominator_bound_equals_its_uncached_function(m):
-    g = m.denominator.coeffs
-    want = denominator_bound.__wrapped__(g)
-    assert denominator_bound(g) == want
-    assert denominator_bound(g) == want  # a cache hit
-    assert denominator_bound(tuple(-x for x in g)) == denominator_bound.__wrapped__(
-        tuple(-x for x in g))
-
-
 @given(_maps(max_degree=4, bound=9))
 @settings(max_examples=80, deadline=None)
 def test_hadamard_loss_bounds_the_cofactor_constant(m):
