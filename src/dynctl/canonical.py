@@ -121,7 +121,7 @@ def is_preperiodic(m: RationalMapQ, p: ProjPointQ) -> bool:
 
     Every point Q of a preperiodic orbit satisfies H(Q)^(d-1) <= L: the
     orbit is finite, and its highest point Q* has H(Q*)^d <= L * H(phi(Q*))
-    <= L * H(Q*). The ceiling is the orbit scan's switch (maps.make_map):
+    <= L * H(Q*). The ceiling is the orbit scan's switch (maps.map_record):
     a Q of more than switch_bits = ceil(lam / (d-1)) + 1 bits has
     H(Q)^(d-1) >= 2^lam > L' >= L, for L' = maps.hadamard_loss, so no
     cofactor solve is needed. The orbit either repeats a point

@@ -18,12 +18,13 @@ from typing import Callable, Sequence
 
 from .errors import (DegenerateFamilyError, DegenerateMapError, DegreeDropError,
                      SizeBudgetExceededError)
-from .maps import RationalMapQ, evaluate, make_map, second_iterate_is_polynomial
-from .orbits import count_s_integral, scan_orbit
+from .maps import (RationalMapQ, evaluate, make_map, map_record,
+                   second_iterate_is_polynomial)
+from .orbits import _scan_limits, count_s_integral, scan_orbit
 from .parallel import map_chunks
 from .points import (DEFAULT_HEIGHT_BUDGET_BITS, DEFAULT_N_CAP, EMPTY_S, ProjPointQ, SIntSpec,
-                     by_population, check_b_values, enumerate_points, is_s_integral, normalize,
-                     tally_by_height)
+                     by_population, check_b_values, check_n_cap, enumerate_points, is_s_integral,
+                     normalize, tally_by_height)
 from .polynomials import (FORM_KERNELS, IntPoly, _power_lines, form_compose, form_shape,
                           gcd_degree, resultant_from_coeffs)
 from .reports import CheckResult, VerificationReport
@@ -88,9 +89,10 @@ SYMBOLIC_RESULTANT_BUDGET = 2 * 10**6
 # THREE_PARAM_TRIPLE_LIMIT triples ((2B+1)^3, so B <= 49) and basepoints
 # r^n1 s^n2 t^n3 that may exceed THREE_PARAM_BASE_BITS bits
 # ((n1+n2+n3) * bit_length(B)). The worst accepted box, `avg3 --b 49` with
-# 970299 triples, takes 17-19 s at one worker on a 2-vCPU machine. The largest
-# README, acceptance, golden and bench box, B = 10 with n1 = n2 = n3 = 6, has
-# 9261 triples (108x headroom) and basepoints of at most 72 bits (1388x).
+# 970299 triples, takes 10.6-11.3 s at one worker on a 2-vCPU machine. The
+# largest README, acceptance, golden and bench box, B = 10 with
+# n1 = n2 = n3 = 6, has 9261 triples (108x headroom) and basepoints of at
+# most 72 bits (1388x).
 THREE_PARAM_TRIPLE_LIMIT = 10**6
 THREE_PARAM_BASE_BITS = 10**5
 
@@ -167,13 +169,9 @@ class FamilySpec:
         return namespace["specializer"]
 
 
-def specialize(family: FamilySpec, params: Sequence[Fraction | int]) -> RationalMapQ:
-    """Evaluate the family at exact parameter values and validate the resulting map.
-
-    Degree drop and vanishing resultant surface as the map-construction errors;
-    those parameter values are exactly the complement of the good locus.
-    Denominators are cleared only when some value has one (lcm > 1).
-    """
+def _cleared_values(family: FamilySpec, params: Sequence[Fraction | int]) -> tuple:
+    """The Specializer's values at params, as ints, and Res or None; the
+    denominators are cleared only when their lcm is above 1."""
     if len(params) != family.arity:
         raise ValueError(f"family takes {family.arity} parameter(s)")
     num, den, res = family.compiled(params)
@@ -185,7 +183,16 @@ def specialize(family: FamilySpec, params: Sequence[Fraction | int]) -> Rational
         # Res is homogeneous of degree 2d in the coefficients, so clearing
         # denominators by lcm scales it by lcm^(2d).
         res = int(res * lcm ** (2 * family.degree))
-    return make_map(num, den, resultant=res)
+    return num, den, res
+
+
+def specialize(family: FamilySpec, params: Sequence[Fraction | int]) -> RationalMapQ:
+    """Evaluate the family at exact parameter values and validate the resulting map.
+
+    Degree drop and vanishing resultant surface as the map-construction errors;
+    those parameter values are exactly the complement of the good locus.
+    """
+    return make_map(*_cleared_values(family, params))
 
 
 def _member_map(family: FamilySpec, params: Sequence[Fraction | int]) -> RationalMapQ | None:
@@ -602,9 +609,14 @@ def _three_param_orbit_count(triple: tuple[int, int, int], exponents: tuple[int,
     if cell == "r_zero":
         m, base = _slice_map(s, t), ProjPointQ(0, 1)
     else:
-        m = specialize(family, (r, s, t))
+        # walk_orbit's first test: a basepoint over the limits takes no step.
+        scan = map_record(*_cleared_values(family, triple))[3]
         n1, n2, n3 = exponents
-        base = ProjPointQ(r**n1 * s**n2 * t**n3, 1)
+        x = r**n1 * s**n2 * t**n3
+        if n_cap < 1 or abs(x).bit_length() > min(
+                _scan_limits(scan, family.degree, s_spec, height_budget_bits, True)):
+            return h, 1, True, cell
+        m, base = specialize(family, triple), ProjPointQ(x, 1)
     rec = scan_orbit(m, base, s_spec, n_cap, height_budget_bits, count_only=True)
     count, exact = count_s_integral(rec)
     return h, count, not exact, cell
@@ -619,11 +631,14 @@ def three_param_avg(n1: int, n2: int, n3: int, b_values: Sequence[int],
     The t = 0 slice contributes exactly 1 per point; the s = 0 and r = 0
     slices run on (s x + t)/(x^2+1), with closed-form resultant s^2 + t^2 and
     real-line bounds that keep those orbits small, the s = 0 slice scanned
-    once per t in each process. A box or exponents over
+    once per t in each process. An open member is settled from its scan
+    record (maps.map_record) before its map is built: a basepoint that takes
+    no step counts 1, truncated. A cap, box or exponents over N_CAP_LIMIT,
     THREE_PARAM_TRIPLE_LIMIT or THREE_PARAM_BASE_BITS are refused first.
     """
     if min(n1, n2, n3) < 6:
         raise ValueError("exponents must all be >= 6")
+    check_n_cap(n_cap)
     bs = check_b_values(b_values)
     b_max = bs[-1]
     count = (2 * b_max + 1) ** 3

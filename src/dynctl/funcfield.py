@@ -123,13 +123,15 @@ class FFPoly:
     def __pow__(self, n: int) -> "FFPoly":
         if n < 0:
             raise ValueError("negative power")
-        out = FFPoly.const(self.p, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return FFPoly.const(self.p, 1)
+        # Left to right from the base: bit_length - 1 squarings and
+        # popcount - 1 multiplies by the base.
+        out = self
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def _long_division(self, other: "FFPoly", keep_quotient: bool) -> tuple[list[int], "FFPoly"]:
@@ -173,7 +175,7 @@ class FFPoly:
         return q
 
     def monic(self) -> "FFPoly":
-        if self.is_zero():
+        if not self.coeffs or self.coeffs[-1] == 1:
             return self
         inv = pow(self.leading(), self.p - 2, self.p)
         return self * inv
@@ -393,7 +395,9 @@ def evaluate_ff(m: FFMap, point: FFRat) -> FFRat:
     if gb.is_zero():
         return FFRat(FFPoly.const(p, 1), gb)
     inv = pow(gb.leading(), p - 2, p)
-    return FFRat(fa * inv, gb * inv)
+    if inv != 1:
+        fa, gb = fa * inv, gb * inv
+    return FFRat(fa, gb)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ from .polynomials import (FORM_KERNELS, bareiss, form_mul, form_shape, resultant
 # a^2 - ab + b^2 >= 3 H^2 / 4 (k = 4 is the cube-sum bound verify checks).
 TAIL_FORMS = {(1, 0, 1): 1, (1, 0, 1, 0): 1, (1, 0, 0, 1): 4}
 
+# The orbit scan's constants (step_bits, tail_bits, switch_bits, lam); see map_record.
+ScanRecord = tuple[int, int | None, int | None, int]
+
 
 @dataclass(frozen=True)
 class BinaryForm:
@@ -53,8 +56,8 @@ class RationalMapQ:
 
     The stored pair is content-reduced and sign-canonicalized (the first
     nonzero coefficient, scanning numerator then denominator from the leading
-    coefficient down, is positive). Constructed only by make_map, which
-    computes Res(F, G) and the orbit scan's constants. The cofactor
+    coefficient down, is positive). Constructed only by make_map, from
+    map_record's Res(F, G) and orbit scan constants. The cofactor
     certificate and the evaluation shape of the pair are cached on the map
     on first use; all of these travel with the map when pickled.
     """
@@ -62,8 +65,7 @@ class RationalMapQ:
     numerator: BinaryForm
     denominator: BinaryForm
     resultant: int = field(repr=False, compare=False)
-    # The orbit scan's constants (step_bits, tail_bits, switch_bits, lam); see make_map.
-    scan: tuple[int, int | None, int | None, int] = field(repr=False, compare=False)
+    scan: ScanRecord = field(repr=False, compare=False)
 
     @property
     def degree(self) -> int:
@@ -102,16 +104,19 @@ def _canonical_pair(num: Sequence[int],
     return tuple([c // content for c in num]), tuple([c // content for c in den]), content
 
 
-def make_map(num_coeffs: Sequence[int], den_coeffs: Sequence[int],
-             resultant: int | None = None) -> RationalMapQ:
-    """Build a validated map from ascending coefficient sequences of length d+1.
+def map_record(num_coeffs: Sequence[int], den_coeffs: Sequence[int], resultant: int | None = None
+               ) -> tuple[tuple[int, ...], tuple[int, ...], int, ScanRecord]:
+    """make_map's checks and constants, without building the map: the
+    canonical pair (f, g), by ascending coefficients, Res(f, g) and the scan
+    record, from ascending coefficient sequences of length d+1. Refuses
+    what make_map refuses, with the same errors.
 
     `resultant`, if given, must be Res(F, G) of the pair exactly as passed; it
     replaces the Sylvester determinant. Dividing out the content c divides it
     by c^(2d) exactly, since Res(cF, cG) = c^(2d) Res(F, G), and the sign fix
     leaves it unchanged.
 
-    The map's `scan` is the orbit scan's constants (step_bits, tail_bits,
+    The scan record is the orbit scan's constants (step_bits, tail_bits,
     switch_bits, lam), from the canonical pair and Res:
     - step_bits = bits(H(phi)) + bits(d+1) + 1: each coordinate of phi(P)
       has fewer than d * bits(P) + step_bits bits, as |F(a, b)|, |G(a, b)|
@@ -147,6 +152,14 @@ def make_map(num_coeffs: Sequence[int], den_coeffs: Sequence[int],
     scan = (_height(f, g).bit_length() + (d + 1).bit_length() + 1,
             None if tail is None else tail.bit_length(),
             None if d == 1 else -(-lam // (d - 1)) + 1, lam)
+    return f, g, res, scan
+
+
+def make_map(num_coeffs: Sequence[int], den_coeffs: Sequence[int],
+             resultant: int | None = None) -> RationalMapQ:
+    """Build a validated map from ascending coefficient sequences of length d+1:
+    map_record's pair, Res and scan record, as a RationalMapQ."""
+    f, g, res, scan = map_record(num_coeffs, den_coeffs, resultant)
     return RationalMapQ(BinaryForm(f), BinaryForm(g), res, scan)
 
 

@@ -9,7 +9,8 @@ from array import array
 from dataclasses import dataclass
 
 from .canonical import _require_degree_two, is_preperiodic
-from .maps import RationalMapQ, evaluate, is_polynomial, second_iterate_is_polynomial
+from .maps import (RationalMapQ, ScanRecord, evaluate, is_polynomial,
+                   second_iterate_is_polynomial)
 from .parallel import map_chunks
 from .points import (DEFAULT_HEIGHT_BUDGET_BITS, DEFAULT_N_CAP, OrbitRecord, ProjPointQ,
                      SIntSpec, Truncation, check_b_values, check_enumeration_bound, check_n_cap,
@@ -30,7 +31,7 @@ def scan_orbit(m: RationalMapQ, b: ProjPointQ, s: SIntSpec,
 
     The walk stops before evaluating a point P of bits(P) bits when
     d * bits(P) + step_bits > budget, for step_bits of the map's scan
-    constants (maps.make_map), so the scan never pays for a point it would
+    constants (maps.map_record), so the scan never pays for a point it would
     discard. The post check never fires: each coordinate of the image has
     at most d * bits(P) + step_bits - 1 bits.
 
@@ -45,9 +46,10 @@ def scan_orbit(m: RationalMapQ, b: ProjPointQ, s: SIntSpec,
     taken exactly and the next point tries again. Scans that report every
     point (orbit, verify) and scans with S nonempty keep the whole record.
     """
-    pre_limit, tail_limit = _scan_limits(m, s, height_budget_bits, count_only)
+    d = len(m.numerator.coeffs) - 1
+    pre_limit, tail_limit = _scan_limits(m.scan, d, s, height_budget_bits, count_only)
     hand_off = None
-    if count_only and not s.primes and len(m.numerator.coeffs) > 2:
+    if count_only and not s.primes and d > 1:
         hand_off = functools.partial(_residue_walk, m, pre_limit, tail_limit)
     return walk_orbit(functools.partial(evaluate, m), _bits, b, n_cap,
                       pre_limit, height_budget_bits, lambda p: is_s_integral(p, s),
@@ -60,7 +62,7 @@ def _residue_walk(m: RationalMapQ, pre_limit: int, tail_limit: int, p: ProjPoint
     h bits with at most steps steps left, walked on the residues of the
     coordinates, no point after p being integral; None where p is not over
     the switch or the residues cannot decide, and the scan steps from p
-    exactly. The map's scan constants (maps.make_map) hold the switch,
+    exactly. The map's scan constants (maps.map_record) hold the switch,
     lam and step_bits.
 
     Bits: with lam = bits(hadamard_loss(F, G)), H(P)^d <= L' * H(phi(P)) and
@@ -122,12 +124,13 @@ def _residue_walk(m: RationalMapQ, pre_limit: int, tail_limit: int, p: ProjPoint
     return Truncation.ITERATION_CAP
 
 
-def _scan_limits(m: RationalMapQ, s: SIntSpec, height_budget_bits: int,
+def _scan_limits(scan: ScanRecord, d: int, s: SIntSpec, height_budget_bits: int,
                  count_only: bool) -> tuple[int, int]:
-    """scan_orbit's (pre_limit, tail_limit) for walk_orbit: a point steps only
-    if its bits are at most both."""
-    step_bits, tail_bits, _, _ = m.scan
-    pre_limit = (height_budget_bits - step_bits) // (len(m.numerator.coeffs) - 1)
+    """scan_orbit's (pre_limit, tail_limit) for walk_orbit, from a degree-d
+    map's scan record (maps.map_record): a point steps only if its bits are
+    at most both."""
+    step_bits, tail_bits, _, _ = scan
+    pre_limit = (height_budget_bits - step_bits) // d
     if tail_bits is None or not count_only or s.primes:
         return pre_limit, pre_limit
     return pre_limit, tail_bits
@@ -178,7 +181,7 @@ def empirical_max_iterate(m: RationalMapQ, s: SIntSpec, bound: int,
     _require_degree_two(m)
     check_n_cap(n_cap)
     points = enumerate_points(bound)
-    limit = min(_scan_limits(m, s, height_budget_bits, True)) if n_cap >= 1 else -1
+    limit = min(_scan_limits(m.scan, m.degree, s, height_budget_bits, True)) if n_cap >= 1 else -1
     slot_of: dict[ProjPointQ, int] = {}
     # slots[i] is the task slot of points[i]'s image, or ~slot when points[i] does not
     # step; one that cannot step keys its slot on itself and is not evaluated.

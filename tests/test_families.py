@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
-from dynctl.errors import DegenerateFamilyError, DegenerateMapError, DegreeDropError
+from dynctl.errors import (DegenerateFamilyError, DegenerateMapError, DegreeDropError,
+                           SizeBudgetExceededError)
 from dynctl.families import (SYMBOLIC_RESULTANT_BUDGET, AvgReport, BasepointSpec, FamilySpec,
                              PHI_T_SECOND_DEN, PHI_T_SECOND_NUM, _member_map, avg_experiment,
                              cube_sum_bound_check, pell_fundamental, pell_map, pell_stream,
@@ -18,11 +19,12 @@ from dynctl.families import (SYMBOLIC_RESULTANT_BUDGET, AvgReport, BasepointSpec
                              three_param_slice_bounds_check)
 from dynctl import families as families_mod
 from dynctl import maps as maps_mod
+from dynctl import orbits as orbits_mod
 from dynctl.maps import evaluate, make_map
 from dynctl.orbits import count_s_integral, scan_orbit
 from dynctl.parsing import parse_map
-from dynctl.points import (EMPTY_S, ProjPointQ, Truncation, enumerate_points, is_s_integral,
-                           normalize)
+from dynctl.points import (EMPTY_S, N_CAP_LIMIT, ProjPointQ, Truncation, enumerate_points,
+                           is_s_integral, normalize)
 from dynctl.polynomials import IntPoly, resultant_from_coeffs
 
 SWEEP = {"n_cap": 16, "height_budget_bits": 10**4}
@@ -192,6 +194,8 @@ def test_avg_family_population_excludes_bad_parameters():
 def test_three_param_exponent_validation():
     with pytest.raises(ValueError):
         three_param_avg(5, 6, 6, (2,))
+    with pytest.raises(SizeBudgetExceededError):
+        three_param_avg(6, 6, 6, (1,), n_cap=N_CAP_LIMIT + 1)
 
 
 def test_three_param_avg_small_box():
@@ -278,6 +282,77 @@ def test_three_param_avg_matches_an_uncached_bareiss_oracle(monkeypatch):
     assert three_param_avg(6, 6, 6, (1, 2, 3), **SWEEP) == want  # a warm cache
     families_mod._s_zero_count.cache_clear()  # each forked worker starts cold
     assert three_param_avg(6, 6, 6, (1, 2, 3), workers=2, **SWEEP) == want
+
+
+_OPEN_BOX = [triple for triple in itertools.product(range(-4, 5), repeat=3) if 0 not in triple]
+
+
+@given(st.tuples(*[st.integers(6, 9)] * 3), st.integers(1, 10**4), st.sampled_from((0, 1, 16)))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example((6, 6, 6), 8, 16)  # r = s = t = 1: a basepoint of 1 bit at a limit of 1 bit
+@example((6, 6, 6), 10**4, 16)  # the 8 members with |r| = |s| = |t| = 1 step
+def test_open_members_match_a_per_triple_scan(exponents, height_budget_bits, n_cap):
+    """Every open triple of the B = 4 box, against specialize and a scan of
+    its own; small budgets stop every walk at HEIGHT_BUDGET before a step."""
+    fam = three_param_family()
+    n1, n2, n3 = exponents
+    for r, s, t in _OPEN_BOX:
+        m = specialize(fam, (r, s, t))
+        base = ProjPointQ(r**n1 * s**n2 * t**n3, 1)
+        rec = scan_orbit(m, base, EMPTY_S, n_cap, height_budget_bits, count_only=True)
+        count, exact = count_s_integral(rec)
+        want = max(abs(r), abs(s), abs(t)), count, not exact, "open"
+        assert families_mod._three_param_orbit_count(
+            (r, s, t), exponents, fam, EMPTY_S, n_cap, height_budget_bits) == want
+
+
+def test_open_member_at_its_limit_steps(monkeypatch):
+    # The first example above: the basepoint's bits equal min(pre_limit,
+    # tail_limit), so the member is built and its walk takes a step.
+    fam = three_param_family()
+    m = specialize(fam, (1, 1, 1))
+    assert min(orbits_mod._scan_limits(m.scan, 3, EMPTY_S, 8, True)) == 1
+    records = []
+
+    def recording(*args, **kwargs):
+        records.append(scan_orbit(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(families_mod, "scan_orbit", recording)
+    got = families_mod._three_param_orbit_count((1, 1, 1), (6, 6, 6), fam, EMPTY_S, 16, 8)
+    assert got == (1, 1, True, "open")
+    assert [rec.points for rec in records] == [(ProjPointQ(1, 1), ProjPointQ(3, 2))]
+    assert families_mod._three_param_orbit_count((1, 1, 1), (6, 6, 6), fam, EMPTY_S, 16, 7) == got
+    assert len(records) == 1
+
+
+def test_open_member_of_a_degenerate_map_still_raises():
+    # r = 1 makes the numerator equal the denominator: Res = 0. A budget of
+    # one bit would settle the member without a step.
+    r, s, t = (IntPoly.var(v, ("r", "s", "t")) for v in "rst")
+    zero = IntPoly.const(0, ("r", "s", "t"))
+    fam = FamilySpec(("r", "s", "t"), 3, (t, s, zero, r * s), (t, s, zero, s))
+    with pytest.raises(DegenerateMapError):
+        specialize(fam, (1, 2, 3))
+    with pytest.raises(DegenerateMapError):
+        families_mod._three_param_orbit_count((1, 2, 3), (6, 6, 6), fam, EMPTY_S, 16, 1)
+
+
+def test_three_param_avg_builds_only_the_members_that_step(monkeypatch):
+    # 8000 open members at B = 10, of which 8 step; 420 slice maps; 1 family sample.
+    real = maps_mod.RationalMapQ
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    families_mod._s_zero_count.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(maps_mod, "RationalMapQ", counting)
+        three_param_avg(6, 6, 6, (5, 10), height_budget_bits=10000)
+    families_mod._s_zero_count.cache_clear()
+    assert len(built) <= 430
 
 
 def test_lemma_3dim_shadow_random_rational_triples():

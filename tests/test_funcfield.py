@@ -253,6 +253,55 @@ def test_ffpoly_gcd_monic():
     assert g == (t + one)
 
 
+def test_ffpoly_pow_squares_from_the_base(monkeypatch):
+    # Left to right from the base: bit_length - 1 squarings and popcount - 1
+    # multiplies by the base, each power equal to repeated multiplication.
+    p = 3
+    base = FFPoly(p, (2, 1, 1))
+    real = FFPoly.__mul__
+    calls = []
+
+    def counting(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    want = FFPoly.const(p, 1)
+    for n in range(1, 17):
+        want = want * base
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(FFPoly, "__mul__", counting)
+            got = base ** n
+        assert got == want
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1
+    assert base ** 0 == FFPoly.const(p, 1) == FFPoly(p, ()) ** 0
+
+
+def test_monic_and_evaluate_ff_keep_a_monic_operand(monkeypatch):
+    p = 5
+    f = FFPoly(p, (3, 0, 1))
+    assert f.monic() is f
+    assert FFPoly(p, (3, 0, 2)).monic() == FFPoly(p, (4, 0, 1))
+    assert FFPoly(p, ()).monic().is_zero()
+    # Over F_2 every nonzero leading coefficient is 1: evaluate_ff scales by no constant.
+    real = FFPoly.__mul__
+    scalings = []
+
+    def counting(self, other):
+        if isinstance(other, int):
+            scalings.append(other)
+        return real(self, other)
+
+    t = FFPoly.t_var(2)
+    m = ff_family_map(2, FFRat.from_poly(t))
+    point = FFRat.make(t * t + FFPoly.const(2, 1), t)
+    want = evaluate_ff(m, point)
+    with monkeypatch.context() as patch:
+        patch.setattr(FFPoly, "__mul__", counting)
+        assert evaluate_ff(m, point) == want
+    assert scalings == []
+
+
 def test_ff_serialization():
     f = parse_ffpoly(3, "1+2*t+t^2")
     assert format_ffpoly(f) == "1+2*t+t^2"

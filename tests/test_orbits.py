@@ -349,7 +349,7 @@ def test_nmax_evaluates_no_basepoint_that_cannot_step(m, s, bound, n_cap, budget
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(orbits_mod, "evaluate", counting_evaluate)
         assert empirical_max_iterate(m, s, bound, n_cap=n_cap, height_budget_bits=budget) == want
-    limit = min(orbits_mod._scan_limits(m, s, budget, True)) if n_cap else -1
+    limit = min(orbits_mod._scan_limits(m.scan, m.degree, s, budget, True)) if n_cap else -1
     assert all(orbits_mod._bits(p) <= limit for p in calls)
     if n_cap == 0:
         assert calls == []
