@@ -8,7 +8,7 @@ makes the returned radii certificates rather than asymptotics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SizeBudgetExceededError
 from .maps import RationalMapQ, evaluate, make_map
@@ -39,8 +39,7 @@ def transition_constants(m: RationalMapQ) -> tuple[int, int]:
     return (d + 1) * m.height, 2 * d * m.certificate.max_coefficient
 
 
-@dataclass(frozen=True)
-class CanonicalHeightEstimate:
+class CanonicalHeightEstimate(NamedTuple):
     """Certified interval: |value - hhat(P)| <= radius."""
 
     value: float

@@ -9,16 +9,14 @@ at any worker count.
 from __future__ import annotations
 
 import argparse
-import inspect
 import re
 import sys
-from dataclasses import asdict
 
 from .errors import DynctlError, ParseError, SizeBudgetExceededError
 from .points import (DEFAULT_FF_HEIGHT_BUDGET, DEFAULT_HEIGHT_BUDGET_BITS, DEFAULT_N_CAP,
                      HEIGHT_BUDGET_BITS_LIMIT, SIntSpec, check_n_cap, format_point, parse_int,
                      parse_point)
-from .reports import emit_csv, emit_json, error_json, report_rows
+from .reports import as_dict, emit_csv, emit_json, error_json, report_rows
 
 # Each cmd_* imports the layers it runs when it runs, so a start pays for one
 # subcommand's modules only: ffavg never loads the Q side, avg3 never loads
@@ -146,7 +144,7 @@ def cmd_density(args) -> tuple[dict, list | None]:
     s = _parse_s(args.s)
     report = density_of_integral_preimages(m, s, _parse_ints(args.b),
                                            workers=args.workers)
-    return ({"map": args.map, "s": list(s), **asdict(report),
+    return ({"map": args.map, "s": list(s), **as_dict(report),
              "loglog_slope": report.loglog_slope()}, report_rows("density", report))
 
 
@@ -160,7 +158,7 @@ def cmd_avg(args) -> tuple[dict, list | None]:
     s = _parse_s(args.s)
     report = avg_experiment(target, beta, s, _parse_ints(args.b), n_cap=args.ncap,
                             height_budget_bits=args.height_budget_bits, workers=args.workers)
-    return ({"map": args.map, "beta": args.beta, "s": list(s), **asdict(report)},
+    return ({"map": args.map, "beta": args.beta, "s": list(s), **as_dict(report)},
             report_rows("avg", report))
 
 
@@ -170,7 +168,7 @@ def cmd_avg3(args) -> tuple[dict, list | None]:
     report = three_param_avg(args.n1, args.n2, args.n3, _parse_ints(args.b),
                              n_cap=args.ncap, height_budget_bits=args.height_budget_bits,
                              workers=args.workers)
-    return asdict(report), report_rows("avg3", report)
+    return as_dict(report), report_rows("avg3", report)
 
 
 def cmd_ffavg(args) -> tuple[dict, list | None]:
@@ -182,16 +180,18 @@ def cmd_ffavg(args) -> tuple[dict, list | None]:
     beta = _parse_ints(args.beta_coeffs)
     report = ff_orbit_avg(args.p, args.d, beta, s_polys, _parse_ints(args.b),
                           n_cap=args.ncap)
-    return ({"p": args.p, "d": args.d, "beta_coeffs": beta, **asdict(report)},
+    return ({"p": args.p, "d": args.d, "beta_coeffs": beta, **as_dict(report)},
             report_rows("ffavg", report))
 
 
 def cmd_verify(args) -> tuple[dict, list | None]:
+    import inspect
+
     results = []
     for fn in verification_checks():
         kwargs = {"seed": args.seed} if "seed" in inspect.signature(fn).parameters else {}
         results.extend(fn(**kwargs).checks)
-    return ({"ok": all(c.ok for c in results), "checks": [asdict(c) for c in results]},
+    return ({"ok": all(c.ok for c in results), "checks": [as_dict(c) for c in results]},
             [(c.name, int(c.ok), c.detail) for c in results])
 
 

@@ -12,9 +12,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (DegenerateFamilyError, DegenerateMapError, DegreeDropError,
                      SizeBudgetExceededError)
@@ -97,32 +96,45 @@ THREE_PARAM_TRIPLE_LIMIT = 10**6
 THREE_PARAM_BASE_BITS = 10**5
 
 
-@dataclass(frozen=True)
 class FamilySpec:
     """A family of degree-d maps whose coefficients are integer polynomials in parameters.
 
     The first specialization compiles the family (see `compiled`).
-    Construction only checks a few numeric samples.
+    Construction only checks a few numeric samples. Families compare and
+    hash by their fields, and are never mutated.
     """
 
-    param_names: tuple[str, ...]
-    degree: int
-    num_coeffs: tuple[IntPoly, ...]
-    den_coeffs: tuple[IntPoly, ...]
-    name: str = ""
+    def __init__(self, param_names: tuple[str, ...], degree: int,
+                 num_coeffs: tuple[IntPoly, ...], den_coeffs: tuple[IntPoly, ...],
+                 name: str = ""):
+        self.param_names = param_names
+        self.degree = degree
+        self.num_coeffs = num_coeffs
+        self.den_coeffs = den_coeffs
+        self.name = name
+        if len(num_coeffs) != degree + 1 or len(den_coeffs) != degree + 1:
+            raise ValueError("coefficient sequences must have length degree + 1")
+        if any(c.vars != param_names for c in num_coeffs + den_coeffs):
+            raise ValueError("coefficients must be polynomials in exactly param_names")
+        if not self._has_nondegenerate_sample():
+            raise DegenerateFamilyError("the generic resultant vanishes identically on a sample grid")
+
+    def _key(self) -> tuple:
+        return self.param_names, self.degree, self.num_coeffs, self.den_coeffs, self.name
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FamilySpec) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return ("FamilySpec(param_names={!r}, degree={!r}, num_coeffs={!r}, den_coeffs={!r}, "
+                "name={!r})".format(*self._key()))
 
     @property
     def arity(self) -> int:
         return len(self.param_names)
-
-    def __post_init__(self):
-        d = self.degree
-        if len(self.num_coeffs) != d + 1 or len(self.den_coeffs) != d + 1:
-            raise ValueError("coefficient sequences must have length degree + 1")
-        if any(c.vars != self.param_names for c in self.num_coeffs + self.den_coeffs):
-            raise ValueError("coefficients must be polynomials in exactly param_names")
-        if not self._has_nondegenerate_sample():
-            raise DegenerateFamilyError("the generic resultant vanishes identically on a sample grid")
 
     def _has_nondegenerate_sample(self) -> bool:
         candidates = (1, 2, -2, 3, -3, 5, 7, -1, 0)
@@ -253,17 +265,6 @@ def symbolic_second_iterate(family: FamilySpec) -> tuple[list[IntPoly], list[Int
     num = list(family.num_coeffs)
     den = list(family.den_coeffs)
     return form_compose(num, den, num, den)
-
-
-def second_iterate_family(family: FamilySpec) -> FamilySpec:
-    num, den = symbolic_second_iterate(family)
-    return FamilySpec(
-        param_names=family.param_names,
-        degree=family.degree**2,
-        num_coeffs=tuple(num),
-        den_coeffs=tuple(den),
-        name=f"{family.name}^2" if family.name else "",
-    )
 
 
 # The published second iterate of phi_t, ascending in x.
@@ -438,25 +439,33 @@ def pell_checks() -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BasepointSpec:
     """Basepoint family beta(t): numerator and denominator as ascending integer
     coefficient tuples of one length, read as binary forms of one degree.
 
-    The evaluation shape of the pair is computed on first use and cached.
+    shape, the pair's polynomials.form_shape, is computed on construction.
+    Specs compare and hash by the pair, and are never mutated.
     """
 
-    num: tuple[int, ...]
-    den: tuple[int, ...]
+    __slots__ = ("num", "den", "shape")
+
+    def __init__(self, num: tuple[int, ...], den: tuple[int, ...]):
+        self.num = num
+        self.den = den
+        self.shape = form_shape(num, den)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BasepointSpec) and (self.num, self.den) == (other.num, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
+
+    def __repr__(self) -> str:
+        return f"BasepointSpec(num={self.num!r}, den={self.den!r})"
 
     @property
     def degree(self) -> int:
         return len(self.num) - 1
-
-    @functools.cached_property
-    def shape(self) -> tuple[int, ...]:
-        """polynomials.form_shape of the pair."""
-        return form_shape(self.num, self.den)
 
     def eval_at_param(self, p: ProjPointQ) -> ProjPointQ:
         """Homogeneous evaluation at a parameter point of P^1. avg_experiment
@@ -464,8 +473,7 @@ class BasepointSpec:
         return normalize(*FORM_KERNELS[self.shape](self.num, self.den, p.a, p.b))
 
 
-@dataclass(frozen=True)
-class AvgReport:
+class AvgReport(NamedTuple):
     """Average S-integral orbit count per parameter, per height bound."""
 
     b_values: tuple[int, ...]
@@ -540,15 +548,13 @@ def avg_experiment(map_or_family: RationalMapQ | FamilySpec, beta: BasepointSpec
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CellTally:
+class CellTally(NamedTuple):
     population: int
     total: int
     max_count: int
 
 
-@dataclass(frozen=True)
-class ThreeParamReport:
+class ThreeParamReport(NamedTuple):
     """Boxed average over |r|,|s|,|t| <= B with the slice breakdown of the proof."""
 
     exponents: tuple[int, int, int]

@@ -13,8 +13,7 @@ import operator
 import re
 import sys
 from array import array
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateFamilyError, SizeBudgetExceededError
 from .points import (DEFAULT_FF_HEIGHT_BUDGET, DEFAULT_N_CAP, OrbitRecord, Truncation,
@@ -269,8 +268,7 @@ def is_irreducible(f: FFPoly) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FFRat:
+class FFRat(NamedTuple):
     """u/v in F_p(t), or the point [u : v] of P^1(F_p(t)): u and v coprime with
     v monic, or [1 : 0], the point at infinity."""
 
@@ -356,18 +354,33 @@ def validate_s_set(s: Sequence[FFPoly]) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FFMap:
     """Degree-d self-map of P^1 over F_p(t), stored as cleared coprime forms over F_p[t].
 
     The evaluation shape of the pair is computed on first use and cached.
+    Maps compare and hash by their fields, and are never mutated.
     """
 
-    p: int
-    degree: int
-    num_forms: tuple[FFPoly, ...]
-    den_forms: tuple[FFPoly, ...]
-    res: FFPoly
+    def __init__(self, p: int, degree: int, num_forms: tuple[FFPoly, ...],
+                 den_forms: tuple[FFPoly, ...], res: FFPoly):
+        self.p = p
+        self.degree = degree
+        self.num_forms = num_forms
+        self.den_forms = den_forms
+        self.res = res
+
+    def _key(self) -> tuple:
+        return self.p, self.degree, self.num_forms, self.den_forms, self.res
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FFMap) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return ("FFMap(p={!r}, degree={!r}, num_forms={!r}, den_forms={!r}, "
+                "res={!r})".format(*self._key()))
 
     @functools.cached_property
     def shape(self) -> tuple[int, ...]:
@@ -586,8 +599,7 @@ def enumerate_ff_elements(p: int, bound: int) -> list[FFRat]:
     return out
 
 
-@dataclass(frozen=True)
-class FFAvgReport:
+class FFAvgReport(NamedTuple):
     b_values: tuple[int, ...]
     population: tuple[int, ...]
     totals: tuple[int, ...]

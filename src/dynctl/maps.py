@@ -9,8 +9,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateMapError, DegreeDropError
 from .points import ProjPointQ
@@ -28,14 +27,24 @@ TAIL_FORMS = {(1, 0, 1): 1, (1, 0, 1, 0): 1, (1, 0, 0, 1): 4}
 ScanRecord = tuple[int, int | None, int | None, int]
 
 
-@dataclass(frozen=True)
 class BinaryForm:
     """Homogeneous binary form; coeffs[i] is the coefficient of X^i Y^(degree-i).
 
     The evaluation shape is computed on first use and cached on the form.
+    Forms compare and hash by their coefficients, and are never mutated.
     """
 
-    coeffs: tuple[int, ...]
+    def __init__(self, coeffs: tuple[int, ...]):
+        self.coeffs = coeffs
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BinaryForm) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"BinaryForm(coeffs={self.coeffs!r})"
 
     @property
     def degree(self) -> int:
@@ -50,7 +59,6 @@ class BinaryForm:
         return FORM_KERNELS[self.shape](self.coeffs, a, b)
 
 
-@dataclass(frozen=True)
 class RationalMapQ:
     """A degree-d rational self-map [F : G] of P^1 with Res(F, G) != 0.
 
@@ -59,13 +67,26 @@ class RationalMapQ:
     coefficient down, is positive). Constructed only by make_map, from
     map_record's Res(F, G) and orbit scan constants. The cofactor
     certificate and the evaluation shape of the pair are cached on the map
-    on first use; all of these travel with the map when pickled.
+    on first use; all of these travel with the map when pickled. Maps
+    compare and hash by their pair of forms, and are never mutated.
     """
 
-    numerator: BinaryForm
-    denominator: BinaryForm
-    resultant: int = field(repr=False, compare=False)
-    scan: ScanRecord = field(repr=False, compare=False)
+    def __init__(self, numerator: BinaryForm, denominator: BinaryForm, resultant: int,
+                 scan: ScanRecord):
+        self.numerator = numerator
+        self.denominator = denominator
+        self.resultant = resultant
+        self.scan = scan
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, RationalMapQ) and self.numerator == other.numerator
+                and self.denominator == other.denominator)
+
+    def __hash__(self) -> int:
+        return hash((self.numerator, self.denominator))
+
+    def __repr__(self) -> str:
+        return f"RationalMapQ(numerator={self.numerator!r}, denominator={self.denominator!r})"
 
     @property
     def degree(self) -> int:
@@ -163,8 +184,7 @@ def make_map(num_coeffs: Sequence[int], den_coeffs: Sequence[int],
     return RationalMapQ(BinaryForm(f), BinaryForm(g), res, scan)
 
 
-@dataclass(frozen=True)
-class CofactorCertificate:
+class CofactorCertificate(NamedTuple):
     """Forms of degree d-1 with p1*F + q1*G = R*X^D and p2*F + q2*G = R*Y^D, D = 2d-1."""
 
     p1: BinaryForm
@@ -184,7 +204,7 @@ class CofactorCertificate:
         return (combination(self.p1, self.q1) == zeros + [self.r]
                 and combination(self.p2, self.q2) == [self.r] + zeros)
 
-    @functools.cached_property
+    @property
     def max_coefficient(self) -> int:
         """The largest |c| over the four cofactors."""
         return max(abs(c) for form in (self.p1, self.q1, self.p2, self.q2) for c in form.coeffs)

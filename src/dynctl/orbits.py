@@ -6,7 +6,7 @@ import functools
 import math
 import operator
 from array import array
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .canonical import _require_degree_two, is_preperiodic
 from .maps import (RationalMapQ, ScanRecord, evaluate, is_polynomial,
@@ -212,8 +212,7 @@ def empirical_max_iterate(m: RationalMapQ, s: SIntSpec, bound: int,
     return best, witness
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     """Exact hit counts for T(f, S) = {b : f(b) in O_S} against all points, per height bound.
 
     trap_hits counts points whose denominator-form value divides the resultant

@@ -9,7 +9,8 @@ f alone, or r, s, t), or the basepoint family beta(t) of avg.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
+
 from .errors import DynctlError, NotRationalError, ParseError
 from .families import BasepointSpec, FamilySpec
 from .maps import RationalMapQ, make_map
@@ -33,8 +34,7 @@ MAX_NESTING = 100
 _TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([xtrsf])|(\*\*|[-+*/^()]))")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int" | "sym" | "op"
     text: str
     pos: int
@@ -263,8 +263,7 @@ class _Parser:
         raise ParseError(f"unexpected {tok.text!r}", tok.pos)
 
 
-@dataclass(frozen=True)
-class MapExpression:
+class MapExpression(NamedTuple):
     """Parsed rational function in x, possibly with parameter symbols, nothing
     divided out: to_rational_map, to_family and to_basepoint give its forms."""
 

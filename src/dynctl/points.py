@@ -7,9 +7,7 @@ import math
 import operator
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BothZeroError, ParseError, SizeBudgetExceededError
 
@@ -88,12 +86,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class ProjPointQ:
+class ProjPointQ(NamedTuple):
     """A point [a : b] of P^1(Q) in normalized coordinates.
 
     Invariants: gcd(|a|, |b|) = 1, and either b > 0 or (b = 0 and a = 1).
     Construct through normalize(); the raw constructor trusts its inputs.
+    Points compare, sort and hash as the tuple (a, b).
     """
 
     a: int
@@ -103,6 +101,8 @@ class ProjPointQ:
         return self.b == 0
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction
+
         if self.b == 0:
             raise ZeroDivisionError("the point at infinity is not a rational number")
         return Fraction(self.a, self.b)
@@ -128,11 +128,14 @@ def normalize(a: int, b: int) -> ProjPointQ:
     return ProjPointQ(a, b)
 
 
-@dataclass(frozen=True)
 class SIntSpec:
-    """A finite set of rational primes S; O_S is Z localized at S (Z itself when empty)."""
+    """A finite set of rational primes S; O_S is Z localized at S (Z itself when empty).
 
-    primes: frozenset[int]
+    Two specs with the same primes are equal and hash alike, so caches keyed
+    on a spec hit across pickled copies. Specs are never mutated.
+    """
+
+    __slots__ = ("primes",)
 
     def __init__(self, primes=()):
         ps = frozenset(int(p) for p in primes)
@@ -142,7 +145,16 @@ class SIntSpec:
                                  "primality test is no longer exact")
             if p < 2 or not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "primes", ps)
+        self.primes = ps
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SIntSpec) and self.primes == other.primes
+
+    def __hash__(self) -> int:
+        return hash(self.primes)
+
+    def __repr__(self) -> str:
+        return f"SIntSpec(primes={self.primes!r})"
 
     def __iter__(self) -> Iterator[int]:
         return iter(sorted(self.primes))
@@ -233,12 +245,6 @@ def enumerate_points(bound: int) -> list[ProjPointQ]:
     return out
 
 
-def count_points(bound: int) -> int:
-    """|{P : H(P) <= bound}| without materializing the points: the coprime_count
-    of each row 0..bound."""
-    return sum(coprime_count(b, bound) for b in range(bound + 1))
-
-
 def check_b_values(b_values: Iterable[int]) -> tuple[int, ...]:
     """Height bounds as a tuple of ints: nonempty, >= 1 and strictly increasing."""
     bs = tuple(int(b) for b in b_values)
@@ -289,8 +295,7 @@ class Truncation(enum.Enum):
     CERTIFIED_TAIL = "certified_tail"
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     """The computed prefix of an orbit: points[n] = phi^n(b) over the distinct prefix.
 
     When cycle_entry = (index, period) is present the orbit is fully known and

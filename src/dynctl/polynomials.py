@@ -7,7 +7,6 @@ resultants (over Z and over Z[params]), and the cofactor solve.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 # The largest exponent the map grammar and parse_ffpoly accept.

@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One named identity or sweep check: ok plus a short human-readable detail."""
 
     name: str
@@ -18,8 +14,7 @@ class CheckResult:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property
@@ -61,6 +56,9 @@ CSV_FIELDS = {
 
 
 def emit_csv(kind: str, rows: Iterable[Sequence]) -> str:
+    import csv
+    import io
+
     schema, columns = CSV_SCHEMAS[kind]
     buf = io.StringIO()
     buf.write(f"# schema: {schema}\n")
@@ -75,6 +73,22 @@ def report_rows(kind: str, report) -> list[tuple]:
     """A sweep report's CSV rows: one per height bound, columns from CSV_SCHEMAS[kind]."""
     _, columns = CSV_SCHEMAS[kind]
     return list(zip(*(getattr(report, CSV_FIELDS[c]) for c in columns)))
+
+
+def as_dict(record) -> dict:
+    """A record's fields by name, in declaration order. A record held in a
+    field, in a tuple or as a dict value becomes a dict in turn."""
+    return {name: _plain(value) for name, value in zip(record._fields, record)}
+
+
+def _plain(value):
+    if hasattr(value, "_fields"):
+        return as_dict(value)
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    return value
 
 
 def emit_json(payload: dict) -> str:

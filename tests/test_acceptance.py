@@ -16,7 +16,8 @@ from dynctl.families import (BasepointSpec, avg_experiment, cube_sum_bound_check
 from dynctl.funcfield import FFPoly, FFRat, ff_family, ff_family_verification, ff_orbit_avg
 from dynctl.maps import (cofactor_certificates_check, evaluate, make_map, random_map)
 from dynctl.orbits import density_of_integral_preimages, empirical_max_iterate
-from dynctl.points import EMPTY_S, count_points, enumerate_points, normalize
+from dynctl.points import EMPTY_S, enumerate_points, normalize
+from test_points import count_points
 
 SWEEP = {"n_cap": 16, "height_budget_bits": 10**4}
 

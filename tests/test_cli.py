@@ -699,16 +699,22 @@ def test_integer_literal_error_names_its_position(capsys):
     assert json.loads(err)["message"] == "bad integer literal '2_0' (at position 3)"
 
 
-def _dynctl_imports(argv):
-    """The dynctl modules a fresh `python -m dynctl.cli argv` imports, read
-    from its -X importtime lines. The CLI itself runs as __main__."""
+def _imports(*args):
+    """The modules a fresh `python -X importtime args` imports, read from its
+    importtime lines."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "dynctl.cli", *argv],
+    run = subprocess.run([sys.executable, "-X", "importtime", *args],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr.splitlines()[-1]
-    names = {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()
-             if line.startswith("import time:")}
-    return {name for name in names if name.partition(".")[0] == "dynctl"}
+    return {line.rpartition("|")[2].strip() for line in run.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def _dynctl_imports(argv):
+    """The dynctl modules a fresh `python -m dynctl.cli argv` imports. The
+    CLI itself runs as __main__."""
+    return {name for name in _imports("-m", "dynctl.cli", *argv)
+            if name.partition(".")[0] == "dynctl"}
 
 
 def test_each_subcommand_imports_only_the_layers_it_runs():
@@ -723,3 +729,27 @@ def test_each_subcommand_imports_only_the_layers_it_runs():
                  ["density", "--map", "(x-1)/(x^3+1)", "--s", "", "--b", "2"]):
         loaded = _dynctl_imports(argv)
         assert "dynctl.orbits" in loaded and "dynctl.funcfield" not in loaded, argv[0]
+
+    # Standard-library modules, counted past those the interpreter and site
+    # load on their own: only verify inspects signatures, no run builds
+    # dataclasses, only a CSV run writes CSV, and ffavg does no arithmetic in Q.
+    baseline = _imports("-c", "pass")
+    runs = {
+        "orbit": ["orbit", "--map", "x^2-1", "--point", "0", "--s", ""],
+        "canheight": ["canheight", "--map", "x^2", "--point", "2"],
+        "preper": ["preper", "--map", "x^2", "--point", "2"],
+        "nmax": ["nmax", "--map", "pell(2)", "--s", "", "--b", "1"],
+        "density": ["density", "--map", "(x-1)/(x^3+1)", "--s", "", "--b", "2"],
+        "avg": ["avg", "--map", "phi_t", "--beta", "t", "--s", "", "--b", "2"],
+        "avg3": ["avg3", "--b", "2"],
+        "ffavg": ["ffavg", "--p", "2", "--d", "2", "--beta-coeffs", "0,0,0,0,1", "--s", "",
+                  "--b", "1"],
+    }
+    for name, argv in runs.items():
+        loaded = _imports("-m", "dynctl.cli", *argv) - baseline
+        assert not loaded & {"dataclasses", "inspect", "csv"}, name
+        if name == "ffavg":
+            assert not loaded & {"fractions", "decimal", "numbers"}, name
+    csv_run = _imports("-m", "dynctl.cli", "density", "--map", "x^2", "--b", "2",
+                       "--format", "csv") - baseline
+    assert "csv" in csv_run and not csv_run & {"dataclasses", "inspect"}

@@ -9,8 +9,9 @@ docstrings and comments are not references. References are matched by name,
 not by binding, so a local variable that shares a definition's name hides it.
 
 The exemptions are references that tests compare the library against, and
-methods that code outside the package calls. Dataclass fields must be read
-too, except those of the reports that cli serializes with asdict.
+methods that code outside the package calls. Record fields must be read
+too: the fields of each NamedTuple and the attributes each class's __init__
+sets, except those of the reports that cli serializes with reports.as_dict.
 """
 
 import ast
@@ -19,9 +20,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "dynctl"
 
 ORACLES = {
-    "count_points": "criterion 12 counts H <= B without materializing the points",
     "VerificationReport.lines": "the text criterion 01 reads",
-    "second_iterate_family": "the published second-iterate resultant of phi_t, and the over-budget family",
 }
 
 OVERRIDES = {
@@ -54,14 +53,25 @@ def _definitions(tree: ast.Module):
                 yield target.id, stmt.lineno
 
 
-def _references(tree: ast.Module):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value
+def _references(tree: ast.Module, skipped_methods=frozenset()):
+    """Each name read in the tree. A class's __slots__ declares names and reads
+    none, and the methods of a class named in skipped_methods are not walked."""
+    def walk(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if in_class and (
+                    isinstance(child, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in child.targets)
+                    or isinstance(child, ast.FunctionDef) and child.name in skipped_methods):
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                yield child.id
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                yield child.attr
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                yield child.value
+            yield from walk(child, isinstance(child, ast.ClassDef))
+
+    yield from walk(tree, False)
 
 
 def test_every_definition_has_a_caller():
@@ -79,33 +89,43 @@ def test_every_definition_has_a_caller():
     assert set(exempt) <= defined, "stale exemption: " + ", ".join(set(exempt) - defined)
 
 
-# Dataclasses whose fields are read by dataclasses.asdict, not by name.
+# Records whose fields are read by reports.as_dict, not by name.
 SERIALIZED = {
-    "DensityReport": "cli serializes the density report with asdict",
-    "AvgReport": "cli serializes the avg report with asdict",
-    "ThreeParamReport": "cli serializes the avg3 report with asdict",
-    "CellTally": "asdict serializes the cells of a ThreeParamReport",
-    "FFAvgReport": "cli serializes the ffavg report with asdict",
-    "CheckResult": "cli serializes each verify check with asdict",
+    "DensityReport": "cli serializes the density report with reports.as_dict",
+    "AvgReport": "cli serializes the avg report with reports.as_dict",
+    "ThreeParamReport": "cli serializes the avg3 report with reports.as_dict",
+    "CellTally": "reports.as_dict serializes the cells of a ThreeParamReport",
+    "FFAvgReport": "cli serializes the ffavg report with reports.as_dict",
+    "CheckResult": "cli serializes each verify check with reports.as_dict",
 }
 
 
 def _dataclass_fields(tree: ast.Module):
-    """(class name, field name, line) of each annotated field of each @dataclass."""
+    """(class name, field name, line) of each annotated field of each
+    NamedTuple, and of each attribute that a class's __init__ sets on self."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
-            continue
+        if any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id, stmt.lineno
         for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                yield node.name, stmt.target.id, stmt.lineno
+            if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                for sub in ast.walk(stmt):
+                    if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                        yield node.name, sub.attr, sub.lineno
+
+
+# A record's own constructor, comparison, hash and repr name every field, as
+# the methods a dataclass generated did; they are not reads of a field.
+RECORD_METHODS = frozenset({"__init__", "__eq__", "__hash__", "__repr__", "_key"})
 
 
 def test_every_dataclass_field_is_read():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    referenced = {name for tree in trees.values() for name in _references(tree)}
+    referenced = {name for tree in trees.values() for name in _references(tree, RECORD_METHODS)}
     classes = set()
     unread = []
     for filename, tree in trees.items():
@@ -113,7 +133,7 @@ def test_every_dataclass_field_is_read():
             classes.add(cls)
             if cls not in SERIALIZED and field not in referenced:
                 unread.append(f"{filename}:{lineno} {cls}.{field}")
-    assert not unread, "dataclass field read nowhere in src/dynctl: " + ", ".join(unread)
+    assert not unread, "record field read nowhere in src/dynctl: " + ", ".join(unread)
     assert set(SERIALIZED) <= classes, "stale exemption: " + ", ".join(set(SERIALIZED) - classes)
 
 
@@ -130,23 +150,27 @@ UNPASSED_DEFAULTS = {
 def _defaulted_parameters(tree: ast.Module):
     """(qualified name, function name, parameter, positional index or None, line)
     of each defaulted parameter of each function and method. The index counts
-    from the first argument a caller writes, so self and cls are skipped."""
+    from the first argument a caller writes, so self and cls are skipped. A
+    class's __init__ goes by the class's name, which is what its callers call."""
     def walk(node, prefix, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 yield from walk(child, prefix + child.name + ".", True)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = prefix + child.name
+                name = child.name
+                if in_class and name == "__init__":
+                    name = prefix[:-1].rpartition(".")[2]
                 args = child.args
                 positional = args.posonlyargs + args.args
                 if in_class and positional and positional[0].arg in ("self", "cls"):
                     positional = positional[1:]
                 for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
                                         len(positional) - len(args.defaults)):
-                    yield qualname, child.name, arg.arg, i, child.lineno
+                    yield qualname, name, arg.arg, i, child.lineno
                 for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                     if default is not None:
-                        yield qualname, child.name, arg.arg, None, child.lineno
+                        yield qualname, name, arg.arg, None, child.lineno
                 yield from walk(child, qualname + ".", False)
             else:
                 yield from walk(child, prefix, in_class)

@@ -13,9 +13,8 @@ from dynctl.families import (SYMBOLIC_RESULTANT_BUDGET, AvgReport, BasepointSpec
                              cube_sum_bound_check, pell_fundamental, pell_map, pell_stream,
                              phi_t_family, phi_t_identities, phi_t_resultant_closed_form,
                              preimage_height_bound_check, resultant_specialization_check,
-                             resultant_specialization_grid_check,
-                             second_iterate_family, specialize, symbolic_second_iterate,
-                             three_param_avg, three_param_family,
+                             resultant_specialization_grid_check, specialize,
+                             symbolic_second_iterate, three_param_avg, three_param_family,
                              three_param_slice_bounds_check)
 from dynctl import families as families_mod
 from dynctl import maps as maps_mod
@@ -28,6 +27,18 @@ from dynctl.points import (EMPTY_S, N_CAP_LIMIT, ProjPointQ, Truncation, enumera
 from dynctl.polynomials import IntPoly, resultant_from_coeffs
 
 SWEEP = {"n_cap": 16, "height_budget_bits": 10**4}
+
+
+def second_iterate_family(family: FamilySpec) -> FamilySpec:
+    """The family of second iterates, from symbolic_second_iterate."""
+    num, den = symbolic_second_iterate(family)
+    return FamilySpec(
+        param_names=family.param_names,
+        degree=family.degree**2,
+        num_coeffs=tuple(num),
+        den_coeffs=tuple(den),
+        name=f"{family.name}^2" if family.name else "",
+    )
 
 
 def test_specialize_phi_t():

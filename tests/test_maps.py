@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import pickle
 import random
@@ -9,8 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from dynctl import canonical
 from dynctl.canonical import canonical_height
 from dynctl.errors import DegenerateMapError, DegreeDropError, SizeBudgetExceededError
-from dynctl.maps import (TAIL_FORMS, cofactor_certificates_check, cofactors, denominator_bound,
-                         evaluate, hadamard_loss, is_polynomial, make_map,
+from dynctl.maps import (TAIL_FORMS, BinaryForm, cofactor_certificates_check, cofactors,
+                         denominator_bound, evaluate, hadamard_loss, is_polynomial, make_map,
                          random_coprime_pair, random_map, second_iterate_is_polynomial,
                          tail_threshold, trap_height)
 from dynctl.points import INFINITY, ProjPointQ, normalize
@@ -98,14 +97,14 @@ def test_certificate_verify_refuses_any_changed_coefficient():
     # Both identities p1 F + q1 G = R X^D and p2 F + q2 G = R Y^D are checked,
     # in every coefficient: one cofactor coefficient or R off by one fails.
     cert = cofactors(PHI_1)
-    assert not dataclasses.replace(cert, r=cert.r + 1).verify(PHI_1)
+    assert not cert._replace(r=cert.r + 1).verify(PHI_1)
     for name in ("p1", "q1", "p2", "q2"):
         form = getattr(cert, name)
         for i in range(len(form.coeffs)):
             coeffs = list(form.coeffs)
             coeffs[i] += 1
-            changed = dataclasses.replace(form, coeffs=tuple(coeffs))
-            assert not dataclasses.replace(cert, **{name: changed}).verify(PHI_1)
+            changed = BinaryForm(tuple(coeffs))
+            assert not cert._replace(**{name: changed}).verify(PHI_1)
 
 
 def test_cofactor_gcd_divides_resultant_bruteforce():

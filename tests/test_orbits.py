@@ -16,9 +16,10 @@ from dynctl.orbits import (DEFAULT_N_CAP, count_s_integral, density_of_integral_
                            empirical_max_iterate, scan_orbit)
 from dynctl.parallel import map_chunks
 from dynctl.polynomials import form_compose
-from dynctl.points import (EMPTY_S, N_CAP_LIMIT, ProjPointQ, SIntSpec, Truncation, count_points,
+from dynctl.points import (EMPTY_S, N_CAP_LIMIT, ProjPointQ, SIntSpec, Truncation,
                            enumerate_points, is_s_integral, normalize, strip_s_part,
                            tally_by_height)
+from test_points import count_points
 
 X_SQUARED = make_map([0, 0, 1], [1, 0, 0])
 PELL_2 = pell_map(2)

@@ -8,9 +8,14 @@ from hypothesis import given, strategies as st
 from dynctl.errors import BothZeroError, ParseError, SizeBudgetExceededError
 from dynctl.points import (EMPTY_S, INFINITY, PRIME_TEST_LIMIT, ProjPointQ, SIntSpec,
                            check_b_values, check_enumeration_bound, coprime_count, coprime_row,
-                           count_points, enumerate_points, format_point, is_prime,
-                           is_s_integral, log_of_int, normalize, parse_int, parse_point,
-                           tally_by_height)
+                           enumerate_points, format_point, is_prime, is_s_integral, log_of_int,
+                           normalize, parse_int, parse_point, tally_by_height)
+
+
+def count_points(bound: int) -> int:
+    """|{P : H(P) <= bound}| without materializing the points: the coprime_count
+    of each row 0..bound."""
+    return sum(coprime_count(b, bound) for b in range(bound + 1))
 
 nonzero_pairs = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)).filter(
     lambda ab: ab != (0, 0)
